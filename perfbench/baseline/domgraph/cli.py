@@ -1,0 +1,293 @@
+"""Command-line front end.
+
+Exit statuses: 0 success, 1 domain errors (too-large, invalid-size, ...),
+2 usage errors.  All output is deterministic for a fixed argument vector.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+
+from . import counting, domination, reconfig, verify
+from .errors import DomGraphError
+from .graphs import (
+    Graph,
+    cartesian,
+    corona,
+    from_json,
+    join,
+    ladder,
+    make_family,
+    to_dot,
+    to_json_obj,
+)
+
+
+class UsageError(Exception):
+    """Bad flag combinations detected after argparse; maps to exit 2."""
+
+
+PRODUCT_OPS = {"join": join, "corona": corona, "cartesian": cartesian}
+
+
+def _parse_product(expr: str) -> Graph:
+    """Prefix product syntax: op:family:n,family:n e.g. join:complete:2,complete:2."""
+    op, sep, rest = expr.partition(":")
+    if not sep or op not in PRODUCT_OPS:
+        raise UsageError(
+            f"bad product {expr!r}; expected op:family:n,family:n with op in {sorted(PRODUCT_OPS)}"
+        )
+    parts = rest.split(",")
+    if len(parts) != 2:
+        raise UsageError(f"product {expr!r} needs exactly two factors")
+    factors = []
+    for part in parts:
+        bits = part.split(":")
+        if len(bits) != 2:
+            raise UsageError(f"bad factor {part!r}; expected family:n")
+        kind, n_text = bits
+        try:
+            n = int(n_text)
+        except ValueError:
+            raise UsageError(f"bad factor size {n_text!r}") from None
+        factors.append(make_family(kind, n))
+    return PRODUCT_OPS[op](factors[0], factors[1])
+
+
+def _resolve_graph(args) -> Graph:
+    sources = [s for s in ("family", "product", "input") if getattr(args, s, None)]
+    if len(sources) != 1:
+        raise UsageError("give exactly one of --family, --product, --input")
+    if args.family:
+        if args.n is None:
+            raise UsageError("--family needs --n")
+        if args.family == "ladder":
+            return ladder(args.n)
+        return make_family(args.family, args.n)
+    if args.product:
+        return _parse_product(args.product)
+    with open(args.input, encoding="utf-8") as fh:
+        return from_json(fh.read())
+
+
+def _emit(text: str, args) -> None:
+    if getattr(args, "output", None):
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _table(rows: list[tuple[str, object]]) -> str:
+    width = max(len(label) for label, _ in rows)
+    return "".join(f"{label:<{width}}  {value}\n" for label, value in rows)
+
+
+# ---------------------------------------------------------------------------
+# Subcommand handlers
+# ---------------------------------------------------------------------------
+
+def _cmd_family(args) -> int:
+    g = _resolve_graph(args)
+    if args.format == "json":
+        _emit(json.dumps(to_json_obj(g)) + "\n", args)
+    elif args.format == "dot":
+        _emit(to_dot(g), args)
+    else:
+        degs = g.degree_sequence()
+        _emit(_table([
+            ("vertices", g.n),
+            ("edges", g.m),
+            ("degree range", f"{min(degs)}..{max(degs)}"),
+            ("edge list", " ".join(f"{{{u},{v}}}" for u, v in g.edges_1based()) or "-"),
+        ]), args)
+    return 0
+
+
+def _cmd_dominating(args) -> int:
+    g = _resolve_graph(args)
+    k = args.k if args.k is not None else g.n
+    family = domination.enumerate_dominating(g, k, cap=args.cap)
+    if args.format == "json":
+        _emit(family.to_json() + "\n", args)
+    elif args.format == "csv":
+        _emit(domination.counts_csv(g.n, family.by_card), args)
+    else:
+        rows = [("graph n", g.n), ("bound k", k), ("dominating sets", len(family))]
+        rows += [(f"cardinality {j}", c) for j, c in enumerate(family.by_card) if c]
+        _emit(_table(rows), args)
+    return 0
+
+
+def _reconfig_stats(r: reconfig.ReconfigGraph) -> str:
+    if r.empty:
+        return _table([
+            ("order", 0),
+            ("warning", "k below the domination number; graph is empty"),
+        ])
+    parts = reconfig.bipartition(r)
+    lo, hi = reconfig.degree_extremes(r)
+    return _table([
+        ("order", r.order),
+        ("size", r.size),
+        ("parts", f"{len(parts[0])}/{len(parts[1])}"),
+        ("min degree", lo),
+        ("max degree", hi),
+        ("components", reconfig.connected_components(r)[0]),
+    ])
+
+
+def _cmd_reconfig(args) -> int:
+    g = _resolve_graph(args)
+    r = reconfig.build(g, args.k, cap=args.cap)
+    if args.format == "json":
+        _emit(reconfig.to_json(r) + "\n", args)
+    elif args.format == "dot":
+        _emit(reconfig.to_dot(r), args)
+    else:
+        _emit(_reconfig_stats(r), args)
+    return 0
+
+
+def _cmd_count(args) -> int:
+    if args.sums:
+        values = counting.order_sequence(args.family, args.n_max)
+        if args.format == "csv":
+            _emit(counting.sequence_csv(args.family, values), args)
+        elif args.format == "json":
+            _emit(json.dumps({"family": args.family, "orders": values}) + "\n", args)
+        else:
+            _emit(",".join(str(v) for v in values) + "\n", args)
+        return 0
+    table = (counting.path_triangle if args.family == "path" else counting.cycle_triangle)(args.n_max)
+    if args.format == "csv":
+        _emit(counting.triangle_csv(table), args)
+    elif args.format == "json":
+        _emit(counting.triangle_json(table) + "\n", args)
+    else:
+        lines = [f"{n}: {' '.join(str(c) for c in table.row(n))}" for n in sorted(table.rows)]
+        _emit("\n".join(lines) + "\n", args)
+    return 0
+
+
+def _cmd_verify(args) -> int:
+    records = verify.verify_suite(args.suite, max_n=args.max_n, seed=args.seed)
+    if args.format == "json":
+        report = verify.report_to_json_obj(records, args.suite, args.max_n)
+        _emit(json.dumps(report, indent=2) + "\n", args)
+        return 0
+    width = max(len(r.check) for r in records)
+    lines = []
+    for r in records:
+        lines.append(f"{r.status.upper():<7} {r.check:<{width}}  [{r.range}]")
+        if r.status != "pass":
+            lines.append(f"        claimed:  {r.expected}")
+            lines.append(f"        observed: {r.observed}")
+        if r.note:
+            lines.append(f"        note: {r.note}")
+    counts = {s: sum(1 for r in records if r.status == s) for s in ("pass", "erratum", "fail")}
+    lines.append(
+        f"{len(records)} checks: {counts['pass']} pass, "
+        f"{counts['erratum']} erratum, {counts['fail']} fail"
+    )
+    _emit("\n".join(lines) + "\n", args)
+    return 0
+
+
+def _cmd_export(args) -> int:
+    g = _resolve_graph(args)
+    if args.k is not None:
+        r = reconfig.build(g, args.k, cap=args.cap)
+        text = reconfig.to_json(r) + "\n" if args.format == "json" else reconfig.to_dot(r)
+    else:
+        text = json.dumps(to_json_obj(g)) + "\n" if args.format == "json" else to_dot(g)
+    _emit(text, args)
+    return 0
+
+
+# ---------------------------------------------------------------------------
+# Parser
+# ---------------------------------------------------------------------------
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="domgraph",
+        description="Dominating sets, k-dominating reconfiguration graphs, "
+        "and exact counting formulas.",
+    )
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+
+    spec = argparse.ArgumentParser(add_help=False)
+    spec.add_argument("--family", choices=["path", "cycle", "complete", "empty", "ladder"])
+    spec.add_argument("--n", type=int, help="family size")
+    spec.add_argument("--product", help="op:family:n,family:n (op: join|corona|cartesian)")
+    spec.add_argument("--input", help="graph JSON file")
+    spec.add_argument("--output", help="write to this path instead of stdout")
+    spec.add_argument("--cap", type=int, default=domination.ENUMERATION_CAP,
+                      help="enumeration cap override")
+
+    p = sub.add_parser("family", parents=[spec], help="construct and print a graph")
+    p.add_argument("--format", choices=["table", "json", "dot"], default="table")
+    p.set_defaults(func=_cmd_family)
+
+    p = sub.add_parser("dominating", parents=[spec], help="enumerate dominating sets")
+    p.add_argument("--k", type=int, help="cardinality bound (default: n)")
+    p.add_argument("--format", choices=["table", "json", "csv"], default="table")
+    p.set_defaults(func=_cmd_dominating)
+
+    p = sub.add_parser("reconfig", parents=[spec], help="build and analyze D_k(G)")
+    p.add_argument("--k", type=int, help="cardinality bound (default: n)")
+    p.add_argument("--stats", action="store_true", help="print summary statistics (default)")
+    p.add_argument("--format", choices=["table", "json", "dot"], default="table")
+    p.set_defaults(func=_cmd_reconfig)
+
+    p = sub.add_parser("count", help="triangles and order sequences from the recurrences")
+    p.add_argument("--family", choices=["path", "cycle"], required=True)
+    p.add_argument("--n-max", type=int, required=True)
+    p.add_argument("--sums", action="store_true", help="emit order sums instead of the triangle")
+    p.add_argument("--format", choices=["table", "json", "csv"], default="table")
+    p.add_argument("--output")
+    p.set_defaults(func=_cmd_count)
+
+    p = sub.add_parser("verify", help="cross-check formulas against the enumeration oracle")
+    p.add_argument("--suite", choices=list(verify.SUITES) + ["all"], default="all")
+    p.add_argument("--max-n", type=int, default=12)
+    p.add_argument("--seed", type=int, default=0, help="seed for the random parity samples")
+    p.add_argument("--format", choices=["table", "json"], default="table")
+    p.add_argument("--output")
+    p.set_defaults(func=_cmd_verify)
+
+    p = sub.add_parser("export", parents=[spec], help="write a graph or D_k(G) to json/dot")
+    p.add_argument("--k", type=int, help="export D_k(G) instead of G")
+    p.add_argument("--format", choices=["json", "dot"], default="json")
+    p.set_defaults(func=_cmd_export)
+
+    return parser
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else 2
+    try:
+        return args.func(args)
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
+    except DomGraphError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

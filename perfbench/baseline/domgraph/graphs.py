@@ -1,0 +1,256 @@
+"""Simple undirected graphs: named families, graph products, serialization.
+
+Vertices are 0-based internally and 1-based on every external surface
+(JSON, DOT, printed labels).  Graphs are immutable and capped at 63
+vertices, so any vertex subset fits one machine word as a bitmask.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass
+from typing import Iterable
+
+from .errors import DegenerateFamilyError, InvalidSizeError, InvalidSubsetError
+
+MAX_VERTICES = 63
+
+FAMILY_KINDS = ("path", "cycle", "complete", "empty")
+
+
+@dataclass(frozen=True)
+class Graph:
+    """Immutable simple graph with per-vertex closed-neighborhood bitmasks.
+
+    edges holds 0-based pairs (u, v) with u < v, sorted lexicographically.
+    closed_nbhd[v] is the bitmask of N[v]; bit v is always set.
+    """
+
+    n: int
+    edges: tuple[tuple[int, int], ...]
+    closed_nbhd: tuple[int, ...]
+
+    @property
+    def m(self) -> int:
+        return len(self.edges)
+
+    @property
+    def full_mask(self) -> int:
+        return (1 << self.n) - 1
+
+    def degree(self, v: int) -> int:
+        return self.closed_nbhd[v].bit_count() - 1
+
+    def degree_sequence(self) -> tuple[int, ...]:
+        return tuple(self.degree(v) for v in range(self.n))
+
+    def edges_1based(self) -> tuple[tuple[int, int], ...]:
+        return tuple((u + 1, v + 1) for u, v in self.edges)
+
+    def consistent(self) -> bool:
+        """Closed neighborhoods re-derived from the edge list match exactly."""
+        return self.closed_nbhd == _closed_masks(self.n, self.edges)
+
+
+def _closed_masks(n: int, edges) -> tuple[int, ...]:
+    nbhd = [1 << v for v in range(n)]
+    for u, v in edges:
+        nbhd[u] |= 1 << v
+        nbhd[v] |= 1 << u
+    return tuple(nbhd)
+
+
+def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
+    """Build a validated Graph from 0-based endpoint pairs."""
+    if n < 1:
+        raise InvalidSizeError(f"a graph needs at least one vertex, got n={n}")
+    if n > MAX_VERTICES:
+        raise InvalidSizeError(
+            f"n={n} exceeds the {MAX_VERTICES}-vertex single-word bitmask budget"
+        )
+    canon = set()
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise InvalidSizeError(f"edge ({u},{v}) out of range for n={n}")
+        if u == v:
+            raise InvalidSizeError(f"self-loop at vertex {u} (graphs are simple)")
+        canon.add((u, v) if u < v else (v, u))
+    edge_tuple = tuple(sorted(canon))
+    return Graph(n=n, edges=edge_tuple, closed_nbhd=_closed_masks(n, edge_tuple))
+
+
+def make_family(kind: str, n: int) -> Graph:
+    """Construct P_n, C_n, K_n, or the edgeless graph O_n with labels 1..n."""
+    if kind not in FAMILY_KINDS:
+        raise ValueError(f"unknown family {kind!r}, expected one of {FAMILY_KINDS}")
+    if n < 1:
+        raise InvalidSizeError(f"family {kind} needs n >= 1, got n={n}")
+    if kind == "path":
+        return graph_from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    if kind == "cycle":
+        if n < 3:
+            raise DegenerateFamilyError(
+                f"C_{n} is not a simple cycle; cycles need n >= 3"
+            )
+        return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    if kind == "complete":
+        return graph_from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    return graph_from_edges(n, [])
+
+
+def join(g: Graph, h: Graph) -> Graph:
+    """Disjoint union of g and h plus every edge between the two vertex sets.
+
+    g's vertices come first, then h's shifted by g.n.
+    """
+    n = g.n + h.n
+    if n > MAX_VERTICES:
+        raise InvalidSizeError(f"join would have {n} > {MAX_VERTICES} vertices")
+    edges = list(g.edges)
+    edges += [(g.n + u, g.n + v) for u, v in h.edges]
+    edges += [(u, g.n + v) for u in range(g.n) for v in range(h.n)]
+    return graph_from_edges(n, edges)
+
+
+def corona(g: Graph, h: Graph) -> Graph:
+    """One copy of g and g.n copies of h, vertex i of g joined to all of copy i.
+
+    Layout: g's vertices 0..p-1, then copy i of h at p + i*q .. p + i*q + q - 1.
+    """
+    p, q = g.n, h.n
+    n = p * (1 + q)
+    if n > MAX_VERTICES:
+        raise InvalidSizeError(f"corona would have {n} > {MAX_VERTICES} vertices")
+    edges = list(g.edges)
+    for i in range(p):
+        base = p + i * q
+        edges += [(base + u, base + v) for u, v in h.edges]
+        edges += [(i, base + v) for v in range(q)]
+    return graph_from_edges(n, edges)
+
+
+def cartesian(g: Graph, h: Graph) -> Graph:
+    """Cartesian product: (u1,v1) ~ (u2,v2) iff equal in one coordinate and
+    adjacent in the other.  Pair (u, v) maps to index u*h.n + v.
+    """
+    n = g.n * h.n
+    if n > MAX_VERTICES:
+        raise InvalidSizeError(f"cartesian product would have {n} > {MAX_VERTICES} vertices")
+    edges = []
+    for u in range(g.n):
+        for a, b in h.edges:
+            edges.append((u * h.n + a, u * h.n + b))
+    for a, b in g.edges:
+        for v in range(h.n):
+            edges.append((a * h.n + v, b * h.n + v))
+    return graph_from_edges(n, edges)
+
+
+def ladder(n: int) -> Graph:
+    """The ladder L_n, the cartesian product of P_n with K_2 (2n vertices)."""
+    return cartesian(make_family("path", n), make_family("complete", 2))
+
+
+def is_connected(g: Graph) -> bool:
+    """Breadth-first reachability from vertex 0 covers all vertices."""
+    reach = 1
+    while True:
+        nxt = reach
+        m = reach
+        while m:
+            v = (m & -m).bit_length() - 1
+            nxt |= g.closed_nbhd[v]
+            m &= m - 1
+        if nxt == reach:
+            return reach == g.full_mask
+        reach = nxt
+
+
+# ---------------------------------------------------------------------------
+# Vertex subsets
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class VertexSubset:
+    """A set of vertices encoded as a bitmask over 0..n-1."""
+
+    bits: int
+
+    def __post_init__(self):
+        if self.bits < 0:
+            raise InvalidSubsetError("subset bitmask must be nonnegative")
+
+    @property
+    def card(self) -> int:
+        return self.bits.bit_count()
+
+    def vertices(self) -> tuple[int, ...]:
+        """Members as sorted 1-based labels."""
+        return tuple(v + 1 for v in range(self.bits.bit_length()) if self.bits >> v & 1)
+
+    @staticmethod
+    def from_vertices(vertices: Iterable[int]) -> "VertexSubset":
+        """Build from 1-based labels."""
+        bits = 0
+        for v in vertices:
+            if v < 1:
+                raise InvalidSubsetError(f"vertex labels are 1-based, got {v}")
+            bits |= 1 << (v - 1)
+        return VertexSubset(bits)
+
+    def __str__(self) -> str:
+        return "{" + ",".join(str(v) for v in self.vertices()) + "}"
+
+
+def subset_bits(g: Graph, subset) -> int:
+    """Normalize a subset (VertexSubset, bitmask int, or iterable of 1-based
+    labels) to a bitmask, validating it against g's vertex range."""
+    if isinstance(subset, VertexSubset):
+        bits = subset.bits
+    elif isinstance(subset, int):
+        bits = subset
+    else:
+        bits = VertexSubset.from_vertices(subset).bits
+    if bits < 0 or bits > g.full_mask:
+        raise InvalidSubsetError(
+            f"subset {bin(bits)} out of range for a graph on {g.n} vertices"
+        )
+    return bits
+
+
+# ---------------------------------------------------------------------------
+# Serialization
+# ---------------------------------------------------------------------------
+
+def to_json_obj(g: Graph) -> dict:
+    return {"n": g.n, "edges": [[u, v] for u, v in g.edges_1based()]}
+
+
+def to_json(g: Graph) -> str:
+    return json.dumps(to_json_obj(g))
+
+
+def from_json_obj(obj: dict) -> Graph:
+    n = obj["n"]
+    edges = [(u - 1, v - 1) for u, v in obj["edges"]]
+    return graph_from_edges(n, edges)
+
+
+def from_json(text: str) -> Graph:
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InvalidSizeError(f"malformed graph JSON: {exc}") from exc
+    if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
+        raise InvalidSizeError('graph JSON must look like {"n": 3, "edges": [[1,2],...]}')
+    return from_json_obj(obj)
+
+
+def to_dot(g: Graph, name: str = "G") -> str:
+    lines = [f"graph {name} {{"]
+    for v in range(g.n):
+        lines.append(f"  v{v + 1};")
+    for u, v in g.edges:
+        lines.append(f"  v{u + 1} -- v{v + 1};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
