@@ -219,6 +219,8 @@ def closed_form_order(family: str, n: int) -> int:
         raise ValueError("n must be >= 1")
     value = cubic_closed_form(family).evaluate(n)
     nearest = round(value.real)
+    if abs(nearest) >= 2**48:  # float64 error reaches a unit; rounding may be off
+        raise PrecisionError(f"{family} closed form at n={n} is past 2^48, the exact float range")
     residual = abs(value - nearest) / max(1, abs(nearest))
     if residual >= ROUNDING_REL_TOL:
         raise PrecisionError(

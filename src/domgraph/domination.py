@@ -2,10 +2,8 @@
 
 Two independent enumeration routes exist on purpose:
 
-* ``method="scan"``: a vectorized sweep over all 2^n subsets.  Coverage
-  masks for every subset are built by doubling (subsets of {0..v} are the
-  subsets of {0..v-1} with and without v), so the whole table costs one
-  pass of bitwise ORs.  This is the trusted oracle.
+* ``method="scan"``: a vectorized sweep over all 2^n subsets of the
+  graph's SubsetTable.  This is the trusted oracle.
 * ``method="prune"``: branch on which vertex covers the lowest uncovered
   vertex, with already-tried candidates excluded on later branches.  Each
   dominating set is generated exactly once and work is proportional to the
@@ -14,8 +12,11 @@ Two independent enumeration routes exist on purpose:
 Both return the identical DomFamily, sorted by (cardinality, bitmask
 value); the test suite holds them to that.
 
-Counting operations (total_count, count_by_cardinality, the gamma/Gamma
-numbers) use the scan route without materializing set objects.
+The counting operations read the same table.  It builds the coverage of
+every subset by doubling (subsets of {0..v} are those of {0..v-1} with and
+without v), keeps only the boolean dominating mask, and fills popcounts and
+the minimal mask on first use.  The last graph's table is kept, so queries
+on one graph (or on equal graphs) build it once.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -66,23 +68,58 @@ def _check_cap(g: Graph, cap: int) -> None:
         )
 
 
-def _coverage_table(g: Graph) -> np.ndarray:
-    """closed-neighborhood union for every subset, indexed by bitmask."""
-    cov = np.empty(1 << g.n, dtype=np.int64)
-    cov[0] = 0
-    size = 1
-    for v in range(g.n):
-        np.bitwise_or(cov[:size], np.int64(g.closed_nbhd[v]), out=cov[size : 2 * size])
-        size <<= 1
-    return cov
+class SubsetTable:
+    """Dominating and minimal masks, and popcounts, over all 2^n subsets."""
+
+    def __init__(self, g: Graph):
+        word = np.uint32 if g.n <= 32 else np.uint64
+        cov = np.empty(1 << g.n, dtype=word)
+        cov[0] = 0
+        size = 1
+        for v in range(g.n):
+            np.bitwise_or(cov[:size], word(g.closed_nbhd[v]), out=cov[size : 2 * size])
+            size <<= 1
+        self.n = g.n
+        self.word = word
+        self.dom = cov == word(g.full_mask)
+
+    @cached_property
+    def cards(self) -> np.ndarray:
+        return np.bitwise_count(np.arange(1 << self.n, dtype=self.word))
+
+    @cached_property
+    def minimal(self) -> np.ndarray:
+        # v in S is removable iff S - v dominates.  In blocks of 2 << v subsets the upper
+        # half is the lower half plus v; OR in words of up to 8 (short rows are slow)
+        removable = np.zeros_like(self.dom)
+        for v in range(self.n):
+            word = np.dtype(f"u{min(1 << v, 8)}")
+            step = (1 << v) // word.itemsize
+            with_v = removable.view(word).reshape(-1, 2, step)[:, 1, :]
+            with_v |= self.dom.view(word).reshape(-1, 2, step)[:, 0, :]
+        # a set with a removable vertex dominates, so minimal = dom xor removable
+        return np.logical_xor(self.dom, removable, out=removable)
+
+    @cached_property
+    def dom_by_card(self) -> tuple[int, ...]:
+        return tuple(np.bincount(self.cards[self.dom], minlength=self.n + 1).tolist())
+
+    @cached_property
+    def minimal_by_card(self) -> tuple[int, ...]:
+        return tuple(np.bincount(self.cards[self.minimal], minlength=self.n + 1).tolist())
 
 
-def _dominating_mask(g: Graph) -> np.ndarray:
-    return _coverage_table(g) == np.int64(g.full_mask)
+_last_table: tuple = (None, None)  # (graph, SubsetTable) of the last graph queried
 
 
-def _popcounts(n: int) -> np.ndarray:
-    return np.bitwise_count(np.arange(1 << n, dtype=np.uint64)).astype(np.int64)
+def _table(g: Graph) -> SubsetTable:
+    global _last_table
+    graph, table = _last_table
+    if graph != g:
+        _last_table = (None, None)  # free the previous masks before building new ones
+        table = SubsetTable(g)
+        _last_table = (g, table)
+    return table
 
 
 def is_dominating(g: Graph, subset) -> bool:
@@ -115,10 +152,8 @@ def is_minimal_dominating(g: Graph, subset) -> bool:
 
 
 def _scan_bits(g: Graph, k: int) -> list[int]:
-    dom = _dominating_mask(g)
-    idx = np.flatnonzero(dom)
-    cards = np.bitwise_count(idx.astype(np.uint64)).astype(np.int64)
-    return [int(b) for b in idx[cards <= k]]
+    table = _table(g)
+    return np.flatnonzero(table.dom & (table.cards <= k)).tolist()
 
 
 def _prune_bits(g: Graph, k: int) -> list[int]:
@@ -191,56 +226,36 @@ def enumerate_dominating(
 def count_by_cardinality(g: Graph, *, cap: int = ENUMERATION_CAP) -> tuple[int, ...]:
     """d(G, j) for j = 0..n: the number of dominating sets of each size."""
     _check_cap(g, cap)
-    dom = _dominating_mask(g)
-    cards = _popcounts(g.n)
-    counts = np.bincount(cards[dom], minlength=g.n + 1)
-    return tuple(int(c) for c in counts)
+    return _table(g).dom_by_card
 
 
 def total_count(g: Graph, *, cap: int = ENUMERATION_CAP) -> int:
     """Number of dominating sets of G (odd for every graph, see verify)."""
     _check_cap(g, cap)
-    return int(_dominating_mask(g).sum())
+    return int(np.count_nonzero(_table(g).dom))
 
 
 def domination_number(g: Graph, *, cap: int = ENUMERATION_CAP) -> int:
     """gamma(G): minimum cardinality of a dominating set."""
     _check_cap(g, cap)
-    dom = _dominating_mask(g)
-    cards = _popcounts(g.n)
-    return int(cards[dom].min())
-
-
-def _minimal_mask(g: Graph) -> np.ndarray:
-    """Boolean mask over all subsets: dominating with no removable vertex."""
-    dom = _dominating_mask(g)
-    idx = np.arange(1 << g.n, dtype=np.int64)
-    minimal = dom.copy()
-    for v in range(g.n):
-        bit = np.int64(1 << v)
-        has = (idx & bit) != 0
-        minimal &= ~(has & dom[idx ^ bit])
-    return minimal
+    return next(j for j, c in enumerate(_table(g).dom_by_card) if c)
 
 
 def upper_domination_number(g: Graph, *, cap: int = ENUMERATION_CAP) -> int:
     """Gamma(G): maximum cardinality over minimal dominating sets."""
     _check_cap(g, cap)
-    cards = _popcounts(g.n)[_minimal_mask(g)]
-    return int(cards.max())
+    return max(j for j, c in enumerate(_table(g).minimal_by_card) if c)
 
 
 def count_minimum_sets(g: Graph, *, cap: int = ENUMERATION_CAP) -> int:
     """Number of dominating sets of cardinality gamma(G)."""
-    counts = count_by_cardinality(g, cap=cap)
-    return counts[domination_number(g, cap=cap)]
+    return next(c for c in count_by_cardinality(g, cap=cap) if c)
 
 
 def count_maximal_minimal_sets(g: Graph, *, cap: int = ENUMERATION_CAP) -> int:
     """Number of minimal dominating sets of cardinality Gamma(G)."""
     _check_cap(g, cap)
-    cards = _popcounts(g.n)[_minimal_mask(g)]
-    return int((cards == cards.max()).sum())
+    return next(c for c in reversed(_table(g).minimal_by_card) if c)
 
 
 def counts_csv(graph_n: int, counts) -> str:

@@ -232,6 +232,8 @@ def to_json(g: Graph) -> str:
 
 def from_json_obj(obj: dict) -> Graph:
     n = obj["n"]
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise InvalidSizeError(f"graph JSON needs an integer n, got {n!r}")
     edges = [(u - 1, v - 1) for u, v in obj["edges"]]
     return graph_from_edges(n, edges)
 

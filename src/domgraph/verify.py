@@ -100,7 +100,7 @@ def suite_complete(max_n: int = 12) -> list[CheckRecord]:
     ))
     records.append(_pairs_record(
         "complete/bipartite-edges-cross", f"1<=n<={hi}",
-        [(n, 0, _parity_violations(r)) for n, r in built.items()],
+        [(n, 0, parity_violations(r)) for n, r in built.items()],
     ))
     records.append(_pairs_record(
         "complete/euler", f"3<=n<={min(hi, 10)}",
@@ -128,7 +128,8 @@ def suite_complete(max_n: int = 12) -> list[CheckRecord]:
     return records
 
 
-def _parity_violations(r: reconfig.ReconfigGraph) -> int:
+def parity_violations(r: reconfig.ReconfigGraph) -> int:
+    """Edges of D_k(G) joining two sets whose cardinalities have equal parity."""
     cards = [s.card for s in r.nodes.sets]
     return sum(
         1
@@ -357,7 +358,7 @@ def _structure_records(family: str, graphs: dict[int, Graph], struct_hi: int) ->
         ),
         _pairs_record(
             f"{family}/bipartite-edges-cross", f"{lo}<=n<={struct_hi}",
-            [(n, 0, _parity_violations(r)) for n, r in built.items()],
+            [(n, 0, parity_violations(r)) for n, r in built.items()],
         ),
         _pairs_record(
             f"{family}/non-regularity", f"{max(lo, 2)}<=n<={struct_hi}",
@@ -449,7 +450,8 @@ def suite_cycles(max_n: int = 12) -> list[CheckRecord]:
 # Graph products
 # ---------------------------------------------------------------------------
 
-def _family_pool(max_size: int):
+def family_pool(max_size: int):
+    """(name, graph) for K_m, P_m, C_m and O_m, m <= max_size, where simple."""
     pool = []
     for m in range(1, max_size + 1):
         pool.append((f"K{m}", make_family("complete", m)))
@@ -463,7 +465,7 @@ def _family_pool(max_size: int):
 
 def suite_products(max_n: int = 12) -> list[CheckRecord]:
     records = []
-    pool = _family_pool(max_n - 1)
+    pool = family_pool(max_n - 1)
     totals = {name: domination.total_count(g) for name, g in pool}
 
     join_triples = []
@@ -514,7 +516,7 @@ def suite_products(max_n: int = 12) -> list[CheckRecord]:
 # Parity of the number of dominating sets
 # ---------------------------------------------------------------------------
 
-def _labeled_graph_sweep(n: int):
+def labeled_graph_sweep(n: int):
     """(connected, dominating-set count) for every labeled graph on n
     vertices, vectorized over all 2^(n(n-1)/2) edge subsets."""
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
@@ -550,7 +552,8 @@ def _labeled_graph_sweep(n: int):
     return connected, counts
 
 
-def _random_connected_graph(rng: random.Random, n: int) -> Graph:
+def random_connected_graph(rng: random.Random, n: int) -> Graph:
+    """A random recursive tree on n vertices plus G(n, p) edges, p in [0.05, 0.5)."""
     edges = set()
     for v in range(1, n):
         edges.add((rng.randrange(v), v))
@@ -569,7 +572,7 @@ def suite_parity(max_n: int = 12, seed: int = 0, samples: int = 200,
     triples = []
     total_checked = 0
     for n in range(1, exhaustive_hi + 1):
-        connected, counts = _labeled_graph_sweep(n)
+        connected, counts = labeled_graph_sweep(n)
         even = int((counts[connected] % 2 == 0).sum())
         total_checked += int(connected.sum())
         triples.append((n, 0, even))
@@ -588,7 +591,7 @@ def suite_parity(max_n: int = 12, seed: int = 0, samples: int = 200,
     sizes = []
     for _ in range(samples):
         n = rng.randint(2, random_max_n)
-        g = _random_connected_graph(rng, n)
+        g = random_connected_graph(rng, n)
         sizes.append(n)
         if domination.total_count(g) % 2 == 0:
             even += 1
@@ -606,10 +609,8 @@ def suite_parity(max_n: int = 12, seed: int = 0, samples: int = 200,
 
 def verify_suite(suite: str = "all", max_n: int = 12, seed: int = 0) -> list[CheckRecord]:
     """Run one named suite (or all of them) and return its records."""
-    if max_n > domination.ENUMERATION_CAP:
-        raise ValueError(
-            f"max_n={max_n} exceeds the enumeration cap {domination.ENUMERATION_CAP}"
-        )
+    if not 3 <= max_n <= domination.ENUMERATION_CAP:
+        raise ValueError(f"max_n={max_n} outside the valid range 3..{domination.ENUMERATION_CAP}")
     if suite == "all":
         records = []
         for name in SUITES:

@@ -44,10 +44,10 @@ from domgraph import (
 from domgraph.counting import CYCLE_ORDER_GF, PATH_FORMULAS, PATH_ORDER_GF
 from domgraph.counting import closed_d, closed_d_target
 from domgraph.verify import (
-    _family_pool,
-    _labeled_graph_sweep,
-    _parity_violations,
-    _random_connected_graph,
+    family_pool,
+    labeled_graph_sweep,
+    parity_violations,
+    random_connected_graph,
 )
 
 
@@ -314,20 +314,20 @@ def test_criterion_07_reconfiguration_structure():
     for n in range(1, 13):
         built.append(("complete", n, build(make_family("complete", n))))
     for family, n, r in built:
-        if _parity_violations(r) != 0:
+        if parity_violations(r) != 0:
             failures.append((family, n, "bipartite"))
         if n >= 2 and is_regular(r):
             failures.append((family, n, "regular"))
     # parity theorem: exhaustively for n <= 7, then 200 random connected
     for n in range(1, 8):
-        connected, counts = _labeled_graph_sweep(n)
+        connected, counts = labeled_graph_sweep(n)
         if int((counts[connected] % 2 == 0).sum()) != 0:
             failures.append(("parity exhaustive", n))
     import random
 
     rng = random.Random(0)
     for _ in range(200):
-        g = _random_connected_graph(rng, rng.randint(2, 16))
+        g = random_connected_graph(rng, rng.randint(2, 16))
         if total_count(g) % 2 == 0:
             failures.append(("parity random", g.n))
     _report("criterion 7 (reconfiguration structure and parity)", failures)
@@ -358,7 +358,7 @@ def test_criterion_08_distance_two_law():
 
 def test_criterion_09_product_orders():
     failures = []
-    pool = _family_pool(19)
+    pool = family_pool(19)
     totals = {name: total_count(g) for name, g in pool}
     for i, (name_g, g) in enumerate(pool):
         for name_h, h in pool[i:]:

@@ -189,3 +189,26 @@ def test_repeat_runs_are_byte_identical(capsys):
     _, a, _ = run(capsys, "count", "--family", "path", "--n-max", "9", "--format", "csv")
     _, b, _ = run(capsys, "count", "--family", "path", "--n-max", "9", "--format", "csv")
     assert a == b
+
+
+def test_verify_max_n_below_3_is_a_clean_error(capsys):
+    for max_n in ("0", "1", "2"):
+        code, out, err = run(capsys, "verify", "--max-n", max_n)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "3..24" in err
+
+
+def test_input_graph_with_string_n_is_a_clean_error(tmp_path, capsys):
+    source = tmp_path / "g.json"
+    source.write_text('{"n": "3", "edges": [[1, 2]]}')
+    code, out, err = run(capsys, "family", "--input", str(source))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "integer n" in err
+
+
+def test_input_graph_with_boolean_n_is_a_clean_error(tmp_path, capsys):
+    source = tmp_path / "g.json"
+    source.write_text('{"n": true, "edges": []}')
+    code, out, err = run(capsys, "family", "--input", str(source))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "integer n" in err

@@ -5,6 +5,7 @@ import pytest
 from domgraph import (
     FormulaViolationError,
     InvalidSeriesError,
+    PrecisionError,
     RationalGF,
     closed_d,
     closed_form_order,
@@ -110,6 +111,19 @@ def test_closed_form_order_matches_recurrence():
         seq = order_sequence(family, 40)
         for n in range(1, 41):
             assert closed_form_order(family, n) == seq[n - 1]
+
+
+def test_closed_form_order_is_exact_or_raises():
+    # float64 rounding is exact below 2^48; the first value it rounds wrongly is at n = 56
+    for family in ("path", "cycle"):
+        seq = order_sequence(family, 120)
+        for n in range(1, 121):
+            try:
+                assert closed_form_order(family, n) == seq[n - 1]
+            except PrecisionError:
+                assert seq[n - 1] >= 2**47
+        with pytest.raises(PrecisionError):
+            closed_form_order(family, 56)
 
 
 def test_cubic_roots_residuals():

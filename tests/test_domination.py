@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from domgraph import (
     InvalidSubsetError,
@@ -16,8 +18,10 @@ from domgraph import (
     total_count,
     upper_domination_number,
 )
-from domgraph.domination import counts_csv
+from domgraph import cycle_triangle, domination, path_triangle
+from domgraph.domination import SubsetTable, counts_csv
 from domgraph.graphs import graph_from_edges
+from domgraph.verify import labeled_graph_sweep
 
 
 def random_graph(rng, n):
@@ -194,3 +198,65 @@ def test_total_count_parity_on_random_connected():
 def test_counts_csv_format():
     counts = count_by_cardinality(make_family("path", 4))
     assert counts_csv(4, counts) == "n,j,count\n4,2,4\n4,3,4\n4,4,1\n"
+
+
+# ---------------------------------------------------------------------------
+# The subset table against the definitions
+# ---------------------------------------------------------------------------
+
+@st.composite
+def drawn_graphs(draw, max_n):
+    n = draw(st.integers(1, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    flags = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return graph_from_edges(n, [p for p, on in zip(pairs, flags) if on])
+
+
+def assert_table_matches_definitions(g):
+    table = SubsetTable(g)
+    for bits in range(1 << g.n):
+        assert table.dom[bits] == is_dominating(g, bits)
+        assert table.minimal[bits] == is_minimal_dominating(g, bits)
+        assert table.cards[bits] == bits.bit_count()
+
+
+def test_subset_table_on_every_labeled_graph_up_to_5():
+    for n in range(1, 6):
+        # the same edge-subset universe as the parity sweep, in its order
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        _, counts = labeled_graph_sweep(n)
+        for index in range(1 << len(pairs)):
+            g = graph_from_edges(n, [p for i, p in enumerate(pairs) if index >> i & 1])
+            assert_table_matches_definitions(g)
+            assert total_count(g) == counts[index]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(drawn_graphs(12))
+def test_subset_table_on_drawn_graphs(g):
+    assert_table_matches_definitions(g)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(drawn_graphs(14), st.data())
+def test_scan_equals_prune_on_drawn_graphs(g, data):
+    k = data.draw(st.integers(1, g.n))
+    assert enumerate_dominating(g, k, method="scan") == enumerate_dominating(g, k, method="prune")
+
+
+def test_alternating_graphs_never_read_a_stale_table():
+    for n in (7, 8, 9):
+        path = make_family("path", n)
+        cycle = make_family("cycle", n)
+        path_again = graph_from_edges(n, [(i + 1, i) for i in reversed(range(n - 1))])
+        assert path_again == path and path_again is not path
+        # equal graphs are equal dict keys, so path_again finds path's entry
+        want = {path: (path_triangle(n).row(n), -(-n // 2)), cycle: (cycle_triangle(n).row(n), n // 2)}
+        for g in (path, cycle, path_again, cycle, path, path_again):
+            row, upper = want[g]
+            gamma = -(-n // 3)
+            assert count_by_cardinality(g) == row
+            assert (total_count(g), domination_number(g), count_minimum_sets(g)) == (
+                sum(row), gamma, row[gamma])
+            assert upper_domination_number(g) == upper
+        assert domination._table(path) is domination._table(path_again)

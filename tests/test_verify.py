@@ -4,8 +4,8 @@ import pytest
 
 from domgraph import verify_suite
 from domgraph.verify import (
-    _labeled_graph_sweep,
-    _random_connected_graph,
+    labeled_graph_sweep,
+    random_connected_graph,
     report_to_json_obj,
     suite_parity,
 )
@@ -85,10 +85,13 @@ def test_unknown_suite_and_cap():
         verify_suite("nope", max_n=5)
     with pytest.raises(ValueError):
         verify_suite("paths", max_n=30)
+    for max_n in (-1, 0, 1, 2):
+        with pytest.raises(ValueError, match="3..24"):
+            verify_suite("all", max_n=max_n)
 
 
 def test_labeled_graph_sweep_small_counts():
-    connected, counts = _labeled_graph_sweep(3)
+    connected, counts = labeled_graph_sweep(3)
     # graphs on 3 vertices: empty graph has 1 dominating set (all vertices)
     assert counts[0] == 1
     # the triangle (all three edges) has 2^3 - 1 = 7
@@ -103,5 +106,5 @@ def test_random_connected_graph_is_connected():
 
     rng = random.Random(3)
     for _ in range(20):
-        g = _random_connected_graph(rng, rng.randint(2, 10))
+        g = random_connected_graph(rng, rng.randint(2, 10))
         assert is_connected(g)
