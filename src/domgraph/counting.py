@@ -217,7 +217,10 @@ def closed_form_order(family: str, n: int) -> int:
     """Order of D_n(G_n) from the root formula, rounded and validated."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    value = cubic_closed_form(family).evaluate(n)
+    try:
+        value = cubic_closed_form(family).evaluate(n)
+    except OverflowError as exc:  # t ** (-n) leaves the float range from n = 1165
+        raise PrecisionError(f"{family} closed form at n={n} overflows float64") from exc
     nearest = round(value.real)
     if abs(nearest) >= 2**48:  # float64 error reaches a unit; rounding may be off
         raise PrecisionError(f"{family} closed form at n={n} is past 2^48, the exact float range")

@@ -54,6 +54,17 @@ class DomFamily:
     def __iter__(self):
         return iter(self.sets)
 
+    @classmethod
+    def from_bits(cls, graph_n: int, k: int, bits: np.ndarray) -> "DomFamily":
+        """Wrap a bitmask array already in (cardinality, bitmask) order."""
+        by_card = np.bincount(np.bitwise_count(bits), minlength=k + 1)
+        return cls(
+            graph_n=graph_n,
+            k=k,
+            sets=tuple(VertexSubset(b) for b in bits.tolist()),
+            by_card=tuple(by_card.tolist()),
+        )
+
     def to_json_obj(self) -> list[list[int]]:
         return [list(s.vertices()) for s in self.sets]
 
@@ -151,11 +162,6 @@ def is_minimal_dominating(g: Graph, subset) -> bool:
     return True
 
 
-def _scan_bits(g: Graph, k: int) -> list[int]:
-    table = _table(g)
-    return np.flatnonzero(table.dom & (table.cards <= k)).tolist()
-
-
 def _prune_bits(g: Graph, k: int) -> list[int]:
     full = g.full_mask
     nbhd = g.closed_nbhd
@@ -196,31 +202,29 @@ def _prune_bits(g: Graph, k: int) -> list[int]:
     return out
 
 
+def _dominating_bits(g: Graph, k: int, cap: int, method: str) -> np.ndarray:
+    """Bitmasks of the dominating sets with cardinality at most k, as uint64,
+    sorted by (cardinality, bitmask value)."""
+    if not 1 <= k <= g.n:
+        raise ValueError(f"cardinality bound k={k} must satisfy 1 <= k <= {g.n}")
+    _check_cap(g, cap)
+    if method == "prune":
+        bits = np.array(_prune_bits(g, k), dtype=np.uint64)
+    elif method == "scan":
+        table = _table(g)
+        bits = np.flatnonzero(table.dom & (table.cards <= k)).astype(np.uint64)
+    else:
+        raise ValueError(f"unknown enumeration method {method!r}")
+    return bits[np.lexsort((bits, np.bitwise_count(bits)))]
+
+
 def enumerate_dominating(
     g: Graph, k: int | None = None, *, cap: int = ENUMERATION_CAP, method: str = "prune"
 ) -> DomFamily:
     """All dominating sets with cardinality at most k (default k = n)."""
     if k is None:
         k = g.n
-    if not 1 <= k <= g.n:
-        raise ValueError(f"cardinality bound k={k} must satisfy 1 <= k <= {g.n}")
-    _check_cap(g, cap)
-    if method == "prune":
-        bits = _prune_bits(g, k)
-    elif method == "scan":
-        bits = _scan_bits(g, k)
-    else:
-        raise ValueError(f"unknown enumeration method {method!r}")
-    bits.sort(key=lambda b: (b.bit_count(), b))
-    by_card = [0] * (k + 1)
-    for b in bits:
-        by_card[b.bit_count()] += 1
-    return DomFamily(
-        graph_n=g.n,
-        k=k,
-        sets=tuple(VertexSubset(b) for b in bits),
-        by_card=tuple(by_card),
-    )
+    return DomFamily.from_bits(g.n, k, _dominating_bits(g, k, cap, method))
 
 
 def count_by_cardinality(g: Graph, *, cap: int = ENUMERATION_CAP) -> tuple[int, ...]:

@@ -230,12 +230,21 @@ def to_json(g: Graph) -> str:
     return json.dumps(to_json_obj(g))
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def from_json_obj(obj: dict) -> Graph:
     n = obj["n"]
-    if not isinstance(n, int) or isinstance(n, bool):
+    if not _is_int(n):
         raise InvalidSizeError(f"graph JSON needs an integer n, got {n!r}")
-    edges = [(u - 1, v - 1) for u, v in obj["edges"]]
-    return graph_from_edges(n, edges)
+    edges = obj["edges"]
+    if not isinstance(edges, list):
+        raise InvalidSizeError(f"graph JSON edges must be a list, got {edges!r}")
+    for e in edges:
+        if not (isinstance(e, list) and len(e) == 2 and all(_is_int(x) and 1 <= x <= n for x in e)):
+            raise InvalidSizeError(f"graph JSON edge {e!r} is not a pair of labels in 1..{n}")
+    return graph_from_edges(n, [(u - 1, v - 1) for u, v in edges])
 
 
 def from_json(text: str) -> Graph:

@@ -4,24 +4,42 @@ Nodes are the dominating sets of G with cardinality at most k; two nodes
 are adjacent iff the sets differ by adding or deleting a single vertex.
 Node ids are positions in the DomFamily sort order (cardinality, then
 bitmask), so exports are deterministic.
+
+A ReconfigGraph is a handful of NumPy arrays indexed by node id:
+
+* ``bits`` (uint64): the node's dominating set as a bitmask;
+* ``cards`` (uint8): its cardinality, so each cardinality is one block of
+  ids, sorted by bitmask inside the block;
+* ``indptr`` (int64) and ``indices`` (int32): the adjacency in CSR form,
+  the neighbours of node i being ``indices[indptr[i]:indptr[i + 1]]`` in
+  increasing order;
+* ``component``: the component label, components numbered by their
+  smallest node id.
+
+Adjacency is found by toggling one vertex bit of every node at once and
+looking the results up with ``np.searchsorted`` in a value-sorted copy of
+``bits``.  Analysis works on the arrays; ``nodes`` (VertexSubset objects)
+is built only when an export or a caller asks for it.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
-from .domination import ENUMERATION_CAP, DomFamily, enumerate_dominating
+import numpy as np
+
+from .domination import ENUMERATION_CAP, DomFamily, _dominating_bits
 from .errors import EmptyGraphError, TooLargeError
 from .graphs import Graph
 
 HAMILTONIAN_ORDER_CAP = 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReconfigGraph:
-    """D_k(G) with cached degrees and component labels.
+    """D_k(G) as node bitmask, cardinality, CSR adjacency and component arrays.
 
     empty is a warning flag: k < gamma(G) gives a valid graph with no nodes
     rather than an error, so callers can probe k ranges.
@@ -29,25 +47,37 @@ class ReconfigGraph:
 
     base_n: int
     k: int
-    nodes: DomFamily
-    adj: tuple[tuple[int, ...], ...]
-    degrees: tuple[int, ...]
-    component: tuple[int, ...]
+    bits: np.ndarray
+    cards: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    component: np.ndarray
     empty: bool
 
     @property
     def order(self) -> int:
-        return len(self.adj)
+        return len(self.bits)
 
     @property
     def size(self) -> int:
-        return sum(self.degrees) // 2
+        return len(self.indices) // 2
+
+    @cached_property
+    def degrees(self) -> np.ndarray:
+        return np.diff(self.indptr)
+
+    @cached_property
+    def nodes(self) -> DomFamily:
+        return DomFamily.from_bits(self.base_n, self.k, self.bits)
 
     def node_id(self, bits: int) -> int:
         """Node id of the dominating set with this bitmask (KeyError if absent)."""
-        for i, s in enumerate(self.nodes.sets):
-            if s.bits == bits:
-                return i
+        if 0 <= bits < 1 << self.base_n:
+            # binary search inside the block of ids with this cardinality
+            lo, hi = np.searchsorted(self.cards, [bits.bit_count(), bits.bit_count() + 1])
+            i = lo + int(np.searchsorted(self.bits[lo:hi], np.uint64(bits)))
+            if i < hi and self.bits[i] == bits:
+                return int(i)
         raise KeyError(f"no node with bitmask {bin(bits)}")
 
 
@@ -57,48 +87,63 @@ def build(
     """Construct D_k(G); k defaults to n.
 
     Adjacency is built by toggling each of the n bits of every node and
-    looking the result up in a bitmask index, O(order * n) instead of the
-    quadratic pairwise check.
+    looking the result up by binary search, O(order * n log order) instead
+    of the quadratic pairwise check.
     """
     if k is None:
         k = g.n
-    family = enumerate_dominating(g, k, cap=cap, method=method)
-    index = {s.bits: i for i, s in enumerate(family.sets)}
-    adj: list[list[int]] = [[] for _ in family.sets]
-    for i, s in enumerate(family.sets):
-        for v in range(g.n):
-            j = index.get(s.bits ^ (1 << v))
-            if j is not None:
-                adj[i].append(j)
-    adj_t = tuple(tuple(sorted(nbrs)) for nbrs in adj)
-    degrees = tuple(len(nbrs) for nbrs in adj_t)
-    return ReconfigGraph(
-        base_n=g.n,
-        k=k,
-        nodes=family,
-        adj=adj_t,
-        degrees=degrees,
-        component=_component_labels(adj_t),
-        empty=not family.sets,
-    )
+    bits = _dominating_bits(g, k, cap, method)
+    cards = np.bitwise_count(bits)
+    indptr, indices = _adjacency(bits, g.n)
+    component = _component_labels(indptr, indices)
+    for a in (bits, cards, indptr, indices, component):
+        a.flags.writeable = False  # the graph is frozen; degrees and nodes are cached from these
+    return ReconfigGraph(g.n, k, bits, cards, indptr, indices, component, empty=not bits.size)
 
 
-def _component_labels(adj) -> tuple[int, ...]:
-    labels = [-1] * len(adj)
-    current = 0
-    for start in range(len(adj)):
-        if labels[start] != -1:
-            continue
-        labels[start] = current
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                if labels[y] == -1:
-                    labels[y] = current
-                    queue.append(y)
-        current += 1
-    return tuple(labels)
+def _adjacency(bits: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    order = len(bits)
+    indptr = np.zeros(order + 1, dtype=np.int64)
+    if not order:
+        return indptr, np.empty(0, dtype=np.int32)
+    by_value = np.argsort(bits)
+    values = bits[by_value]
+    # column v: the id of bits ^ (1 << v), or the sentinel `order` when that set is
+    # not a node; sorting each row puts the ids in order and the sentinels last
+    nbr = np.empty((order, n), dtype=np.int32)
+    for v in range(n):
+        toggled = bits ^ np.uint64(1 << v)
+        pos = np.searchsorted(values, toggled)
+        np.minimum(pos, order - 1, out=pos)
+        nbr[:, v] = np.where(values[pos] == toggled, by_value[pos], order)
+    del by_value, values, toggled, pos
+    nbr.sort(axis=1)
+    present = nbr < order
+    np.cumsum(np.count_nonzero(present, axis=1), out=indptr[1:])
+    return indptr, nbr[present]
+
+
+def _component_labels(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Per-node component label, components numbered by their smallest node id.
+
+    Label propagation: each node takes the smallest label among itself and
+    its neighbours, then the label of its label (pointer jumping), until
+    nothing changes.  Labels only fall and stay node ids of the component,
+    so the fixed point labels every node with its component's smallest id.
+    """
+    order = len(indptr) - 1
+    labels = np.arange(order)
+    rows = np.flatnonzero(np.diff(indptr))
+    starts = indptr[rows]
+    while rows.size:
+        low = labels.copy()
+        low[rows] = np.minimum(labels[rows], np.minimum.reduceat(labels[indices], starts))
+        low = low[low]
+        if np.array_equal(low, labels):
+            break
+        labels = low
+    roots = labels == np.arange(order)
+    return (np.cumsum(roots) - 1)[labels]
 
 
 def bipartition(r: ReconfigGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -106,28 +151,51 @@ def bipartition(r: ReconfigGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
     Every move changes cardinality by one, so every edge crosses the parts.
     """
-    odd = tuple(i for i, s in enumerate(r.nodes.sets) if s.card % 2 == 1)
-    even = tuple(i for i, s in enumerate(r.nodes.sets) if s.card % 2 == 0)
-    return odd, even
+    odd = r.cards % 2 == 1
+    return tuple(np.flatnonzero(odd).tolist()), tuple(np.flatnonzero(~odd).tolist())
 
 
 def degree_extremes(r: ReconfigGraph) -> tuple[int, int]:
     """(min degree, max degree)."""
     if r.order == 0:
         raise EmptyGraphError("degree extremes of an empty reconfiguration graph")
-    return min(r.degrees), max(r.degrees)
+    return int(r.degrees.min()), int(r.degrees.max())
 
 
 def is_regular(r: ReconfigGraph) -> bool:
     if r.order == 0:
         raise EmptyGraphError("regularity of an empty reconfiguration graph")
-    return len(set(r.degrees)) == 1
+    return bool((r.degrees == r.degrees[0]).all())
 
 
 def connected_components(r: ReconfigGraph) -> tuple[int, tuple[int, ...]]:
     """(component count, per-node component label); 0 components when empty."""
-    count = max(r.component) + 1 if r.component else 0
-    return count, r.component
+    return _component_count(r), tuple(r.component.tolist())
+
+
+def _component_count(r: ReconfigGraph) -> int:
+    return int(r.component.max()) + 1 if r.order else 0
+
+
+def _frontiers(r: ReconfigGraph, a: int):
+    """Breadth-first levels from node a: yields (depth, mask of that level)."""
+    seen = np.zeros(r.order, dtype=bool)
+    seen[a] = True
+    frontier = np.array([a])
+    depth = 0
+    while frontier.size:
+        depth += 1
+        # the CSR rows of the frontier, concatenated
+        starts = r.indptr[frontier]
+        lengths = r.indptr[frontier + 1] - starts
+        ends = np.cumsum(lengths)
+        offsets = np.arange(ends[-1]) + np.repeat(starts - ends + lengths, lengths)
+        level = np.zeros(r.order, dtype=bool)
+        level[r.indices[offsets]] = True
+        level &= ~seen
+        seen |= level
+        frontier = np.flatnonzero(level)
+        yield depth, level
 
 
 def distance(r: ReconfigGraph, a: int, b: int) -> int | None:
@@ -136,17 +204,21 @@ def distance(r: ReconfigGraph, a: int, b: int) -> int | None:
         raise ValueError(f"node ids must be in 0..{r.order - 1}")
     if a == b:
         return 0
-    dist = {a: 0}
-    queue = deque([a])
-    while queue:
-        x = queue.popleft()
-        for y in r.adj[x]:
-            if y not in dist:
-                dist[y] = dist[x] + 1
-                if y == b:
-                    return dist[y]
-                queue.append(y)
+    for depth, level in _frontiers(r, a):
+        if level[b]:
+            return depth
     return None
+
+
+def distance_row(r: ReconfigGraph, a: int) -> np.ndarray:
+    """Hop counts from node a to every node, -1 where unreachable."""
+    if not 0 <= a < r.order:
+        raise ValueError(f"node ids must be in 0..{r.order - 1}")
+    row = np.full(r.order, -1)
+    row[a] = 0
+    for depth, level in _frontiers(r, a):
+        row[level] = depth
+    return row
 
 
 def euler_status(r: ReconfigGraph) -> str:
@@ -158,9 +230,9 @@ def euler_status(r: ReconfigGraph) -> str:
     """
     if r.order == 0:
         return "eulerian"
-    if max(r.component) + 1 > 1:
+    if _component_count(r) > 1:
         return "neither"
-    odd = sum(1 for d in r.degrees if d % 2)
+    odd = np.count_nonzero(r.degrees % 2)
     if odd == 0:
         return "eulerian"
     if odd == 2:
@@ -174,6 +246,8 @@ def is_hamiltonian(r: ReconfigGraph, *, max_order: int = HAMILTONIAN_ORDER_CAP) 
     ends[S] is the bitmask of vertices where a simple path from node 0
     covering exactly S can end; a cycle exists iff some end at the full
     subset is adjacent to node 0.  Exponential in the order, hence the cap.
+    D_k(G) is bipartite by cardinality parity, and a cycle alternates
+    parts, so parts of unequal size decide False before the search.
     """
     if r.order > max_order:
         raise TooLargeError(
@@ -182,14 +256,16 @@ def is_hamiltonian(r: ReconfigGraph, *, max_order: int = HAMILTONIAN_ORDER_CAP) 
     n = r.order
     if n < 3:
         return False
-    if min(r.degrees) < 2:
+    if 2 * np.count_nonzero(r.cards % 2) != n:
         return False
-    if max(r.component) + 1 > 1:
+    if r.degrees.min() < 2:
         return False
-    adj_mask = [0] * n
-    for i, nbrs in enumerate(r.adj):
-        for j in nbrs:
-            adj_mask[i] |= 1 << j
+    if _component_count(r) > 1:
+        return False
+    adj_mask = [
+        sum(1 << j for j in r.indices[r.indptr[i] : r.indptr[i + 1]].tolist())
+        for i in range(n)
+    ]
     size = 1 << n
     ends = [0] * size
     ends[1] = 1
@@ -216,7 +292,11 @@ def is_hamiltonian(r: ReconfigGraph, *, max_order: int = HAMILTONIAN_ORDER_CAP) 
 
 def edge_list(r: ReconfigGraph) -> list[tuple[int, int]]:
     """Edges as (i, j) with i < j, sorted."""
-    return sorted((i, j) for i, nbrs in enumerate(r.adj) for j in nbrs if i < j)
+    # CSR rows are in id order with sorted neighbours, so the upper entries
+    # come out sorted
+    rows = np.repeat(np.arange(r.order), r.degrees)
+    upper = r.indices > rows
+    return list(zip(rows[upper].tolist(), r.indices[upper].tolist()))
 
 
 def to_json_obj(r: ReconfigGraph) -> dict:

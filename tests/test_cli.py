@@ -212,3 +212,12 @@ def test_input_graph_with_boolean_n_is_a_clean_error(tmp_path, capsys):
     code, out, err = run(capsys, "family", "--input", str(source))
     assert code == 1 and out == ""
     assert err.startswith("error:") and "integer n" in err
+
+
+def test_input_graph_with_malformed_edges_is_a_clean_error(tmp_path, capsys):
+    source = tmp_path / "g.json"
+    for edges in ('[[1, "2"]]', "[[1, true]]", "[[1, 2, 3]]", "[[0, 1]]", "[[1, 4]]", "[1]", '"12"'):
+        source.write_text('{"n": 3, "edges": %s}' % edges)
+        code, out, err = run(capsys, "family", "--input", str(source))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "edge" in err

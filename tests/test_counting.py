@@ -126,6 +126,14 @@ def test_closed_form_order_is_exact_or_raises():
             closed_form_order(family, 56)
 
 
+def test_closed_form_order_overflow_is_a_precision_error():
+    # from n = 1165 the float powers overflow before the 2^48 check runs
+    for family in ("path", "cycle"):
+        for n in (1165, 2000):
+            with pytest.raises(PrecisionError):
+                closed_form_order(family, n)
+
+
 def test_cubic_roots_residuals():
     for family in ("path", "cycle"):
         form = cubic_closed_form(family)

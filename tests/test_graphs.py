@@ -159,6 +159,12 @@ def test_from_json_rejects_garbage():
         from_json('{"edges": []}')
 
 
+def test_from_json_rejects_malformed_edges():
+    for edges in ('[[1, "2"]]', "[[1, 2.0]]", "[[false, 2]]", "[[1]]", "[[1, 4]]", "[[0, 2]]", "{}"):
+        with pytest.raises(InvalidSizeError):
+            from_json('{"n": 3, "edges": %s}' % edges)
+
+
 def test_dot_format():
     dot = to_dot(make_family("path", 2))
     assert dot.startswith("graph G {")

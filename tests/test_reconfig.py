@@ -1,7 +1,12 @@
 import json
 import random
+from collections import deque
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_domination import drawn_graphs
 
 from domgraph import (
     EmptyGraphError,
@@ -11,6 +16,7 @@ from domgraph import (
     connected_components,
     degree_extremes,
     distance,
+    enumerate_dominating,
     euler_status,
     is_hamiltonian,
     is_regular,
@@ -178,3 +184,55 @@ def test_dot_export():
     dot = to_dot(build(make_family("path", 3)))
     assert 'label="{1,3}"' in dot
     assert "s0 -- s1;" in dot
+
+
+# ---------------------------------------------------------------------------
+# The arrays against the definitions
+# ---------------------------------------------------------------------------
+
+def python_bfs(n: int, bits: list[int], a: int) -> dict[int, int]:
+    """Hop counts from node a, neighbours found by toggling one vertex."""
+    index = {b: i for i, b in enumerate(bits)}
+    dist = {a: 0}
+    queue = deque([a])
+    while queue:
+        x = queue.popleft()
+        for v in range(n):
+            y = index.get(bits[x] ^ (1 << v))
+            if y is not None and y not in dist:
+                dist[y] = dist[x] + 1
+                queue.append(y)
+    return dist
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(drawn_graphs(10), st.data())
+def test_arrays_match_the_definitions_on_drawn_graphs(g, data):
+    for k in range(1, g.n + 1):
+        r = build(g, k)
+        scan = build(g, k, method="scan")
+        for name in ("bits", "cards", "indptr", "indices", "component"):
+            assert np.array_equal(getattr(r, name), getattr(scan, name))
+        bits = r.bits.tolist()
+        assert bits == [s.bits for s in enumerate_dominating(g, k).sets]
+        assert all(r.node_id(b) == i for i, b in enumerate(bits))
+        if not bits:
+            assert r.empty and connected_components(r) == (0, ())
+            continue
+        # adjacent iff the sets differ in exactly one vertex
+        pairwise = np.bitwise_count(r.bits[:, None] ^ r.bits[None, :]) == 1
+        for i in range(r.order):
+            row = r.indices[r.indptr[i] : r.indptr[i + 1]]
+            assert np.array_equal(row, np.flatnonzero(pairwise[i]))
+        assert (pairwise == pairwise.T).all() and r.size == pairwise.sum() // 2
+        # components and distances against a breadth-first search in Python
+        labels, count = {}, 0
+        for a in range(r.order):
+            if a not in labels:
+                labels.update(dict.fromkeys(python_bfs(g.n, bits, a), count))
+                count += 1
+        assert connected_components(r) == (count, tuple(labels[i] for i in range(r.order)))
+        for _ in range(3):
+            a = data.draw(st.integers(0, r.order - 1))
+            b = data.draw(st.integers(0, r.order - 1))
+            assert distance(r, a, b) == python_bfs(g.n, bits, a).get(b)
