@@ -187,7 +187,7 @@ def _cmd_verify(args) -> int:
             lines.append(f"        observed: {r.observed}")
         if r.note:
             lines.append(f"        note: {r.note}")
-    counts = {s: sum(1 for r in records if r.status == s) for s in ("pass", "erratum", "fail")}
+    counts = verify.status_counts(records)
     lines.append(
         f"{len(records)} checks: {counts['pass']} pass, "
         f"{counts['erratum']} erratum, {counts['fail']} fail"
@@ -197,14 +197,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    g = _resolve_graph(args)
-    if args.k is not None:
-        r = reconfig.build(g, args.k, cap=args.cap)
-        text = reconfig.to_json(r) + "\n" if args.format == "json" else reconfig.to_dot(r)
-    else:
-        text = json.dumps(to_json_obj(g)) + "\n" if args.format == "json" else to_dot(g)
-    _emit(text, args)
-    return 0
+    # export writes what `reconfig` (with --k) or `family` writes in the same format
+    return (_cmd_family if args.k is None else _cmd_reconfig)(args)
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("verify", help="cross-check formulas against the enumeration oracle")
-    p.add_argument("--suite", choices=list(verify.SUITES) + ["all"], default="all")
+    p.add_argument("--suite", choices=[*verify.SUITES, "all"], default="all")
     p.add_argument("--max-n", type=int, default=12)
     p.add_argument("--seed", type=int, default=0, help="seed for the random parity samples")
     p.add_argument("--format", choices=["table", "json"], default="table")
@@ -278,13 +272,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except DomGraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (DomGraphError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

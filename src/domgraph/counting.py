@@ -12,9 +12,10 @@ Conventions:
   path / cycle on n vertices with cardinality exactly j; d(., 0) = 0.
 * Triangle rows satisfy d(G_n, j) = d(G_{n-1}, j-1) + d(G_{n-2}, j-1)
   + d(G_{n-3}, j-1) once past the hardcoded base rows.
-* Row sums follow the tribonacci recurrence, seeds (1, 3, 5) for paths
-  and (1, 3, 7) for cycles.  The cycle seeds for n = 1, 2 are sequence
-  seeds only; C_1 and C_2 are not simple graphs.
+* Row sums follow the tribonacci recurrence.  Its seeds are the sums of
+  the base rows: (1, 3, 5) for P_1..P_3, and 7, 11, 21 for C_3..C_5, run
+  back to n = 1 (21 - 11 - 7 = 3, 11 - 7 - 3 = 1).  The cycle values for
+  n = 1, 2 are sequence seeds only; C_1 and C_2 are not simple graphs.
 """
 
 from __future__ import annotations
@@ -28,9 +29,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import FormulaViolationError, InvalidSeriesError, PrecisionError
-
-PATH_SEEDS = (1, 3, 5)
-CYCLE_SEEDS = (1, 3, 7)
 
 # Base triangle rows (index j = 0..n), frozen from direct enumeration.
 PATH_BASE_ROWS = {1: (0, 1), 2: (0, 2, 1), 3: (0, 1, 3, 1)}
@@ -90,21 +88,26 @@ def cycle_triangle(n_max: int) -> CountTable:
     return CountTable("cycle", _roll_triangle(CYCLE_BASE_ROWS, n_max))
 
 
+def _by_family(family: str, path, cycle):
+    if family == "path":
+        return path
+    if family == "cycle":
+        return cycle
+    raise ValueError(f"unknown family {family!r}, expected 'path' or 'cycle'")
+
+
 def order_sequence(family: str, n_max: int) -> list[int]:
-    """Orders of D_n(G_n) for n = 1..n_max: tribonacci from the family seeds."""
-    seeds = _family_seeds(family)
-    vals = list(seeds[:n_max])
+    """Orders of D_n(G_n) for n = 1..n_max: tribonacci seeded by the base-row sums."""
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    base_rows = _by_family(family, PATH_BASE_ROWS, CYCLE_BASE_ROWS)
+    vals = [sum(base_rows[n]) for n in sorted(base_rows)]
+    for _ in range(min(base_rows) - 1):  # run the recurrence back to n = 1
+        vals.insert(0, vals[2] - vals[1] - vals[0])
+    del vals[n_max:]
     while len(vals) < n_max:
         vals.append(vals[-1] + vals[-2] + vals[-3])
     return vals
-
-
-def _family_seeds(family: str) -> tuple[int, int, int]:
-    if family == "path":
-        return PATH_SEEDS
-    if family == "cycle":
-        return CYCLE_SEEDS
-    raise ValueError(f"unknown family {family!r}, expected 'path' or 'cycle'")
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +157,6 @@ def expand_gf(gf: RationalGF, terms: int):
 # Closed forms from the cubic x^3 + x^2 + x - 1
 # ---------------------------------------------------------------------------
 
-CUBIC_COEFFS = (1, 1, 1, -1)
 ROOT_RESIDUAL_TOL = 1e-12
 ROUNDING_REL_TOL = 1e-6
 
@@ -177,39 +179,38 @@ class CubicClosedForm:
         return sum(c * t ** (-n) for c, t in zip(self.coeffs, self.roots))
 
 
-_GF_NUMERATORS: dict[str, Callable[[complex], complex]] = {
-    "path": lambda t: (t + 1) ** 2,
-    "cycle": lambda t: 3 * t * t + 2 * t + 1,
-}
+def _poly(coeffs: tuple[int, ...], t: complex) -> complex:
+    """Value at t of the polynomial with ascending coefficients."""
+    return sum(c * t**i for i, c in enumerate(coeffs))
 
 
 @lru_cache(maxsize=None)
-def cubic_closed_form(family: str) -> CubicClosedForm:
+def cubic_closed_form(family: str, numerator: tuple[int, ...] | None = None) -> CubicClosedForm:
     """Solve the cubic numerically and assemble the partial-fraction form.
 
+    The roots are those of the order GF's denominator, and the numerator
+    is the GF's unless one is given (verify passes the printed variant's).
     Note the numerators: the variant with (tau - 1)^2 in place of
     (tau + 1)^2 together with an alternating sign evaluates to
     (-1)^n * s_{n-3} because (tau - 1)^2 = (tau + 1)^2 * tau^4 at the
     roots; the verify suite records that discrepancy.  The forms used here
     reproduce the order sequences exactly.
     """
-    if family not in _GF_NUMERATORS:
-        raise ValueError(f"unknown family {family!r}, expected 'path' or 'cycle'")
+    gf = _by_family(family, PATH_ORDER_GF, CYCLE_ORDER_GF)
     roots = sorted(
-        np.roots(CUBIC_COEFFS), key=lambda z: (round(z.real, 12), round(z.imag, 12))
+        np.roots(gf.denominator[::-1]), key=lambda z: (round(z.real, 12), round(z.imag, 12))
     )
     roots = tuple(complex(z) for z in roots)
     for t in roots:
-        if abs(t**3 + t**2 + t - 1) >= ROOT_RESIDUAL_TOL:
+        if abs(_poly(gf.denominator, t)) >= ROOT_RESIDUAL_TOL:
             raise PrecisionError(f"cubic root residual too large at {t}")
-    numer = _GF_NUMERATORS[family]
     coeffs = []
     for i, ti in enumerate(roots):
         den = 1.0 + 0j
         for j, tj in enumerate(roots):
             if j != i:
                 den *= tj - ti
-        coeffs.append(numer(ti) / den)
+        coeffs.append(_poly(numerator or gf.numerator, ti) / den)
     return CubicClosedForm(family=family, roots=roots, coeffs=tuple(coeffs))
 
 
@@ -333,11 +334,16 @@ PATH_FORMULAS: dict[str, PathFormula] = {
 }
 
 
-def closed_d(case: str, n: int) -> int:
-    """Evaluate one of the registered path count formulas exactly."""
+def _path_formula(case: str) -> PathFormula:
     formula = PATH_FORMULAS.get(case)
     if formula is None:
         raise ValueError(f"unknown case {case!r}; known: {sorted(PATH_FORMULAS)}")
+    return formula
+
+
+def closed_d(case: str, n: int) -> int:
+    """Evaluate one of the registered path count formulas exactly."""
+    formula = _path_formula(case)
     if n < formula.min_n:
         raise ValueError(f"case {case} needs n >= {formula.min_n}")
     return formula.value(n)
@@ -345,10 +351,7 @@ def closed_d(case: str, n: int) -> int:
 
 def closed_d_target(case: str, n: int) -> tuple[int, int | None]:
     """(path length, cardinality) the case predicts; None means row sum."""
-    formula = PATH_FORMULAS.get(case)
-    if formula is None:
-        raise ValueError(f"unknown case {case!r}; known: {sorted(PATH_FORMULAS)}")
-    return formula.target(n)
+    return _path_formula(case).target(n)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,10 @@ The counting operations read the same table.  It builds the coverage of
 every subset by doubling (subsets of {0..v} are those of {0..v-1} with and
 without v), keeps only the boolean dominating mask, and fills popcounts and
 the minimal mask on first use.  The last graph's table is kept, so queries
-on one graph (or on equal graphs) build it once.
+on one graph (or on equal graphs) build it once.  The table refuses graphs
+above ENUMERATION_CAP = 24 vertices with TooLargeError, whatever the query
+or route.  enumerate_dominating and reconfig.build also take a ``cap`` on n
+(default 24); only the prune route can use a larger one.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import numpy as np
 from .errors import TooLargeError
 from .graphs import Graph, VertexSubset, subset_bits
 
-# Full enumeration is 2^n subsets; 24 keeps that around 16.7M words.
+# The subset table holds 2^n words; 24 keeps that around 16.7M.
 ENUMERATION_CAP = 24
 
 
@@ -72,31 +75,26 @@ class DomFamily:
         return json.dumps(self.to_json_obj())
 
 
-def _check_cap(g: Graph, cap: int) -> None:
-    if g.n > cap:
-        raise TooLargeError(
-            f"n={g.n} exceeds the enumeration cap {cap}; pass cap= to override"
-        )
-
-
 class SubsetTable:
     """Dominating and minimal masks, and popcounts, over all 2^n subsets."""
 
     def __init__(self, g: Graph):
-        word = np.uint32 if g.n <= 32 else np.uint64
-        cov = np.empty(1 << g.n, dtype=word)
+        if g.n > ENUMERATION_CAP:
+            raise TooLargeError(
+                f"n={g.n} exceeds {ENUMERATION_CAP}, the limit of the 2^n subset table"
+            )
+        cov = np.empty(1 << g.n, dtype=np.uint32)
         cov[0] = 0
         size = 1
         for v in range(g.n):
-            np.bitwise_or(cov[:size], word(g.closed_nbhd[v]), out=cov[size : 2 * size])
+            np.bitwise_or(cov[:size], np.uint32(g.closed_nbhd[v]), out=cov[size : 2 * size])
             size <<= 1
         self.n = g.n
-        self.word = word
-        self.dom = cov == word(g.full_mask)
+        self.dom = cov == np.uint32(g.full_mask)
 
     @cached_property
     def cards(self) -> np.ndarray:
-        return np.bitwise_count(np.arange(1 << self.n, dtype=self.word))
+        return np.bitwise_count(np.arange(1 << self.n, dtype=np.uint32))
 
     @cached_property
     def minimal(self) -> np.ndarray:
@@ -207,7 +205,8 @@ def _dominating_bits(g: Graph, k: int, cap: int, method: str) -> np.ndarray:
     sorted by (cardinality, bitmask value)."""
     if not 1 <= k <= g.n:
         raise ValueError(f"cardinality bound k={k} must satisfy 1 <= k <= {g.n}")
-    _check_cap(g, cap)
+    if g.n > cap:
+        raise TooLargeError(f"n={g.n} exceeds the enumeration cap {cap}; pass cap= to override")
     if method == "prune":
         bits = np.array(_prune_bits(g, k), dtype=np.uint64)
     elif method == "scan":
@@ -227,38 +226,33 @@ def enumerate_dominating(
     return DomFamily.from_bits(g.n, k, _dominating_bits(g, k, cap, method))
 
 
-def count_by_cardinality(g: Graph, *, cap: int = ENUMERATION_CAP) -> tuple[int, ...]:
+def count_by_cardinality(g: Graph) -> tuple[int, ...]:
     """d(G, j) for j = 0..n: the number of dominating sets of each size."""
-    _check_cap(g, cap)
     return _table(g).dom_by_card
 
 
-def total_count(g: Graph, *, cap: int = ENUMERATION_CAP) -> int:
+def total_count(g: Graph) -> int:
     """Number of dominating sets of G (odd for every graph, see verify)."""
-    _check_cap(g, cap)
     return int(np.count_nonzero(_table(g).dom))
 
 
-def domination_number(g: Graph, *, cap: int = ENUMERATION_CAP) -> int:
+def domination_number(g: Graph) -> int:
     """gamma(G): minimum cardinality of a dominating set."""
-    _check_cap(g, cap)
     return next(j for j, c in enumerate(_table(g).dom_by_card) if c)
 
 
-def upper_domination_number(g: Graph, *, cap: int = ENUMERATION_CAP) -> int:
+def upper_domination_number(g: Graph) -> int:
     """Gamma(G): maximum cardinality over minimal dominating sets."""
-    _check_cap(g, cap)
     return max(j for j, c in enumerate(_table(g).minimal_by_card) if c)
 
 
-def count_minimum_sets(g: Graph, *, cap: int = ENUMERATION_CAP) -> int:
+def count_minimum_sets(g: Graph) -> int:
     """Number of dominating sets of cardinality gamma(G)."""
-    return next(c for c in count_by_cardinality(g, cap=cap) if c)
+    return next(c for c in count_by_cardinality(g) if c)
 
 
-def count_maximal_minimal_sets(g: Graph, *, cap: int = ENUMERATION_CAP) -> int:
+def count_maximal_minimal_sets(g: Graph) -> int:
     """Number of minimal dominating sets of cardinality Gamma(G)."""
-    _check_cap(g, cap)
     return next(c for c in reversed(_table(g).minimal_by_card) if c)
 
 

@@ -24,8 +24,6 @@ import numpy as np
 from . import counting, domination, reconfig
 from .graphs import Graph, corona, graph_from_edges, join, ladder, make_family
 
-SUITES = ("complete", "paths", "cycles", "products", "parity")
-
 
 @dataclass(frozen=True)
 class CheckRecord:
@@ -312,25 +310,18 @@ def _gf_and_closed_form_records(family: str) -> list[CheckRecord]:
     return records
 
 
+# The printed variant's numerators, (t-1)^2 and 3t^2-2t+1, ascending.
+PRINTED_NUMERATORS = {"path": (1, -2, 1), "cycle": (1, -2, 3)}
+
+
 def _literal_closed_form(family: str, n: int) -> int:
-    """The printed variant of the closed form, kept only for documentation."""
-    roots = counting.cubic_closed_form(family).roots
-    numer = {
-        "path": lambda t: (t - 1) ** 2,
-        "cycle": lambda t: 3 * t * t - 2 * t + 1,
-    }[family]
-    t1, t2, t3 = roots
-    prod = t1 * t2 * t3
-    others = (t2 * t3, t1 * t3, t1 * t2)
-    acc = 0j
-    for ti, oi in zip(roots, others):
-        den = 1.0 + 0j
-        for tj in roots:
-            if tj is not ti:
-                den *= tj - ti
-        acc += (numer(ti) / den) * ti ** (-n) * oi
-    value = (-1) ** n * acc / prod
-    return round(value.real)
+    """The printed variant of the closed form, kept only for documentation.
+
+    Its (-1)^n and 1/t factors make it (-1)^n times the partial-fraction
+    form at n + 1 with the printed numerator.
+    """
+    form = counting.cubic_closed_form(family, PRINTED_NUMERATORS[family])
+    return round(((-1) ** n * form.evaluate(n + 1)).real)
 
 
 def _structure_records(family: str, graphs: dict[int, Graph], struct_hi: int) -> list[CheckRecord]:
@@ -603,35 +594,37 @@ def suite_parity(max_n: int = 12, seed: int = 0, samples: int = 200,
 # Dispatch
 # ---------------------------------------------------------------------------
 
+# Suite name -> runner(max_n, seed); the order is the order of --suite all.
+SUITES = {
+    "complete": lambda max_n, seed: suite_complete(max_n),
+    "paths": lambda max_n, seed: suite_paths(max_n),
+    "cycles": lambda max_n, seed: suite_cycles(max_n),
+    "products": lambda max_n, seed: suite_products(max_n),
+    "parity": lambda max_n, seed: suite_parity(max_n, seed=seed),
+}
+
+
 def verify_suite(suite: str = "all", max_n: int = 12, seed: int = 0) -> list[CheckRecord]:
     """Run one named suite (or all of them) and return its records."""
     if not 3 <= max_n <= domination.ENUMERATION_CAP:
         raise ValueError(f"max_n={max_n} outside the valid range 3..{domination.ENUMERATION_CAP}")
     if suite == "all":
-        records = []
-        for name in SUITES:
-            records += verify_suite(name, max_n=max_n, seed=seed)
-        return records
-    if suite == "complete":
-        return suite_complete(max_n)
-    if suite == "paths":
-        return suite_paths(max_n)
-    if suite == "cycles":
-        return suite_cycles(max_n)
-    if suite == "products":
-        return suite_products(max_n)
-    if suite == "parity":
-        return suite_parity(max_n, seed=seed)
-    raise ValueError(f"unknown suite {suite!r}; options: {SUITES + ('all',)}")
+        return [r for name in SUITES for r in verify_suite(name, max_n=max_n, seed=seed)]
+    if suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}; options: {(*SUITES, 'all')}")
+    return SUITES[suite](max_n, seed)
+
+
+def status_counts(records: list[CheckRecord]) -> dict[str, int]:
+    """Number of records with each status, in the order pass, erratum, fail."""
+    return {status: sum(1 for r in records if r.status == status)
+            for status in ("pass", "erratum", "fail")}
 
 
 def report_to_json_obj(records: list[CheckRecord], suite: str, max_n: int) -> dict:
     return {
         "suite": suite,
         "max_n": max_n,
-        "counts": {
-            status: sum(1 for r in records if r.status == status)
-            for status in ("pass", "erratum", "fail")
-        },
+        "counts": status_counts(records),
         "records": [asdict(r) for r in records],
     }

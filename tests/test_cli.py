@@ -133,6 +133,13 @@ def test_count_triangle_csv(capsys):
     assert "path,3,2,3" in out
 
 
+def test_count_sums_with_n_max_below_1_is_a_clean_error(capsys):
+    for family in ("path", "cycle"):
+        code, out, err = run(capsys, "count", "--family", family, "--n-max", "-1", "--sums")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "n_max" in err
+
+
 def test_verify_json(capsys):
     code, out, _ = run(
         capsys, "verify", "--suite", "cycles", "--max-n", "6", "--format", "json"

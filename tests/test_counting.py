@@ -71,6 +71,22 @@ def test_order_sequences():
         order_sequence("tree", 5)
 
 
+def test_order_sequence_rejects_n_max_below_1():
+    for family in ("path", "cycle"):
+        for n_max in (0, -1):
+            with pytest.raises(ValueError, match="n_max must be >= 1"):
+                order_sequence(family, n_max)
+
+
+def test_order_sequence_seeds_are_the_base_row_sums():
+    assert order_sequence("path", 3) == [path_triangle(3).row_sum(n) for n in (1, 2, 3)]
+    cycles = order_sequence("cycle", 5)
+    assert cycles[2:] == [cycle_triangle(5).row_sum(n) for n in (3, 4, 5)]
+    for family in ("path", "cycle"):
+        full = order_sequence(family, 6)
+        assert [order_sequence(family, n) for n in range(1, 7)] == [full[:n] for n in range(1, 7)]
+
+
 def test_row_sums_satisfy_tribonacci():
     table = path_triangle(15)
     sums = table.row_sums

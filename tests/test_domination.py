@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -70,10 +71,27 @@ def test_enumerate_k_validation():
 
 
 def test_enumeration_cap():
+    # enumerate_dominating's own cap
     g = make_family("path", 10)
     with pytest.raises(TooLargeError):
-        total_count(g, cap=9)
-    assert total_count(g, cap=10) == 355
+        enumerate_dominating(g, cap=9)
+    assert len(enumerate_dominating(g, cap=10)) == 355
+    # the subset table refuses n > 24 for every query and route, before it allocates
+    p25 = make_family("path", 25)
+    queries = (count_by_cardinality, total_count, domination_number, upper_domination_number,
+               count_minimum_sets, count_maximal_minimal_sets,
+               lambda g: enumerate_dominating(g, 9, cap=63, method="scan"))
+    tracemalloc.start()
+    try:
+        for query in queries:
+            with pytest.raises(TooLargeError, match="2\\^n subset table"):
+                query(p25)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # a raised cap still lets the output-sensitive prune route through
+    assert len(enumerate_dominating(p25, 9, cap=63)) == 53
 
 
 def test_scan_and_prune_agree():

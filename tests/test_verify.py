@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from domgraph import verify_suite
+from domgraph import order_sequence, verify_suite
 from domgraph.verify import (
     labeled_graph_sweep,
     random_connected_graph,
@@ -50,6 +50,19 @@ def test_paths_suite_statuses():
     assert statuses["path/triangle"] == "pass"
     assert statuses["path/distance-2-law"] == "pass"
     assert statuses["path/upper-gamma-set-count/odd"] == "pass"
+
+
+def test_closed_form_constants_pin_the_printed_variant():
+    # the printed alternating-sign form gives (-1)^n s_(n-3) for paths
+    s = order_sequence("path", 12)
+    path = by_check(verify_suite("paths", max_n=3))["path/closed-form-constants"]
+    assert path.expected == [[n, (-1) ** n * s[n - 4]] for n in range(4, 13)]
+    assert path.observed == [[n, s[n - 1]] for n in range(4, 13)]
+    c = order_sequence("cycle", 12)
+    cycle = by_check(verify_suite("cycles", max_n=3))["cycle/closed-form-constants"]
+    printed = [5, -11, 19, -35, 65, -119, 219, -403, 741]
+    assert cycle.expected == [[n, v] for n, v in zip(range(4, 13), printed)]
+    assert cycle.observed == [[n, c[n - 1]] for n in range(4, 13)]
 
 
 def test_products_suite_passes():
