@@ -51,7 +51,6 @@ from .errors import (
     InvalidSeriesError,
     InvalidSizeError,
     InvalidSubsetError,
-    PrecisionError,
     TooLargeError,
 )
 from .graphs import (
@@ -97,7 +96,6 @@ __all__ = [
     "InvalidSeriesError",
     "InvalidSizeError",
     "InvalidSubsetError",
-    "PrecisionError",
     "RationalGF",
     "ReconfigGraph",
     "TooLargeError",

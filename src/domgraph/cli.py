@@ -267,6 +267,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    # counts are exact integers of any length: lift Python's int-to-str digit
+    # limit (3.11+) while the command prints them, and restore it afterwards
+    set_digits = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_digits(0)
     try:
         return args.func(args)
     except UsageError as exc:
@@ -275,6 +280,8 @@ def main(argv=None) -> int:
     except (DomGraphError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        set_digits(digits)
 
 
 if __name__ == "__main__":

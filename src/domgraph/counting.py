@@ -3,8 +3,7 @@ product-graph order formulas for dominating-set counts.
 
 Everything here is computed algebraically, independent of graph
 enumeration, so the two sides can cross-validate each other.  All values
-are arbitrary-precision integers except closed_form_order, which evaluates
-the cubic-root formula in floating point and must round cleanly.
+are arbitrary-precision integers, the cubic-root closed form included.
 
 Conventions:
 
@@ -28,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import FormulaViolationError, InvalidSeriesError, PrecisionError
+from .errors import FormulaViolationError, InvalidSeriesError
 
 # Base triangle rows (index j = 0..n), frozen from direct enumeration.
 PATH_BASE_ROWS = {1: (0, 1), 2: (0, 2, 1), 3: (0, 1, 3, 1)}
@@ -157,81 +156,76 @@ def expand_gf(gf: RationalGF, terms: int):
 # Closed forms from the cubic x^3 + x^2 + x - 1
 # ---------------------------------------------------------------------------
 
-ROOT_RESIDUAL_TOL = 1e-12
-ROUNDING_REL_TOL = 1e-6
+def _mul_mod(a, b, den: tuple[int, ...]) -> tuple[int, int, int]:
+    """a * b in Z[t]/(den) as 3 ascending coefficients; den = 1 - t - t^2 - t^3."""
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    while len(prod) > 3:  # den[3] = -1, so t^3 = den[0] + den[1] t + den[2] t^2
+        top = prod.pop()
+        for i in range(3):
+            prod[len(prod) - 3 + i] += top * den[i]
+    return tuple(prod + [0] * (3 - len(prod)))
 
 
 @dataclass(frozen=True)
 class CubicClosedForm:
-    """Partial-fraction data for an order sequence.
+    """Partial-fraction form of an order sequence, evaluated exactly.
 
-    roots are the three roots tau of x^3 + x^2 + x - 1 (so 1/tau are the
-    tribonacci characteristic roots), and coeffs[i] is
-    N(tau_i) / prod_{j != i} (tau_j - tau_i) with N the generating-function
-    numerator.  The sequence value at n is sum_i coeffs[i] * tau_i^(-n).
+    The value at n is sum_i N(tau_i) tau_i^(-n) / prod_{j != i} (tau_j - tau_i)
+    over the three roots tau_i of p(x) = x^3 + x^2 + x - 1 (so 1/tau are the
+    tribonacci characteristic roots), with N the generating-function
+    numerator.  The product is p'(tau_i), so by Euler's lemma the sum is the
+    tau^2 coefficient of N(tau) tau^(-n) reduced mod p, and tau^(-1) =
+    tau^2 + tau + 1: evaluate needs only integers.  roots are the numeric
+    roots, kept for display.
     """
 
     family: str
+    numerator: tuple[int, ...]
+    denominator: tuple[int, ...]
     roots: tuple[complex, complex, complex]
-    coeffs: tuple[complex, complex, complex]
 
-    def evaluate(self, n: int) -> complex:
-        return sum(c * t ** (-n) for c, t in zip(self.coeffs, self.roots))
-
-
-def _poly(coeffs: tuple[int, ...], t: complex) -> complex:
-    """Value at t of the polynomial with ascending coefficients."""
-    return sum(c * t**i for i, c in enumerate(coeffs))
+    def evaluate(self, n: int) -> int:
+        den = self.denominator
+        # den[0] = 1, so 1/t = -(den[1] + den[2] t + den[3] t^2)
+        base = tuple(-d for d in den[1:]) if n >= 0 else (0, 1)
+        value, e = _mul_mod(self.numerator, (1,), den), abs(n)
+        while e:
+            if e & 1:
+                value = _mul_mod(value, base, den)
+            base = _mul_mod(base, base, den)
+            e >>= 1
+        return value[2]
 
 
 @lru_cache(maxsize=None)
-def cubic_closed_form(family: str, numerator: tuple[int, ...] | None = None) -> CubicClosedForm:
-    """Solve the cubic numerically and assemble the partial-fraction form.
+def _cubic_roots(denominator: tuple[int, ...]) -> tuple[complex, ...]:
+    return tuple(complex(z) for z in np.sort_complex(np.roots(denominator[::-1])))
 
-    The roots are those of the order GF's denominator, and the numerator
-    is the GF's unless one is given (verify passes the printed variant's).
-    Note the numerators: the variant with (tau - 1)^2 in place of
-    (tau + 1)^2 together with an alternating sign evaluates to
-    (-1)^n * s_{n-3} because (tau - 1)^2 = (tau + 1)^2 * tau^4 at the
-    roots; the verify suite records that discrepancy.  The forms used here
-    reproduce the order sequences exactly.
+
+def cubic_closed_form(family: str, numerator: tuple[int, ...] | None = None) -> CubicClosedForm:
+    """The partial-fraction form of the family's order generating function.
+
+    The cubic is the GF's denominator, and the numerator is the GF's unless
+    one is given (verify passes the printed variant's, which does not
+    reproduce the order sequence; the verify suite records why).
     """
     gf = _by_family(family, PATH_ORDER_GF, CYCLE_ORDER_GF)
-    roots = sorted(
-        np.roots(gf.denominator[::-1]), key=lambda z: (round(z.real, 12), round(z.imag, 12))
+    return CubicClosedForm(
+        family=family,
+        numerator=numerator or gf.numerator,
+        denominator=gf.denominator,
+        roots=_cubic_roots(gf.denominator),
     )
-    roots = tuple(complex(z) for z in roots)
-    for t in roots:
-        if abs(_poly(gf.denominator, t)) >= ROOT_RESIDUAL_TOL:
-            raise PrecisionError(f"cubic root residual too large at {t}")
-    coeffs = []
-    for i, ti in enumerate(roots):
-        den = 1.0 + 0j
-        for j, tj in enumerate(roots):
-            if j != i:
-                den *= tj - ti
-        coeffs.append(_poly(numerator or gf.numerator, ti) / den)
-    return CubicClosedForm(family=family, roots=roots, coeffs=tuple(coeffs))
 
 
 def closed_form_order(family: str, n: int) -> int:
-    """Order of D_n(G_n) from the root formula, rounded and validated."""
+    """Order of D_n(G_n) from the root formula, evaluated exactly."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    try:
-        value = cubic_closed_form(family).evaluate(n)
-    except OverflowError as exc:  # t ** (-n) leaves the float range from n = 1165
-        raise PrecisionError(f"{family} closed form at n={n} overflows float64") from exc
-    nearest = round(value.real)
-    if abs(nearest) >= 2**48:  # float64 error reaches a unit; rounding may be off
-        raise PrecisionError(f"{family} closed form at n={n} is past 2^48, the exact float range")
-    residual = abs(value - nearest) / max(1, abs(nearest))
-    if residual >= ROUNDING_REL_TOL:
-        raise PrecisionError(
-            f"closed form for {family} at n={n}: residual {residual:.3e} "
-            f"exceeds {ROUNDING_REL_TOL}"
-        )
-    return int(nearest)
+    return cubic_closed_form(family).evaluate(n)
 
 
 # ---------------------------------------------------------------------------

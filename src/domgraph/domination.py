@@ -78,11 +78,15 @@ class DomFamily:
 class SubsetTable:
     """Dominating and minimal masks, and popcounts, over all 2^n subsets."""
 
-    def __init__(self, g: Graph):
+    @staticmethod
+    def check_size(g: Graph) -> None:
         if g.n > ENUMERATION_CAP:
             raise TooLargeError(
                 f"n={g.n} exceeds {ENUMERATION_CAP}, the limit of the 2^n subset table"
             )
+
+    def __init__(self, g: Graph):
+        self.check_size(g)
         cov = np.empty(1 << g.n, dtype=np.uint32)
         cov[0] = 0
         size = 1
@@ -125,6 +129,7 @@ def _table(g: Graph) -> SubsetTable:
     global _last_table
     graph, table = _last_table
     if graph != g:
+        SubsetTable.check_size(g)  # a refused graph keeps the cached table
         _last_table = (None, None)  # free the previous masks before building new ones
         table = SubsetTable(g)
         _last_table = (g, table)

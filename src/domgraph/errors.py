@@ -1,7 +1,9 @@
 """Domain error types.
 
 The CLI maps any DomGraphError to exit status 1; usage problems (bad flags,
-missing arguments) are exit status 2 and never raise these.
+missing arguments) are exit status 2 and never raise these.  Every count
+and closed form is exact integer arithmetic, so no error reports a loss of
+precision.
 """
 
 
@@ -31,10 +33,6 @@ class EmptyGraphError(DomGraphError):
 
 class InvalidSeriesError(DomGraphError):
     """Rational generating function whose denominator has a zero constant term."""
-
-
-class PrecisionError(DomGraphError):
-    """Floating-point closed-form evaluation too far from an integer."""
 
 
 class FormulaViolationError(DomGraphError):

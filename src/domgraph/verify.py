@@ -269,6 +269,11 @@ def _distance_two_record(dist_hi: int) -> CheckRecord:
     )
 
 
+ROOT_RESIDUAL_TOL = 1e-12  # for the numeric cubic roots, which are only displayed
+# The printed variant's numerators, (t-1)^2 and 3t^2-2t+1, ascending.
+PRINTED_NUMERATORS = {"path": (1, -2, 1), "cycle": (1, -2, 3)}
+
+
 def _gf_and_closed_form_records(family: str) -> list[CheckRecord]:
     seq = counting.order_sequence(family, 40)
     gf = counting.PATH_ORDER_GF if family == "path" else counting.CYCLE_ORDER_GF
@@ -282,21 +287,24 @@ def _gf_and_closed_form_records(family: str) -> list[CheckRecord]:
         _pairs_record(
             f"{family}/closed-form", "1<=n<=40",
             [(n, seq[n - 1], counting.closed_form_order(family, n)) for n in range(1, 41)],
-            note="rounded root formula vs recurrence",
+            note="exact root formula vs recurrence",
         ),
     ]
     form = counting.cubic_closed_form(family)
     records.append(_pairs_record(
         f"{family}/cubic-roots", "3 roots",
         [
-            (i, True, bool(abs(t**3 + t**2 + t - 1) < counting.ROOT_RESIDUAL_TOL))
+            (i, True, bool(abs(t**3 + t**2 + t - 1) < ROOT_RESIDUAL_TOL))
             for i, t in enumerate(form.roots)
         ],
-        note="each root satisfies x^3+x^2+x-1 = 0 to 1e-12",
+        note=f"each root satisfies x^3+x^2+x-1 = 0 to {ROOT_RESIDUAL_TOL:g}",
     ))
+    # the printed variant's (-1)^n and 1/t factors make it (-1)^n times the
+    # partial-fraction form at n + 1 with the printed numerator
+    printed = counting.cubic_closed_form(family, PRINTED_NUMERATORS[family])
     records.append(_pairs_record(
         f"{family}/closed-form-constants", "4<=n<=12",
-        [(n, _literal_closed_form(family, n), seq[n - 1]) for n in range(4, 13)],
+        [(n, (-1) ** n * printed.evaluate(n + 1), seq[n - 1]) for n in range(4, 13)],
         note=(
             "the alternating-sign variant (numerators (t-1)^2 for paths, "
             "3t^2-2t+1 for cycles, extra (-1)^n and 1/t factors) does not "
@@ -308,20 +316,6 @@ def _gf_and_closed_form_records(family: str) -> list[CheckRecord]:
         mismatch_status="erratum",
     ))
     return records
-
-
-# The printed variant's numerators, (t-1)^2 and 3t^2-2t+1, ascending.
-PRINTED_NUMERATORS = {"path": (1, -2, 1), "cycle": (1, -2, 3)}
-
-
-def _literal_closed_form(family: str, n: int) -> int:
-    """The printed variant of the closed form, kept only for documentation.
-
-    Its (-1)^n and 1/t factors make it (-1)^n times the partial-fraction
-    form at n + 1 with the printed numerator.
-    """
-    form = counting.cubic_closed_form(family, PRINTED_NUMERATORS[family])
-    return round(((-1) ** n * form.evaluate(n + 1)).real)
 
 
 def _structure_records(family: str, graphs: dict[int, Graph], struct_hi: int) -> list[CheckRecord]:

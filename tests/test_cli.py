@@ -1,5 +1,7 @@
 import json
+import sys
 
+from domgraph import closed_form_order
 from domgraph.cli import main
 
 
@@ -122,6 +124,27 @@ def test_count_sums_csv(capsys):
     )
     assert code == 0
     assert out == "family,n,order\ncycle,1,1\ncycle,2,3\ncycle,3,7\ncycle,4,11\n"
+
+
+def test_count_sums_prints_every_digit(tmp_path, capsys):
+    # the last order has 4314 digits, past Python's default int-to-str limit of 4300
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit (3.10)
+    target = tmp_path / "sums.csv"
+    code, _, err = run(
+        capsys, "count", "--family", "path", "--n-max", "16300", "--sums", "--format", "csv",
+        "--output", str(target),
+    )
+    assert code == 0 and err == ""
+    last = target.read_text().rsplit(",", 1)[1].strip()
+    assert len(last) == 4314
+    if limit:
+        assert sys.get_int_max_str_digits() == limit  # main restores the limit
+        sys.set_int_max_str_digits(0)
+    try:
+        assert int(last) == closed_form_order("path", 16300)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def test_count_triangle_csv(capsys):

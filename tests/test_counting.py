@@ -5,7 +5,6 @@ import pytest
 from domgraph import (
     FormulaViolationError,
     InvalidSeriesError,
-    PrecisionError,
     RationalGF,
     closed_d,
     closed_form_order,
@@ -32,6 +31,7 @@ from domgraph.counting import (
     triangle_csv,
 )
 from domgraph import corona, join
+from domgraph.verify import PRINTED_NUMERATORS
 
 
 def test_path_triangle_matches_enumeration():
@@ -124,30 +124,45 @@ def test_gf_offset_matches_order_sequence():
 
 def test_closed_form_order_matches_recurrence():
     for family in ("path", "cycle"):
-        seq = order_sequence(family, 40)
-        for n in range(1, 41):
+        seq = order_sequence(family, 5000)
+        for n in range(1, 5001):
+            assert closed_form_order(family, n) == seq[n - 1]
+        # below n = 1 the form runs the recurrence backwards
+        form = cubic_closed_form(family)
+        for n in range(-5, 1):
+            assert form.evaluate(n) == form.evaluate(n + 3) - form.evaluate(n + 2) - form.evaluate(n + 1)
+
+
+def test_closed_form_order_is_exact_past_2_48():
+    # n = 56 is the first value a float64 evaluation rounds wrongly
+    for family in ("path", "cycle"):
+        seq = order_sequence(family, 56)
+        assert seq[-1] >= 2**48
+        assert closed_form_order(family, 56) == seq[-1]
+
+
+def test_closed_form_order_is_exact_past_float_overflow():
+    # from n = 1165 the powers tau^(-n) leave the float range
+    for family in ("path", "cycle"):
+        seq = order_sequence(family, 2000)
+        for n in (1165, 2000):
             assert closed_form_order(family, n) == seq[n - 1]
 
 
-def test_closed_form_order_is_exact_or_raises():
-    # float64 rounding is exact below 2^48; the first value it rounds wrongly is at n = 56
-    for family in ("path", "cycle"):
-        seq = order_sequence(family, 120)
-        for n in range(1, 121):
-            try:
-                assert closed_form_order(family, n) == seq[n - 1]
-            except PrecisionError:
-                assert seq[n - 1] >= 2**47
-        with pytest.raises(PrecisionError):
-            closed_form_order(family, 56)
-
-
-def test_closed_form_order_overflow_is_a_precision_error():
-    # from n = 1165 the float powers overflow before the 2^48 check runs
-    for family in ("path", "cycle"):
-        for n in (1165, 2000):
-            with pytest.raises(PrecisionError):
-                closed_form_order(family, n)
+@pytest.mark.parametrize("family", ["path", "cycle"])
+@pytest.mark.parametrize("printed", [False, True])
+def test_closed_form_matches_sympy_root_sum(family, printed):
+    sp = pytest.importorskip("sympy")
+    x, y = sp.symbols("x y")
+    p = x**3 + x**2 + x - 1
+    numerator = PRINTED_NUMERATORS[family] if printed else None
+    form = cubic_closed_form(family, numerator)
+    for n in range(1, 31):
+        # prod_{j != i} (t_j - t_i) = p'(t_i), so the terms N(t_i) t_i^(-n) / p'(t_i)
+        # are the roots in y of res_x(p, y x^n p'(x) - N(x)); sum them exactly
+        num = sum(c * x**i for i, c in enumerate(form.numerator))
+        res = sp.Poly(sp.resultant(p, y * x**n * sp.diff(p, x) - num, x), y).all_coeffs()
+        assert form.evaluate(n) == -res[1] / res[0]
 
 
 def test_cubic_roots_residuals():

@@ -94,6 +94,16 @@ def test_enumeration_cap():
     assert len(enumerate_dominating(p25, 9, cap=63)) == 53
 
 
+def test_refused_query_keeps_the_cached_table():
+    p20 = make_family("path", 20)
+    total_count(p20)
+    _, table = domination._last_table
+    with pytest.raises(TooLargeError):
+        total_count(make_family("path", 25))
+    graph, kept = domination._last_table
+    assert graph == p20 and kept is table
+
+
 def test_scan_and_prune_agree():
     rng = random.Random(42)
     graphs = [make_family(k, n) for k in ("path", "complete", "empty") for n in (1, 2, 5, 8)]
