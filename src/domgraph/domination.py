@@ -10,7 +10,11 @@ Two independent enumeration routes exist on purpose:
   output, which is far below 2^n for sparse graphs.
 
 Both return the identical DomFamily, sorted by (cardinality, bitmask
-value); the test suite holds them to that.
+value); the test suite holds them to that.  ``_dominating_bits`` is the one
+place that picks the route when none is given: scan while n <= SCAN_LIMIT
+(20), prune above it (reconfig.build's docstring gives the measurements).
+An explicit ``method`` forces a route, so tests and verify can pit one
+against the other.
 
 The counting operations read the same table.  It builds the coverage of
 every subset by doubling (subsets of {0..v} are those of {0..v-1} with and
@@ -20,12 +24,16 @@ on one graph (or on equal graphs) build it once.  The table refuses graphs
 above ENUMERATION_CAP = 24 vertices with TooLargeError, whatever the query
 or route.  enumerate_dominating and reconfig.build also take a ``cap`` on n
 (default 24); only the prune route can use a larger one.
+
+A DomFamily holds the bitmask array and makes VertexSubset objects only
+when ``sets`` is read.  Its JSON, and the labels of reconfig's exports, come
+from ``subset_texts``, which formats a whole bitmask array through one
+256-entry string table per 8-bit chunk of the mask.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -36,43 +44,78 @@ from .graphs import Graph, VertexSubset, subset_bits
 
 # The subset table holds 2^n words; 24 keeps that around 16.7M.
 ENUMERATION_CAP = 24
+# Up to this n the default route is the scan, and reconfig's adjacency looks
+# nodes up in a 2^n id map (4 MB at n = 20); above it, prune and searchsorted.
+SCAN_LIMIT = 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DomFamily:
     """All dominating sets of a graph with cardinality at most k.
 
-    sets is sorted by (cardinality, bitmask value) and duplicate-free;
-    by_card[j] counts members of cardinality j for j = 0..k.
+    bits holds their bitmasks (uint64), sorted by (cardinality, bitmask
+    value) and duplicate-free; sets wraps them as VertexSubset on first
+    use; by_card[j] counts members of cardinality j for j = 0..k.
+    Families are equal when graph_n, k and bits are.
     """
 
     graph_n: int
     k: int
-    sets: tuple[VertexSubset, ...]
-    by_card: tuple[int, ...]
+    bits: np.ndarray
+
+    def __post_init__(self):
+        self.bits.flags.writeable = False  # sets and by_card are cached from it
 
     def __len__(self) -> int:
-        return len(self.sets)
+        return len(self.bits)
 
     def __iter__(self):
         return iter(self.sets)
 
-    @classmethod
-    def from_bits(cls, graph_n: int, k: int, bits: np.ndarray) -> "DomFamily":
-        """Wrap a bitmask array already in (cardinality, bitmask) order."""
-        by_card = np.bincount(np.bitwise_count(bits), minlength=k + 1)
-        return cls(
-            graph_n=graph_n,
-            k=k,
-            sets=tuple(VertexSubset(b) for b in bits.tolist()),
-            by_card=tuple(by_card.tolist()),
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DomFamily):
+            return NotImplemented
+        return (self.graph_n, self.k) == (other.graph_n, other.k) and np.array_equal(
+            self.bits, other.bits
         )
+
+    @cached_property
+    def sets(self) -> tuple[VertexSubset, ...]:
+        return tuple(VertexSubset(b) for b in self.bits.tolist())
+
+    @cached_property
+    def by_card(self) -> tuple[int, ...]:
+        return tuple(np.bincount(np.bitwise_count(self.bits), minlength=self.k + 1).tolist())
 
     def to_json_obj(self) -> list[list[int]]:
         return [list(s.vertices()) for s in self.sets]
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
+        """json.dumps(self.to_json_obj()), formatted from the bitmasks."""
+        return "[" + ", ".join(f"[{s}]" for s in subset_texts(self.bits, self.graph_n, ", ")) + "]"
+
+
+def _chunk_table(low: int, sep: str) -> np.ndarray:
+    """For each byte value x, sep + label for each member of x << low, as one str."""
+    return np.array(
+        ["".join(f"{sep}{low + v + 1}" for v in range(8) if x >> v & 1) for x in range(256)],
+        dtype=object,
+    )
+
+
+def subset_texts(bits: np.ndarray, n: int, sep: str) -> list[str]:
+    """The 1-based members of each bitmask over n vertices, in increasing
+    order and joined by sep (sep="," gives what VertexSubset prints between
+    its braces).
+
+    Each 8-bit chunk of every mask is looked up in that chunk's table at
+    once; a member's text starts with sep, so the parts concatenate and
+    lose the first sep at the end.
+    """
+    texts = np.full(len(bits), "", dtype=object)
+    for low in range(0, n, 8):
+        texts += _chunk_table(low, sep)[(bits >> np.uint64(low)) & np.uint64(255)]
+    return [t[len(sep):] for t in texts.tolist()]
 
 
 class SubsetTable:
@@ -205,30 +248,36 @@ def _prune_bits(g: Graph, k: int) -> list[int]:
     return out
 
 
-def _dominating_bits(g: Graph, k: int, cap: int, method: str) -> np.ndarray:
+def _dominating_bits(g: Graph, k: int, cap: int, method: str | None) -> np.ndarray:
     """Bitmasks of the dominating sets with cardinality at most k, as uint64,
-    sorted by (cardinality, bitmask value)."""
+    sorted by (cardinality, bitmask value).  method None picks scan while
+    n <= SCAN_LIMIT and prune above it."""
     if not 1 <= k <= g.n:
         raise ValueError(f"cardinality bound k={k} must satisfy 1 <= k <= {g.n}")
     if g.n > cap:
         raise TooLargeError(f"n={g.n} exceeds the enumeration cap {cap}; pass cap= to override")
+    if method is None:
+        method = "scan" if g.n <= SCAN_LIMIT else "prune"
     if method == "prune":
-        bits = np.array(_prune_bits(g, k), dtype=np.uint64)
+        bits = np.sort(np.array(_prune_bits(g, k), dtype=np.uint64))
     elif method == "scan":
         table = _table(g)
         bits = np.flatnonzero(table.dom & (table.cards <= k)).astype(np.uint64)
     else:
         raise ValueError(f"unknown enumeration method {method!r}")
-    return bits[np.lexsort((bits, np.bitwise_count(bits)))]
+    # bits is sorted by value; a stable sort by cardinality keeps that inside each block
+    return bits[np.argsort(np.bitwise_count(bits), kind="stable")]
 
 
 def enumerate_dominating(
-    g: Graph, k: int | None = None, *, cap: int = ENUMERATION_CAP, method: str = "prune"
+    g: Graph, k: int | None = None, *, cap: int = ENUMERATION_CAP, method: str | None = None
 ) -> DomFamily:
-    """All dominating sets with cardinality at most k (default k = n)."""
+    """All dominating sets with cardinality at most k (default k = n).
+
+    method is "scan" or "prune"; None picks by n (see _dominating_bits)."""
     if k is None:
         k = g.n
-    return DomFamily.from_bits(g.n, k, _dominating_bits(g, k, cap, method))
+    return DomFamily(g.n, k, _dominating_bits(g, k, cap, method))
 
 
 def count_by_cardinality(g: Graph) -> tuple[int, ...]:

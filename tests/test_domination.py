@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,8 +21,8 @@ from domgraph import (
     upper_domination_number,
 )
 from domgraph import cycle_triangle, domination, path_triangle
-from domgraph.domination import SubsetTable, counts_csv
-from domgraph.graphs import graph_from_edges
+from domgraph.domination import DomFamily, SubsetTable, counts_csv, subset_texts
+from domgraph.graphs import VertexSubset, graph_from_edges
 from domgraph.verify import labeled_graph_sweep
 
 
@@ -288,3 +289,23 @@ def test_alternating_graphs_never_read_a_stale_table():
                 sum(row), gamma, row[gamma])
             assert upper_domination_number(g) == upper
         assert domination._table(path) is domination._table(path_again)
+
+
+def test_family_makes_its_sets_on_first_use():
+    p20 = make_family("path", 20)
+    fam = enumerate_dominating(p20)
+    assert len(fam) == 157305 and "sets" not in vars(fam)
+    assert fam == enumerate_dominating(p20, method="prune")
+    assert fam != enumerate_dominating(p20, 19) and fam != DomFamily(19, 20, fam.bits)
+    assert fam.sets[0] == VertexSubset(int(fam.bits[0])) and "sets" in vars(fam)
+    assert not fam.bits.flags.writeable
+
+
+def test_subset_texts_print_as_vertex_subsets():
+    rng = random.Random(3)
+    for n in (1, 7, 8, 9, 16, 17, 40, 63):
+        masks = [0, (1 << n) - 1, *(rng.getrandbits(n) for _ in range(50))]
+        bits = np.array(masks, dtype=np.uint64)
+        assert subset_texts(bits, n, ",") == [str(VertexSubset(b))[1:-1] for b in masks]
+        assert subset_texts(bits, n, ", ") == [str(list(VertexSubset(b).vertices()))[1:-1]
+                                                for b in masks]

@@ -1,4 +1,4 @@
-"""Byte-for-byte outputs of the counting and verify surfaces, kept in tests/golden/."""
+"""Byte-for-byte outputs of the CLI surfaces, kept in tests/golden/."""
 
 import runpy
 from pathlib import Path
@@ -10,6 +10,9 @@ from domgraph.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 DEMOS = Path(__file__).parent.parent / "demos"
 SUMS = ["--n-max", "60", "--sums", "--format", "csv"]
+FAMILIES = {"path6": ("path", "6"), "cycle5": ("cycle", "5"), "complete4": ("complete", "4"),
+            "ladder3": ("ladder", "3")}
+P6 = ["--family", "path", "--n", "6"]
 
 # golden file name -> CLI arguments, or the demo script whose stdout it holds
 INVOCATIONS = {
@@ -20,7 +23,18 @@ INVOCATIONS = {
     "count_path_sums.csv": ["count", "--family", "path", *SUMS],
     "count_cycle_sums.csv": ["count", "--family", "cycle", *SUMS],
     "demo_04_counting_formulas.txt": DEMOS / "04_counting_formulas.py",
+    "dominating_path6.json": ["dominating", *P6, "--format", "json"],
+    "export_ladder5_k4.json": ["export", "--family", "ladder", "--n", "5", "--k", "4"],
+    # k = 1 is below gamma(P_6) = 2: the empty D_k(G)
+    "reconfig_path6_k1.json": ["reconfig", *P6, "--k", "1", "--format", "json"],
+    "reconfig_path6_k1.dot": ["reconfig", *P6, "--k", "1", "--format", "dot"],
+    "reconfig_path6_k1_stats.txt": ["reconfig", *P6, "--k", "1", "--stats"],
 }
+for tag, (family, n) in FAMILIES.items():
+    spec = ["reconfig", "--family", family, "--n", n]
+    INVOCATIONS[f"reconfig_{tag}.json"] = [*spec, "--format", "json"]
+    INVOCATIONS[f"reconfig_{tag}.dot"] = [*spec, "--format", "dot"]
+    INVOCATIONS[f"reconfig_{tag}_stats.txt"] = [*spec, "--stats"]
 
 
 @pytest.mark.parametrize("name", sorted(INVOCATIONS))

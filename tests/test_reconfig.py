@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -22,8 +23,9 @@ from domgraph import (
     is_regular,
     make_family,
 )
+from domgraph import domination, reconfig
 from domgraph.graphs import VertexSubset, graph_from_edges
-from domgraph.reconfig import edge_list, to_dot, to_json
+from domgraph.reconfig import edge_list, to_dot, to_json, to_json_obj
 
 
 def test_build_complete_3():
@@ -209,7 +211,8 @@ def python_bfs(n: int, bits: list[int], a: int) -> dict[int, int]:
 @given(drawn_graphs(10), st.data())
 def test_arrays_match_the_definitions_on_drawn_graphs(g, data):
     for k in range(1, g.n + 1):
-        r = build(g, k)
+        # the default route is scan at this size, so pin the other side to prune
+        r = build(g, k, method="prune")
         scan = build(g, k, method="scan")
         for name in ("bits", "cards", "indptr", "indices", "component"):
             assert np.array_equal(getattr(r, name), getattr(scan, name))
@@ -236,3 +239,51 @@ def test_arrays_match_the_definitions_on_drawn_graphs(g, data):
             a = data.draw(st.integers(0, r.order - 1))
             b = data.draw(st.integers(0, r.order - 1))
             assert distance(r, a, b) == python_bfs(g.n, bits, a).get(b)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(drawn_graphs(12))
+def test_id_map_adjacency_equals_searchsorted_adjacency(g):
+    for k in range(1, g.n + 1):
+        bits = domination._dominating_bits(g, k, g.n, "prune")
+        indptr, indices = reconfig._adjacency(bits, g.n)
+        # with the limit below n, the same bits go through searchsorted
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(reconfig, "SCAN_LIMIT", 0)
+            search_indptr, search_indices = reconfig._adjacency(bits, g.n)
+        assert np.array_equal(indptr, search_indptr)
+        assert np.array_equal(indices, search_indices)
+
+
+def test_default_route_depends_on_n(monkeypatch):
+    monkeypatch.setattr(domination, "_last_table", (None, None))
+    # above the limit, prune: its peak stays far below the 2^22-entry table
+    p22 = make_family("path", 22)
+    tracemalloc.start()
+    try:
+        assert build(p22, 6).empty  # gamma(P_22) = 8
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # at the limit, scan: it leaves P_20's table in the cache, and the arrays
+    # are the prune route's
+    p20 = make_family("path", 20)
+    assert domination._last_table[0] is None
+    r = build(p20, 20)
+    assert domination._last_table[0] == p20
+    pruned = build(p20, 20, method="prune")
+    for name in ("bits", "cards", "indptr", "indices", "component"):
+        assert np.array_equal(getattr(r, name), getattr(pruned, name))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(drawn_graphs(10), st.data())
+def test_exports_equal_the_object_formatting(g, data):
+    r = build(g, data.draw(st.integers(1, g.n)))
+    # to_json_obj(r) holds r.nodes.to_json_obj(), so this checks DomFamily.to_json too
+    assert to_json(r) == json.dumps(to_json_obj(r))
+    lines = ["graph D {"]
+    lines += [f'  s{i} [label="{s}"];' for i, s in enumerate(r.nodes.sets)]
+    lines += [f"  s{i} -- s{j};" for i, j in edge_list(r)]
+    assert to_dot(r) == "\n".join([*lines, "}"]) + "\n"
