@@ -32,6 +32,11 @@ class UsageError(Exception):
 PRODUCT_OPS = {"join": join, "corona": corona, "cartesian": cartesian}
 
 
+def _family_graph(kind: str, n: int) -> Graph:
+    """A --family graph or product factor: a make_family kind, or the ladder L_n."""
+    return ladder(n) if kind == "ladder" else make_family(kind, n)
+
+
 def _parse_product(expr: str) -> Graph:
     """Prefix product syntax: op:family:n,family:n e.g. join:complete:2,complete:2."""
     op, sep, rest = expr.partition(":")
@@ -52,7 +57,7 @@ def _parse_product(expr: str) -> Graph:
             n = int(n_text)
         except ValueError:
             raise UsageError(f"bad factor size {n_text!r}") from None
-        factors.append(make_family(kind, n))
+        factors.append(_family_graph(kind, n))
     return PRODUCT_OPS[op](factors[0], factors[1])
 
 
@@ -63,9 +68,7 @@ def _resolve_graph(args) -> Graph:
     if args.family:
         if args.n is None:
             raise UsageError("--family needs --n")
-        if args.family == "ladder":
-            return ladder(args.n)
-        return make_family(args.family, args.n)
+        return _family_graph(args.family, args.n)
     if args.product:
         return _parse_product(args.product)
     with open(args.input, encoding="utf-8") as fh:

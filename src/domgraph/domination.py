@@ -10,11 +10,11 @@ Two independent enumeration routes exist on purpose:
   output, which is far below 2^n for sparse graphs.
 
 Both return the identical DomFamily, sorted by (cardinality, bitmask
-value); the test suite holds them to that.  ``_dominating_bits`` is the one
-place that picks the route when none is given: scan while n <= SCAN_LIMIT
-(20), prune above it (reconfig.build's docstring gives the measurements).
-An explicit ``method`` forces a route, so tests and verify can pit one
-against the other.
+value); the test suite holds them to that.  ``enumerate_dominating`` is the
+one place that picks the route when none is given: scan while n <=
+SCAN_LIMIT (20), prune above it (reconfig.build's docstring gives the
+measurements).  An explicit ``method`` forces a route, so tests, demos and
+benchmarks can pit one against the other.
 
 The counting operations read the same table.  It builds the coverage of
 every subset by doubling (subsets of {0..v} are those of {0..v-1} with and
@@ -248,10 +248,15 @@ def _prune_bits(g: Graph, k: int) -> list[int]:
     return out
 
 
-def _dominating_bits(g: Graph, k: int, cap: int, method: str | None) -> np.ndarray:
-    """Bitmasks of the dominating sets with cardinality at most k, as uint64,
-    sorted by (cardinality, bitmask value).  method None picks scan while
-    n <= SCAN_LIMIT and prune above it."""
+def enumerate_dominating(
+    g: Graph, k: int | None = None, *, cap: int = ENUMERATION_CAP, method: str | None = None
+) -> DomFamily:
+    """All dominating sets with cardinality at most k (default k = n).
+
+    method is "scan" or "prune"; None picks scan while n <= SCAN_LIMIT and
+    prune above it."""
+    if k is None:
+        k = g.n
     if not 1 <= k <= g.n:
         raise ValueError(f"cardinality bound k={k} must satisfy 1 <= k <= {g.n}")
     if g.n > cap:
@@ -266,18 +271,7 @@ def _dominating_bits(g: Graph, k: int, cap: int, method: str | None) -> np.ndarr
     else:
         raise ValueError(f"unknown enumeration method {method!r}")
     # bits is sorted by value; a stable sort by cardinality keeps that inside each block
-    return bits[np.argsort(np.bitwise_count(bits), kind="stable")]
-
-
-def enumerate_dominating(
-    g: Graph, k: int | None = None, *, cap: int = ENUMERATION_CAP, method: str | None = None
-) -> DomFamily:
-    """All dominating sets with cardinality at most k (default k = n).
-
-    method is "scan" or "prune"; None picks by n (see _dominating_bits)."""
-    if k is None:
-        k = g.n
-    return DomFamily(g.n, k, _dominating_bits(g, k, cap, method))
+    return DomFamily(g.n, k, bits[np.argsort(np.bitwise_count(bits), kind="stable")])
 
 
 def count_by_cardinality(g: Graph) -> tuple[int, ...]:

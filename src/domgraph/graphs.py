@@ -257,8 +257,8 @@ def from_json(text: str) -> Graph:
     return from_json_obj(obj)
 
 
-def to_dot(g: Graph, name: str = "G") -> str:
-    lines = [f"graph {name} {{"]
+def to_dot(g: Graph) -> str:
+    lines = ["graph G {"]
     for v in range(g.n):
         lines.append(f"  v{v + 1};")
     for u, v in g.edges:

@@ -20,11 +20,11 @@ Adjacency is found by toggling one vertex bit of every node at once and
 looking the results up.  While n <= SCAN_LIMIT (20) the lookup is one
 gather from a dense id map of 2^n int32 entries (4 MB at n = 20); above it
 the map would grow to 64 MB at n = 24 and past any memory beyond, so the
-lookup is ``np.searchsorted`` in a value-sorted copy of ``bits``.  Analysis works on the arrays.  Export formats the node labels
-from ``bits`` through ``domination.subset_texts`` and the edges from the
-upper CSR entries, with no Python object per node; ``nodes`` is a
-DomFamily over ``bits`` whose VertexSubset objects are made only when a
-caller reads them.
+lookup is ``np.searchsorted`` in a value-sorted copy of ``bits``.
+Analysis works on the arrays.  Export formats the node labels from
+``bits`` through ``domination.subset_texts`` and the edges from the upper
+CSR entries, with no Python object per node; ``nodes`` is a DomFamily over
+``bits`` whose VertexSubset objects are made only when a caller reads them.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .domination import ENUMERATION_CAP, SCAN_LIMIT, DomFamily, _dominating_bits, subset_texts
+from .domination import ENUMERATION_CAP, SCAN_LIMIT, DomFamily, enumerate_dominating, subset_texts
 from .errors import EmptyGraphError, TooLargeError
 from .graphs import Graph
 
@@ -85,13 +85,11 @@ class ReconfigGraph:
         raise KeyError(f"no node with bitmask {bin(bits)}")
 
 
-def build(
-    g: Graph, k: int | None = None, *, cap: int = ENUMERATION_CAP, method: str | None = None
-) -> ReconfigGraph:
+def build(g: Graph, k: int | None = None, *, cap: int = ENUMERATION_CAP) -> ReconfigGraph:
     """Construct D_k(G); k defaults to n.
 
-    The nodes come from the scan route while n <= SCAN_LIMIT (20) and from
-    the prune route above it, unless method forces one.  At n <= 20 the
+    The nodes come from enumerate_dominating: the scan route while n <=
+    SCAN_LIMIT (20) and the prune route above it.  At n <= 20 the
     subset table holds at most 6 MB and the scan is never much slower
     (P_20: 0.22 s against 0.45 s at k=20, 6 ms against 3 ms at k=7).
     Above 20 the table grows to about 100 MB more peak RSS by n = 24, and
@@ -110,15 +108,14 @@ def build(
     log n) below the limit and O(order * n log order) above it, instead of
     the quadratic pairwise check.
     """
-    if k is None:
-        k = g.n
-    bits = _dominating_bits(g, k, cap, method)
+    nodes = enumerate_dominating(g, k, cap=cap)
+    bits = nodes.bits
     cards = np.bitwise_count(bits)
     indptr, indices = _adjacency(bits, g.n)
     component = _component_labels(indptr, indices)
     for a in (bits, cards, indptr, indices, component):
         a.flags.writeable = False  # the graph is frozen; degrees and nodes are cached from these
-    return ReconfigGraph(g.n, k, bits, cards, indptr, indices, component, empty=not bits.size)
+    return ReconfigGraph(g.n, nodes.k, bits, cards, indptr, indices, component, empty=not bits.size)
 
 
 def _adjacency(bits: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -274,20 +271,19 @@ def euler_status(r: ReconfigGraph) -> str:
     return "neither"
 
 
-def is_hamiltonian(r: ReconfigGraph, *, max_order: int = HAMILTONIAN_ORDER_CAP) -> bool:
+def is_hamiltonian(r: ReconfigGraph) -> bool:
     """Exact Hamiltonian-cycle decision by subset dynamic programming.
 
-    ends[S] is the bitmask of vertices where a simple path from node 0
-    covering exactly S can end; a cycle exists iff some end at the full
-    subset is adjacent to node 0.  Exponential in the order, hence the cap.
+    Layer j maps the vertex set S of each simple path of j + 1 nodes from
+    node 0 to the bitmask of the nodes where such a path can end, so only
+    reachable sets are stored.  A cycle exists iff some end at the full set
+    is adjacent to node 0.  Exponential in the order, hence the cap.
     D_k(G) is bipartite by cardinality parity, and a cycle alternates
     parts, so parts of unequal size decide False before the search.
     """
-    if r.order > max_order:
-        raise TooLargeError(
-            f"order {r.order} exceeds the Hamiltonian search cap {max_order}"
-        )
     n = r.order
+    if n > HAMILTONIAN_ORDER_CAP:
+        raise TooLargeError(f"order {n} exceeds the Hamiltonian search cap {HAMILTONIAN_ORDER_CAP}")
     if n < 3:
         return False
     if 2 * np.count_nonzero(r.cards % 2) != n:
@@ -300,24 +296,16 @@ def is_hamiltonian(r: ReconfigGraph, *, max_order: int = HAMILTONIAN_ORDER_CAP) 
         sum(1 << j for j in r.indices[r.indptr[i] : r.indptr[i + 1]].tolist())
         for i in range(n)
     ]
-    size = 1 << n
-    ends = [0] * size
-    ends[1] = 1
-    for s in range(1, size, 2):  # only subsets containing node 0
-        e = ends[s]
-        if not e:
-            continue
-        m = e
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            ext = adj_mask[v] & ~s
-            t = ext
-            while t:
-                w = (t & -t).bit_length() - 1
-                t &= t - 1
-                ends[s | (1 << w)] |= 1 << w
-    return bool(ends[size - 1] & adj_mask[0])
+    nodes = [(1 << w, nbrs) for w, nbrs in enumerate(adj_mask)]
+    layer = {1: 1}
+    for _ in range(n - 1):
+        grown: dict[int, int] = {}
+        for s, ends in layer.items():
+            for bit, nbrs in nodes:
+                if nbrs & ends and not s & bit:
+                    grown[s | bit] = grown.get(s | bit, 0) | bit
+        layer = grown
+    return bool(layer.get((1 << n) - 1, 0) & adj_mask[0])
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +353,8 @@ def to_json(r: ReconfigGraph) -> str:
     return f'{{"base_n": {r.base_n}, "k": {r.k}, "nodes": {r.nodes.to_json()}, "edges": [{edges}]}}'
 
 
-def to_dot(r: ReconfigGraph, name: str = "D") -> str:
+def to_dot(r: ReconfigGraph) -> str:
     labels = subset_texts(r.bits, r.base_n, ",")
     nodes = "".join(f'  s{i} [label="{{{s}}}"];\n' for i, s in enumerate(labels))
     edges = _edges_text(r, "  s", " -- s", ";\n")
-    return f"graph {name} {{\n{nodes}{edges}}}\n"
+    return f"graph D {{\n{nodes}{edges}}}\n"

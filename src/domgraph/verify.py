@@ -137,6 +137,10 @@ def parity_violations(r: reconfig.ReconfigGraph) -> int:
 # Paths
 # ---------------------------------------------------------------------------
 
+# The claimed Gamma(G) of each family
+UPPER_GAMMA = {"path": lambda n: math.ceil(n / 2), "cycle": lambda n: n // 2}
+
+
 def _path_gamma_count_claim(n: int) -> int:
     k, rem = divmod(n, 3)
     if rem == 0:
@@ -160,7 +164,10 @@ def suite_paths(max_n: int = 12) -> list[CheckRecord]:
     ))
     records.append(_pairs_record(
         "path/upper-gamma", f"1<=n<={enum_hi}",
-        [(n, math.ceil(n / 2), domination.upper_domination_number(g)) for n, g in paths.items()],
+        [
+            (n, UPPER_GAMMA["path"](n), domination.upper_domination_number(g))
+            for n, g in paths.items()
+        ],
     ))
     records.append(_pairs_record(
         "path/gamma-set-count", f"1<=n<={enum_hi}",
@@ -204,14 +211,7 @@ def suite_paths(max_n: int = 12) -> list[CheckRecord]:
         ],
         note="three-term recurrence vs exhaustive enumeration, entrywise",
     ))
-    records.append(_pairs_record(
-        "path/order-tribonacci", f"1<=n<={enum_hi}",
-        [
-            (n, counting.order_sequence("path", enum_hi)[n - 1], domination.total_count(g))
-            for n, g in paths.items()
-        ],
-        note="seeds 1, 3, 5",
-    ))
+    records.append(_order_record("path", paths, enum_hi))
     for case, formula in counting.PATH_FORMULAS.items():
         triples = []
         for n in range(formula.min_n, 31):
@@ -240,6 +240,15 @@ def suite_paths(max_n: int = 12) -> list[CheckRecord]:
     records += _structure_records("path", paths, struct_hi)
     records.append(_distance_two_record(dist_hi))
     return records
+
+
+def _order_record(family: str, graphs: dict[int, Graph], enum_hi: int) -> CheckRecord:
+    seq = counting.order_sequence(family, enum_hi)
+    return _pairs_record(
+        f"{family}/order-tribonacci", f"{min(graphs)}<=n<={enum_hi}",
+        [(n, seq[n - 1], domination.total_count(g)) for n, g in graphs.items()],
+        note="seeds " + ", ".join(map(str, counting.order_sequence(family, 3))),
+    )
 
 
 def _distance_two_record(dist_hi: int) -> CheckRecord:
@@ -321,7 +330,7 @@ def _gf_and_closed_form_records(family: str) -> list[CheckRecord]:
 def _structure_records(family: str, graphs: dict[int, Graph], struct_hi: int) -> list[CheckRecord]:
     lo = 1 if family == "path" else 3
     built = {n: reconfig.build(graphs[n]) for n in range(lo, struct_hi + 1)}
-    gamma_upper = (lambda n: math.ceil(n / 2)) if family == "path" else (lambda n: n // 2)
+    gamma_upper = UPPER_GAMMA[family]
     records = [
         _pairs_record(
             f"{family}/connected", f"{lo}<=n<={struct_hi}",
@@ -362,7 +371,10 @@ def suite_cycles(max_n: int = 12) -> list[CheckRecord]:
 
     records.append(_pairs_record(
         "cycle/upper-gamma", f"3<=n<={enum_hi}",
-        [(n, n // 2, domination.upper_domination_number(g)) for n, g in cycles.items()],
+        [
+            (n, UPPER_GAMMA["cycle"](n), domination.upper_domination_number(g))
+            for n, g in cycles.items()
+        ],
     ))
     records.append(_pairs_record(
         "cycle/upper-gamma-set-count/odd", f"odd n, 3<=n<={enum_hi}",
@@ -403,14 +415,7 @@ def suite_cycles(max_n: int = 12) -> list[CheckRecord]:
         ],
         note="three-term recurrence from enumerated base rows C_3..C_5",
     ))
-    records.append(_pairs_record(
-        "cycle/order-tribonacci", f"3<=n<={enum_hi}",
-        [
-            (n, counting.order_sequence("cycle", enum_hi)[n - 1], domination.total_count(g))
-            for n, g in cycles.items()
-        ],
-        note="seeds 1, 3, 7",
-    ))
+    records.append(_order_record("cycle", cycles, enum_hi))
     records.append(_pairs_record(
         "cycle/order-seed-erratum", "n=3",
         [(3, 5, domination.total_count(cycles[3]))],
@@ -503,7 +508,7 @@ def labeled_graph_sweep(n: int):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     m = len(pairs)
     count = 1 << m
-    edge_bits = np.arange(count, dtype=np.int64)
+    edge_bits = np.arange(count, dtype=np.uint32)
     nbhd = [np.full(count, 1 << v, dtype=np.uint8) for v in range(n)]
     for idx, (u, v) in enumerate(pairs):
         has = ((edge_bits >> idx) & 1).astype(np.uint8)
@@ -511,13 +516,11 @@ def labeled_graph_sweep(n: int):
         nbhd[v] |= has << u
     full = np.uint8((1 << n) - 1)
 
+    # reach only grows, and n passes over the vertices cover every path from 0
     reach = np.full(count, 1, dtype=np.uint8)
     for _ in range(n):
-        nxt = reach.copy()
         for v in range(n):
-            has_v = ((reach >> v) & 1).astype(bool)
-            nxt[has_v] |= nbhd[v][has_v]
-        reach = nxt
+            reach |= nbhd[v] * (reach >> v & 1)
     connected = reach == full
 
     counts = np.zeros(count, dtype=np.int32)
@@ -546,8 +549,11 @@ def random_connected_graph(rng: random.Random, n: int) -> Graph:
     return graph_from_edges(n, edges)
 
 
-def suite_parity(max_n: int = 12, seed: int = 0, samples: int = 200,
-                 random_max_n: int = 16) -> list[CheckRecord]:
+PARITY_SAMPLES = 200  # random connected graphs per parity run
+PARITY_RANDOM_MAX_N = 16  # their largest order
+
+
+def suite_parity(max_n: int = 12, seed: int = 0) -> list[CheckRecord]:
     records = []
     exhaustive_hi = min(max_n, 7)
     triples = []
@@ -570,14 +576,14 @@ def suite_parity(max_n: int = 12, seed: int = 0, samples: int = 200,
     rng = random.Random(seed)
     even = 0
     sizes = []
-    for _ in range(samples):
-        n = rng.randint(2, random_max_n)
+    for _ in range(PARITY_SAMPLES):
+        n = rng.randint(2, PARITY_RANDOM_MAX_N)
         g = random_connected_graph(rng, n)
         sizes.append(n)
         if domination.total_count(g) % 2 == 0:
             even += 1
     records.append(_pairs_record(
-        "parity/random-connected", f"{samples} samples, 2<=n<={random_max_n}",
+        "parity/random-connected", f"{PARITY_SAMPLES} samples, 2<=n<={PARITY_RANDOM_MAX_N}",
         [(f"seed={seed}", 0, even)],
         note=f"largest sampled n = {max(sizes)}",
     ))

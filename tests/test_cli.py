@@ -3,6 +3,7 @@ import sys
 
 from domgraph import closed_form_order
 from domgraph.cli import main
+from domgraph.graphs import join, ladder, make_family, to_json_obj
 
 
 def run(capsys, *argv):
@@ -73,6 +74,12 @@ def test_ladder_family(capsys):
     code, out, _ = run(capsys, "family", "--family", "ladder", "--n", "3", "--format", "json")
     assert code == 0
     assert json.loads(out)["n"] == 6
+
+
+def test_ladder_product_factor(capsys):
+    code, out, _ = run(capsys, "family", "--product", "join:ladder:2,path:2", "--format", "json")
+    assert code == 0
+    assert out == json.dumps(to_json_obj(join(ladder(2), make_family("path", 2)))) + "\n"
 
 
 def test_dominating_json(capsys):

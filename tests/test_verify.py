@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from domgraph import order_sequence, verify_suite
@@ -73,7 +74,7 @@ def test_products_suite_passes():
 
 
 def test_parity_suite_passes():
-    records = suite_parity(max_n=5, seed=1, samples=25, random_max_n=10)
+    records = suite_parity(max_n=5, seed=1)
     assert all(r.status == "pass" for r in records)
 
 
@@ -110,6 +111,39 @@ def test_labeled_graph_sweep_small_counts():
     # the triangle (all three edges) has 2^3 - 1 = 7
     assert counts[-1] == 7
     assert int(connected.sum()) == 4
+
+
+def masked_sweep(n):
+    """labeled_graph_sweep through boolean masks: int64 edge indices, reach
+    grown by masked assignment, and one coverage per vertex subset."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    index = np.arange(1 << len(pairs), dtype=np.int64)
+    nbhd = [np.full(index.size, 1 << v, dtype=np.uint8) for v in range(n)]
+    for i, (u, v) in enumerate(pairs):
+        has = (index >> i & 1).astype(bool)
+        nbhd[u][has] |= np.uint8(1 << v)
+        nbhd[v][has] |= np.uint8(1 << u)
+    full = (1 << n) - 1
+    reach = np.ones(index.size, dtype=np.uint8)
+    for _ in range(n):
+        for v in range(n):
+            has_v = (reach >> v & 1).astype(bool)
+            reach[has_v] |= nbhd[v][has_v]
+    counts = np.zeros(index.size, dtype=np.int32)
+    for s in range(1 << n):
+        cov = np.zeros(index.size, dtype=np.uint8)
+        for v in range(n):
+            if s >> v & 1:
+                cov |= nbhd[v]
+        counts += cov == full
+    return reach == full, counts
+
+
+def test_labeled_graph_sweep_equals_a_masked_sweep():
+    for n in range(1, 8):
+        got, want = labeled_graph_sweep(n), masked_sweep(n)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_random_connected_graph_is_connected():
