@@ -30,6 +30,8 @@ class UsageError(Exception):
 
 
 PRODUCT_OPS = {"join": join, "corona": corona, "cartesian": cartesian}
+# the --family choices and the product factor kinds
+_FAMILIES = ("path", "cycle", "complete", "empty", "ladder")
 
 
 def _family_graph(kind: str, n: int) -> Graph:
@@ -53,6 +55,8 @@ def _parse_product(expr: str) -> Graph:
         if len(bits) != 2:
             raise UsageError(f"bad factor {part!r}; expected family:n")
         kind, n_text = bits
+        if kind not in _FAMILIES:
+            raise UsageError(f"unknown family {kind!r}; expected one of {_FAMILIES}")
         try:
             n = int(n_text)
         except ValueError:
@@ -111,14 +115,13 @@ def _cmd_family(args) -> int:
 
 def _cmd_dominating(args) -> int:
     g = _resolve_graph(args)
-    k = args.k if args.k is not None else g.n
-    family = domination.enumerate_dominating(g, k, cap=args.cap)
+    family = domination.enumerate_dominating(g, args.k, cap=args.cap)
     if args.format == "json":
         _emit(family.to_json() + "\n", args)
     elif args.format == "csv":
         _emit(domination.counts_csv(g.n, family.by_card), args)
     else:
-        rows = [("graph n", g.n), ("bound k", k), ("dominating sets", len(family))]
+        rows = [("graph n", g.n), ("bound k", family.k), ("dominating sets", len(family))]
         rows += [(f"cardinality {j}", c) for j, c in enumerate(family.by_card) if c]
         _emit(_table(rows), args)
     return 0
@@ -217,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     spec = argparse.ArgumentParser(add_help=False)
-    spec.add_argument("--family", choices=["path", "cycle", "complete", "empty", "ladder"])
+    spec.add_argument("--family", choices=_FAMILIES)
     spec.add_argument("--n", type=int, help="family size")
     spec.add_argument("--product", help="op:family:n,family:n (op: join|corona|cartesian)")
     spec.add_argument("--input", help="graph JSON file")

@@ -23,6 +23,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from typing import Callable
 
 import numpy as np
@@ -58,18 +59,9 @@ class CountTable:
 
 def _roll_triangle(base_rows: dict[int, tuple[int, ...]], n_max: int) -> dict:
     rows = {n: row for n, row in base_rows.items() if n <= n_max}
-    first = max(base_rows) + 1
-
-    def entry(n, j):
-        if j < 0 or j > n:
-            return 0
-        return rows[n][j]
-
-    for n in range(first, n_max + 1):
-        rows[n] = tuple(
-            entry(n - 1, j - 1) + entry(n - 2, j - 1) + entry(n - 3, j - 1)
-            for j in range(n + 1)
-        )
+    # d(G_n, j) = sum of d(G_m, j-1) over m = n-1, n-2, n-3, an entry past a row's end being 0
+    for n in range(max(base_rows) + 1, n_max + 1):
+        rows[n] = (0, *map(sum, zip_longest(rows[n - 1], rows[n - 2], rows[n - 3], fillvalue=0)))
     return rows
 
 

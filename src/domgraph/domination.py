@@ -12,9 +12,9 @@ Two independent enumeration routes exist on purpose:
 Both return the identical DomFamily, sorted by (cardinality, bitmask
 value); the test suite holds them to that.  ``enumerate_dominating`` is the
 one place that picks the route when none is given: scan while n <=
-SCAN_LIMIT (20), prune above it (reconfig.build's docstring gives the
-measurements).  An explicit ``method`` forces a route, so tests, demos and
-benchmarks can pit one against the other.
+SCAN_LIMIT (20), prune above it (its docstring gives the measurements).
+An explicit ``method`` forces a route, so tests, demos and benchmarks can
+pit one against the other.
 
 The counting operations read the same table.  It builds the coverage of
 every subset by doubling (subsets of {0..v} are those of {0..v-1} with and
@@ -254,7 +254,18 @@ def enumerate_dominating(
     """All dominating sets with cardinality at most k (default k = n).
 
     method is "scan" or "prune"; None picks scan while n <= SCAN_LIMIT and
-    prune above it."""
+    prune above it.  At n <= 20 the subset table holds at most 6 MB and the
+    scan is never much slower (P_20: 0.22 s against 0.45 s at k=20, 6 ms
+    against 3 ms at k=7).  Above 20 the table grows to about 100 MB more
+    peak RSS by n = 24, and at small k the scan also loses.  reconfig.build
+    in a fresh process, 2 cores, Python 3.11, NumPy 2.4:
+
+        case         prune             scan
+        P_22, k=22   2.40 s  / 189 MB  0.99 s  / 180 MB
+        P_24, k=12   0.66 s  /  57 MB  0.33 s  / 126 MB
+        P_24, k=9    0.009 s /  31 MB  0.105 s / 126 MB
+        C_24, k=10   0.051 s /  32 MB  0.070 s / 126 MB
+    """
     if k is None:
         k = g.n
     if not 1 <= k <= g.n:

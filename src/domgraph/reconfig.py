@@ -86,21 +86,7 @@ class ReconfigGraph:
 
 
 def build(g: Graph, k: int | None = None, *, cap: int = ENUMERATION_CAP) -> ReconfigGraph:
-    """Construct D_k(G); k defaults to n.
-
-    The nodes come from enumerate_dominating: the scan route while n <=
-    SCAN_LIMIT (20) and the prune route above it.  At n <= 20 the
-    subset table holds at most 6 MB and the scan is never much slower
-    (P_20: 0.22 s against 0.45 s at k=20, 6 ms against 3 ms at k=7).
-    Above 20 the table grows to about 100 MB more peak RSS by n = 24, and
-    at small k the scan also loses.  build in a fresh process, 2 cores,
-    Python 3.11, NumPy 2.4:
-
-        case         prune             scan
-        P_22, k=22   2.40 s  / 189 MB  0.99 s  / 180 MB
-        P_24, k=12   0.66 s  /  57 MB  0.33 s  / 126 MB
-        P_24, k=9    0.009 s /  31 MB  0.105 s / 126 MB
-        C_24, k=10   0.051 s /  32 MB  0.070 s / 126 MB
+    """Construct D_k(G) on the sets enumerate_dominating returns; k defaults to n.
 
     Adjacency toggles each of the n bits of every node at once and looks
     the results up, one gather each from a 2^n id map while n <= 20 and a

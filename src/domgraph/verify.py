@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -49,80 +49,61 @@ def _pairs_record(check, rng, triples, note="", mismatch_status="fail"):
     )
 
 
+def _over_n(check, items, lo, hi, claim, observe, *, parity="", note="", mismatch_status="fail"):
+    """Build a record over the n of items in lo..hi (only odd or even n when
+    parity says so), pairing claim(n) with observe(n, items[n]); the range
+    label is written from the same bounds."""
+    rest = {"odd": 1, "even": 0}.get(parity)
+    return _pairs_record(
+        check, f"{parity} n, {lo}<=n<={hi}" if parity else f"{lo}<=n<={hi}",
+        [
+            (n, claim(n), observe(n, item)) for n, item in items.items()
+            if lo <= n <= hi and (rest is None or n % 2 == rest)
+        ],
+        note=note, mismatch_status=mismatch_status,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Complete graphs
 # ---------------------------------------------------------------------------
 
 def suite_complete(max_n: int = 12) -> list[CheckRecord]:
     hi = min(max_n, 12)
-    records = []
     built = {n: reconfig.build(make_family("complete", n)) for n in range(1, hi + 1)}
+    records = [
+        _over_n("complete/order", built, 1, hi, lambda n: 2**n - 1, lambda n, r: r.order),
+        _over_n("complete/size", built, 1, hi, lambda n: n * (2 ** (n - 1) - 1),
+                lambda n, r: r.size),
+        _over_n("complete/bipartition", built, 1, hi, lambda n: [2 ** (n - 1), 2 ** (n - 1) - 1],
+                lambda n, r: [len(p) for p in reconfig.bipartition(r)],
+                note="parts are the odd- and even-cardinality dominating sets"),
+        _over_n("complete/min-degree", built, 1, hi, lambda n: n - 1,
+                lambda n, r: reconfig.degree_extremes(r)[0]),
+        _over_n("complete/max-degree", built, 2, hi, lambda n: n,
+                lambda n, r: reconfig.degree_extremes(r)[1],
+                note="D_1(K_1) is a single node with degree 0, excluded"),
+        _over_n("complete/degree-n-1-count", built, 1, hi, lambda n: n,
+                lambda n, r: int(np.count_nonzero(r.degrees == n - 1)),
+                note="exactly the n singletons have degree n-1"),
+        _over_n("complete/non-regularity", built, 2, hi, lambda n: False,
+                lambda n, r: reconfig.is_regular(r)),
+        _over_n("complete/bipartite-edges-cross", built, 1, hi, lambda n: 0,
+                lambda n, r: parity_violations(r)),
+        _over_n("complete/euler", built, 3, min(hi, 10), lambda n: "neither",
+                lambda n, r: reconfig.euler_status(r)),
+    ]
+    ham = _over_n("complete/hamiltonian", built, 1, min(hi, 4), lambda n: False,
+                  lambda n, r: reconfig.is_hamiltonian(r))
+    records.append(replace(ham, range=f"{ham.range} (order <= {reconfig.HAMILTONIAN_ORDER_CAP})"))
 
-    records.append(_pairs_record(
-        "complete/order", f"1<=n<={hi}",
-        [(n, 2**n - 1, r.order) for n, r in built.items()],
-    ))
-    records.append(_pairs_record(
-        "complete/size", f"1<=n<={hi}",
-        [(n, n * (2 ** (n - 1) - 1), r.size) for n, r in built.items()],
-    ))
-    records.append(_pairs_record(
-        "complete/bipartition", f"1<=n<={hi}",
-        [
-            (n, [2 ** (n - 1), 2 ** (n - 1) - 1],
-             [len(p) for p in reconfig.bipartition(r)])
-            for n, r in built.items()
-        ],
-        note="parts are the odd- and even-cardinality dominating sets",
-    ))
-    records.append(_pairs_record(
-        "complete/min-degree", f"1<=n<={hi}",
-        [(n, n - 1, reconfig.degree_extremes(r)[0]) for n, r in built.items()],
-    ))
-    records.append(_pairs_record(
-        "complete/max-degree", f"2<=n<={hi}",
-        [(n, n, reconfig.degree_extremes(r)[1]) for n, r in built.items() if n >= 2],
-        note="D_1(K_1) is a single node with degree 0, excluded",
-    ))
-    records.append(_pairs_record(
-        "complete/degree-n-1-count", f"1<=n<={hi}",
-        [
-            (n, n, int(np.count_nonzero(r.degrees == n - 1)))
-            for n, r in built.items()
-        ],
-        note="exactly the n singletons have degree n-1",
-    ))
-    records.append(_pairs_record(
-        "complete/non-regularity", f"2<=n<={hi}",
-        [(n, False, reconfig.is_regular(r)) for n, r in built.items() if n >= 2],
-    ))
-    records.append(_pairs_record(
-        "complete/bipartite-edges-cross", f"1<=n<={hi}",
-        [(n, 0, parity_violations(r)) for n, r in built.items()],
-    ))
-    records.append(_pairs_record(
-        "complete/euler", f"3<=n<={min(hi, 10)}",
-        [
-            (n, "neither", reconfig.euler_status(built[n]))
-            for n in range(3, min(hi, 10) + 1)
-        ],
-    ))
-    records.append(_pairs_record(
-        "complete/hamiltonian", f"1<=n<={min(hi, 4)} (order <= 20)",
-        [
-            (n, False, reconfig.is_hamiltonian(built[n]))
-            for n in range(1, min(hi, 4) + 1)
-        ],
-    ))
-    records.append(_pairs_record(
-        "complete/k1-is-complement", f"1<=n<={min(hi, 8)}",
-        [
-            (n, [0, n], [r1.size, reconfig.connected_components(r1)[0]])
-            for n in range(1, min(hi, 8) + 1)
-            for r1 in [reconfig.build(make_family("complete", n), 1)]
-        ],
-        note="D_1(K_n) is edgeless on n nodes, the complement of K_n",
-    ))
+    def complement(n, _):
+        r1 = reconfig.build(make_family("complete", n), 1)
+        return [r1.size, reconfig.connected_components(r1)[0]]
+
+    records.append(_over_n(
+        "complete/k1-is-complement", built, 1, min(hi, 8), lambda n: [0, n], complement,
+        note="D_1(K_n) is edgeless on n nodes, the complement of K_n"))
     return records
 
 
@@ -141,6 +122,10 @@ def parity_violations(r: reconfig.ReconfigGraph) -> int:
 UPPER_GAMMA = {"path": lambda n: math.ceil(n / 2), "cycle": lambda n: n // 2}
 
 
+def _upper_gamma_sets(n: int, g: Graph) -> int:
+    return domination.count_maximal_minimal_sets(g)
+
+
 def _path_gamma_count_claim(n: int) -> int:
     k, rem = divmod(n, 3)
     if rem == 0:
@@ -154,46 +139,27 @@ def suite_paths(max_n: int = 12) -> list[CheckRecord]:
     enum_hi = min(max_n, 20)
     struct_hi = min(max_n, 14)
     dist_hi = min(max_n, 10)
-    records = []
     paths = {n: make_family("path", n) for n in range(1, enum_hi + 1)}
     table = counting.path_triangle(max(3 * 30 + 2, enum_hi))
 
-    records.append(_pairs_record(
-        "path/gamma", f"1<=n<={enum_hi}",
-        [(n, math.ceil(n / 3), domination.domination_number(g)) for n, g in paths.items()],
-    ))
-    records.append(_pairs_record(
-        "path/upper-gamma", f"1<=n<={enum_hi}",
-        [
-            (n, UPPER_GAMMA["path"](n), domination.upper_domination_number(g))
-            for n, g in paths.items()
-        ],
-    ))
-    records.append(_pairs_record(
-        "path/gamma-set-count", f"1<=n<={enum_hi}",
-        [(n, _path_gamma_count_claim(n), domination.count_minimum_sets(g)) for n, g in paths.items()],
-        note="1 / (k^2+5k+2)/2 / k+2 for n = 3k, 3k+1, 3k+2",
-    ))
-    records.append(_pairs_record(
-        "path/upper-gamma-set-count/odd", f"odd n, 1<=n<={enum_hi}",
-        [
-            (n, 1, domination.count_maximal_minimal_sets(g))
-            for n, g in paths.items() if n % 2 == 1
-        ],
-    ))
-    records.append(_pairs_record(
-        "path/upper-gamma-set-count/even", f"even n, 6<=n<={enum_hi}",
-        [
-            (n, 2, domination.count_maximal_minimal_sets(g))
-            for n, g in paths.items() if n % 2 == 0 and n >= 6
-        ],
-        note=(
-            "claimed: exactly the two alternating sets; refuted by exhaustive "
+    records = [
+        _over_n("path/gamma", paths, 1, enum_hi, lambda n: math.ceil(n / 3),
+                lambda n, g: domination.domination_number(g)),
+        _over_n("path/upper-gamma", paths, 1, enum_hi, UPPER_GAMMA["path"],
+                lambda n, g: domination.upper_domination_number(g)),
+        _over_n("path/gamma-set-count", paths, 1, enum_hi, _path_gamma_count_claim,
+                lambda n, g: domination.count_minimum_sets(g),
+                note="1 / (k^2+5k+2)/2 / k+2 for n = 3k, 3k+1, 3k+2"),
+        _over_n("path/upper-gamma-set-count/odd", paths, 1, enum_hi, lambda n: 1,
+                _upper_gamma_sets, parity="odd"),
+        _over_n(
+            "path/upper-gamma-set-count/even", paths, 6, enum_hi, lambda n: 2,
+            _upper_gamma_sets, parity="even", mismatch_status="erratum",
+            note="claimed: exactly the two alternating sets; refuted by exhaustive "
             "enumeration, e.g. {1,4,5} and {1,3,6} are also maximum minimal "
-            "dominating sets of P_6 (counts grow: 6, 9, 12, 16, ...)"
+            "dominating sets of P_6 (counts grow: 6, 9, 12, 16, ...)",
         ),
-        mismatch_status="erratum",
-    ))
+    ]
     records.append(_pairs_record(
         "path/upper-gamma-set-count/small-even", "n in {2, 4}",
         [
@@ -203,12 +169,9 @@ def suite_paths(max_n: int = 12) -> list[CheckRecord]:
         ],
         note="no closed count claimed for P_4; brute-force values reported",
     ))
-    records.append(_pairs_record(
-        "path/triangle", f"1<=n<={enum_hi}",
-        [
-            (n, list(table.row(n)), list(domination.count_by_cardinality(g)))
-            for n, g in paths.items()
-        ],
+    records.append(_over_n(
+        "path/triangle", paths, 1, enum_hi, lambda n: list(table.row(n)),
+        lambda n, g: list(domination.count_by_cardinality(g)),
         note="three-term recurrence vs exhaustive enumeration, entrywise",
     ))
     records.append(_order_record("path", paths, enum_hi))
@@ -244,9 +207,9 @@ def suite_paths(max_n: int = 12) -> list[CheckRecord]:
 
 def _order_record(family: str, graphs: dict[int, Graph], enum_hi: int) -> CheckRecord:
     seq = counting.order_sequence(family, enum_hi)
-    return _pairs_record(
-        f"{family}/order-tribonacci", f"{min(graphs)}<=n<={enum_hi}",
-        [(n, seq[n - 1], domination.total_count(g)) for n, g in graphs.items()],
+    return _over_n(
+        f"{family}/order-tribonacci", graphs, min(graphs), enum_hi,
+        lambda n: seq[n - 1], lambda n, g: domination.total_count(g),
         note="seeds " + ", ".join(map(str, counting.order_sequence(family, 3))),
     )
 
@@ -328,34 +291,22 @@ def _gf_and_closed_form_records(family: str) -> list[CheckRecord]:
 
 
 def _structure_records(family: str, graphs: dict[int, Graph], struct_hi: int) -> list[CheckRecord]:
-    lo = 1 if family == "path" else 3
-    built = {n: reconfig.build(graphs[n]) for n in range(lo, struct_hi + 1)}
-    gamma_upper = UPPER_GAMMA[family]
-    records = [
-        _pairs_record(
-            f"{family}/connected", f"{lo}<=n<={struct_hi}",
-            [(n, 1, reconfig.connected_components(r)[0]) for n, r in built.items()],
-        ),
-        _pairs_record(
-            f"{family}/max-degree", f"{max(lo, 2)}<=n<={struct_hi}",
-            [(n, n, reconfig.degree_extremes(r)[1]) for n, r in built.items() if n >= 2],
-            note="n=1 is a single node" if family == "path" else "",
-        ),
-        _pairs_record(
-            f"{family}/min-degree", f"{lo}<=n<={struct_hi}",
-            [(n, n - gamma_upper(n), reconfig.degree_extremes(r)[0]) for n, r in built.items()],
-            note="minimum degree is n - Gamma, attained at the Gamma-sets",
-        ),
-        _pairs_record(
-            f"{family}/bipartite-edges-cross", f"{lo}<=n<={struct_hi}",
-            [(n, 0, parity_violations(r)) for n, r in built.items()],
-        ),
-        _pairs_record(
-            f"{family}/non-regularity", f"{max(lo, 2)}<=n<={struct_hi}",
-            [(n, False, reconfig.is_regular(r)) for n, r in built.items() if n >= 2],
-        ),
+    built = {n: reconfig.build(g) for n, g in graphs.items() if n <= struct_hi}
+    lo = min(built)
+    return [
+        _over_n(f"{family}/connected", built, lo, struct_hi, lambda n: 1,
+                lambda n, r: reconfig.connected_components(r)[0]),
+        _over_n(f"{family}/max-degree", built, max(lo, 2), struct_hi, lambda n: n,
+                lambda n, r: reconfig.degree_extremes(r)[1],
+                note="n=1 is a single node" if family == "path" else ""),
+        _over_n(f"{family}/min-degree", built, lo, struct_hi, lambda n: n - UPPER_GAMMA[family](n),
+                lambda n, r: reconfig.degree_extremes(r)[0],
+                note="minimum degree is n - Gamma, attained at the Gamma-sets"),
+        _over_n(f"{family}/bipartite-edges-cross", built, lo, struct_hi, lambda n: 0,
+                lambda n, r: parity_violations(r)),
+        _over_n(f"{family}/non-regularity", built, max(lo, 2), struct_hi, lambda n: False,
+                lambda n, r: reconfig.is_regular(r)),
     ]
-    return records
 
 
 # ---------------------------------------------------------------------------
@@ -365,41 +316,25 @@ def _structure_records(family: str, graphs: dict[int, Graph], struct_hi: int) ->
 def suite_cycles(max_n: int = 12) -> list[CheckRecord]:
     enum_hi = min(max_n, 20)
     struct_hi = min(max_n, 14)
-    records = []
     cycles = {n: make_family("cycle", n) for n in range(3, enum_hi + 1)}
     table = counting.cycle_triangle(max(enum_hi, 5))
 
-    records.append(_pairs_record(
-        "cycle/upper-gamma", f"3<=n<={enum_hi}",
-        [
-            (n, UPPER_GAMMA["cycle"](n), domination.upper_domination_number(g))
-            for n, g in cycles.items()
-        ],
-    ))
-    records.append(_pairs_record(
-        "cycle/upper-gamma-set-count/odd", f"odd n, 3<=n<={enum_hi}",
-        [
-            (n, n, domination.count_maximal_minimal_sets(g))
-            for n, g in cycles.items() if n % 2 == 1
-        ],
-        note=(
-            "claimed: the n rotations of the alternating pattern; refuted by "
-            "exhaustive enumeration from n=7 on (C_7 has 14, C_9 has 18, ...)"
+    records = [
+        _over_n("cycle/upper-gamma", cycles, 3, enum_hi, UPPER_GAMMA["cycle"],
+                lambda n, g: domination.upper_domination_number(g)),
+        _over_n(
+            "cycle/upper-gamma-set-count/odd", cycles, 3, enum_hi, lambda n: n,
+            _upper_gamma_sets, parity="odd", mismatch_status="erratum",
+            note="claimed: the n rotations of the alternating pattern; refuted by "
+            "exhaustive enumeration from n=7 on (C_7 has 14, C_9 has 18, ...)",
         ),
-        mismatch_status="erratum",
-    ))
-    records.append(_pairs_record(
-        "cycle/upper-gamma-set-count/even", f"even n, 6<=n<={enum_hi}",
-        [
-            (n, 2, domination.count_maximal_minimal_sets(g))
-            for n, g in cycles.items() if n % 2 == 0 and n >= 6
-        ],
-        note=(
-            "claimed: two; holds for n = 2 mod 4 but fails for n = 0 mod 4 "
-            "(C_8 and C_12 have 6)"
+        _over_n(
+            "cycle/upper-gamma-set-count/even", cycles, 6, enum_hi, lambda n: 2,
+            _upper_gamma_sets, parity="even", mismatch_status="erratum",
+            note="claimed: two; holds for n = 2 mod 4 but fails for n = 0 mod 4 "
+            "(C_8 and C_12 have 6)",
         ),
-        mismatch_status="erratum",
-    ))
+    ]
     if 4 <= enum_hi:
         c4 = domination.count_maximal_minimal_sets(cycles[4])
         records.append(_pairs_record(
@@ -407,12 +342,9 @@ def suite_cycles(max_n: int = 12) -> list[CheckRecord]:
             [(4, c4, c4)],
             note="no closed count claimed for C_4; brute-force value reported",
         ))
-    records.append(_pairs_record(
-        "cycle/triangle", f"3<=n<={enum_hi}",
-        [
-            (n, list(table.row(n)), list(domination.count_by_cardinality(g)))
-            for n, g in cycles.items()
-        ],
+    records.append(_over_n(
+        "cycle/triangle", cycles, 3, enum_hi, lambda n: list(table.row(n)),
+        lambda n, g: list(domination.count_by_cardinality(g)),
         note="three-term recurrence from enumerated base rows C_3..C_5",
     ))
     records.append(_order_record("cycle", cycles, enum_hi))
@@ -487,12 +419,10 @@ def suite_products(max_n: int = 12) -> list[CheckRecord]:
     ladder_hi = min(max_n // 2, 10)
     if ladder_hi >= 1:
         orders = counting.ladder_order(ladder_hi)
-        records.append(_pairs_record(
-            "product/ladder", f"1<=n<={ladder_hi}",
-            [
-                (n, orders[n - 1], domination.total_count(ladder(n)))
-                for n in range(1, ladder_hi + 1)
-            ],
+        ladders = {n: ladder(n) for n in range(1, ladder_hi + 1)}
+        records.append(_over_n(
+            "product/ladder", ladders, 1, ladder_hi,
+            lambda n: orders[n - 1], lambda n, g: domination.total_count(g),
             note="five-term recurrence from brute-forced seeds for L_1..L_5",
         ))
     return records

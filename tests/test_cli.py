@@ -82,6 +82,13 @@ def test_ladder_product_factor(capsys):
     assert out == json.dumps(to_json_obj(join(ladder(2), make_family("path", 2)))) + "\n"
 
 
+def test_unknown_product_factor_exit_2(capsys):
+    code, _, err = run(capsys, "family", "--product", "join:lad:2,path:2")
+    assert code == 2
+    assert "unknown family 'lad'" in err
+    assert all(repr(kind) in err for kind in ("path", "cycle", "complete", "empty", "ladder"))
+
+
 def test_dominating_json(capsys):
     code, out, _ = run(capsys, "dominating", "--family", "path", "--n", "3", "--format", "json")
     assert code == 0

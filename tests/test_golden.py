@@ -20,6 +20,8 @@ INVOCATIONS = {
     "verify_paths.txt": ["verify", "--suite", "paths"],
     "verify_cycles.json": ["verify", "--suite", "cycles", "--format", "json"],
     "verify_cycles.txt": ["verify", "--suite", "cycles"],
+    # max_n 4 leaves some ranges empty, e.g. "even n, 6<=n<=4"
+    "verify_all_max_n4.json": ["verify", "--suite", "all", "--max-n", "4", "--format", "json"],
     "count_path_sums.csv": ["count", "--family", "path", *SUMS],
     "count_cycle_sums.csv": ["count", "--family", "cycle", *SUMS],
     "demo_04_counting_formulas.txt": DEMOS / "04_counting_formulas.py",
@@ -30,6 +32,9 @@ INVOCATIONS = {
     "reconfig_path6_k1.dot": ["reconfig", *P6, "--k", "1", "--format", "dot"],
     "reconfig_path6_k1_stats.txt": ["reconfig", *P6, "--k", "1", "--stats"],
 }
+for suite in ("complete", "products", "parity"):
+    INVOCATIONS[f"verify_{suite}.json"] = ["verify", "--suite", suite, "--format", "json"]
+    INVOCATIONS[f"verify_{suite}.txt"] = ["verify", "--suite", suite]
 for tag, (family, n) in FAMILIES.items():
     spec = ["reconfig", "--family", family, "--n", n]
     INVOCATIONS[f"reconfig_{tag}.json"] = [*spec, "--format", "json"]

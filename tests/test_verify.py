@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -82,6 +83,27 @@ def test_records_always_carry_both_values():
     for r in verify_suite("all", max_n=5):
         assert r.expected is not None and r.observed is not None
         assert r.status in ("pass", "erratum", "fail")
+
+
+RANGE = re.compile(r"(?:(odd|even) n, )?(\d+)<=n<=(\d+)")
+
+
+@pytest.mark.parametrize("max_n", [3, 4, 12])
+def test_records_check_only_the_n_their_range_names(max_n):
+    ranged = 0
+    for r in verify_suite("all", max_n=max_n):
+        m = RANGE.fullmatch(r.range)
+        if not m:
+            continue
+        ranged += 1
+        parity, lo, hi = m[1], int(m[2]), int(m[3])
+        for pairs in (r.expected, r.observed):
+            labels = [label for label, _ in pairs]
+            assert all(type(n) is int and lo <= n <= hi for n in labels), r.check
+            assert labels == sorted(set(labels)), r.check
+            if parity:
+                assert all(n % 2 == (parity == "odd") for n in labels), r.check
+    assert ranged >= 30
 
 
 def test_report_json_serializable():
