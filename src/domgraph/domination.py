@@ -4,10 +4,13 @@ Two independent enumeration routes exist on purpose:
 
 * ``method="scan"``: a vectorized sweep over all 2^n subsets of the
   graph's SubsetTable.  This is the trusted oracle.
-* ``method="prune"``: branch on which vertex covers the lowest uncovered
-  vertex, with already-tried candidates excluded on later branches.  Each
-  dominating set is generated exactly once and work is proportional to the
-  output, which is far below 2^n for sparse graphs.
+* ``method="prune"``: branch on the lowest uncovered vertex, cut when
+  k - |S| members cannot cover the rest (each covers at most Delta + 1
+  vertices, so at k = n the cut never fires).  Already-tried candidates
+  are excluded on later branches, so each dominating set is generated
+  exactly once and work follows the output, far below 2^n for sparse
+  graphs at small k.  It raises TooLargeError before it lists more than
+  2^24 sets, the most the scan route returns.
 
 Both return the identical DomFamily, sorted by (cardinality, bitmask
 value); the test suite holds them to that.  ``enumerate_dominating`` is the
@@ -34,6 +37,7 @@ from ``subset_texts``, which formats a whole bitmask array through one
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -211,27 +215,38 @@ def is_minimal_dominating(g: Graph, subset) -> bool:
 def _prune_bits(g: Graph, k: int) -> list[int]:
     full = g.full_mask
     nbhd = g.closed_nbhd
-    n = g.n
+    width = max(m.bit_count() for m in nbhd)  # the most vertices one member covers
+    budget = 1 << ENUMERATION_CAP  # sets; the scan route returns at most as many
     out: list[int] = []
 
     def expand(base: int, card: int, banned: int) -> None:
         # every superset of a dominating set dominates; list those within budget
+        free = []  # the bits of the vertices that may join base
+        m = full & ~(base | banned)
+        while m:
+            free.append(m & -m)
+            m &= m - 1
+        extras = min(k - card, len(free))
+        # 2^|free| bounds the exact count, which is only summed near the budget
+        if len(out) + (1 << len(free)) > budget and len(out) + sum(
+            math.comb(len(free), j) for j in range(extras + 1)
+        ) > budget:
+            raise TooLargeError(
+                f"more than 2^{ENUMERATION_CAP} dominating sets with k={k}, "
+                "the output budget of the prune route (the most the scan route returns)"
+            )
         out.append(base)
-        free = [v for v in range(n) if not (base | banned) >> v & 1]
-        for extra in range(1, min(k - card, len(free)) + 1):
-            for combo in itertools.combinations(free, extra):
-                bits = base
-                for v in combo:
-                    bits |= 1 << v
-                out.append(bits)
+        for extra in range(1, extras + 1):
+            # distinct bits, so their sum is their union
+            out.extend(base | sum(combo) for combo in itertools.combinations(free, extra))
 
     def branch(chosen: int, card: int, banned: int, covered: int) -> None:
         if covered == full:
             expand(chosen, card, banned)
             return
-        if card == k:
-            return
         miss = full & ~covered
+        if (k - card) * width < miss.bit_count():
+            return  # each of the k - card members left covers at most width of miss
         u = (miss & -miss).bit_length() - 1
         # u must be covered by a not-yet-banned member of N[u]; trying the
         # candidates in order and banning earlier ones partitions the space
@@ -255,16 +270,17 @@ def enumerate_dominating(
 
     method is "scan" or "prune"; None picks scan while n <= SCAN_LIMIT and
     prune above it.  At n <= 20 the subset table holds at most 6 MB and the
-    scan is never much slower (P_20: 0.22 s against 0.45 s at k=20, 6 ms
-    against 3 ms at k=7).  Above 20 the table grows to about 100 MB more
-    peak RSS by n = 24, and at small k the scan also loses.  reconfig.build
-    in a fresh process, 2 cores, Python 3.11, NumPy 2.4:
+    scan is never much slower (P_20, best of 3 in one process: 0.005 s
+    against 0.33 s at k=20, 2.5 ms against 0.1 ms at k=7).  Above 20 the
+    table grows to about 100 MB more peak RSS by n = 24, and at small k the
+    scan also loses.  reconfig.build in a fresh process (median of 3),
+    2 cores, Python 3.11, NumPy 2.4:
 
-        case         prune             scan
-        P_22, k=22   2.40 s  / 189 MB  0.99 s  / 180 MB
-        P_24, k=12   0.66 s  /  57 MB  0.33 s  / 126 MB
-        P_24, k=9    0.009 s /  31 MB  0.105 s / 126 MB
-        C_24, k=10   0.051 s /  32 MB  0.070 s / 126 MB
+        case         prune              scan
+        P_22, k=22   2.79 s   / 189 MB  0.99 s  / 180 MB
+        P_24, k=12   0.57 s   /  57 MB  0.33 s  / 126 MB
+        P_24, k=9    0.0025 s /  31 MB  0.105 s / 126 MB
+        C_24, k=10   0.036 s  /  32 MB  0.070 s / 126 MB
     """
     if k is None:
         k = g.n

@@ -160,13 +160,11 @@ def suite_paths(max_n: int = 12) -> list[CheckRecord]:
             "dominating sets of P_6 (counts grow: 6, 9, 12, 16, ...)",
         ),
     ]
+    small_even = {n: domination.count_maximal_minimal_sets(paths[n])
+                  for n in (2, 4) if n <= enum_hi}
     records.append(_pairs_record(
         "path/upper-gamma-set-count/small-even", "n in {2, 4}",
-        [
-            (n, domination.count_maximal_minimal_sets(paths[n]),
-             domination.count_maximal_minimal_sets(paths[n]))
-            for n in (2, 4) if n <= enum_hi
-        ],
+        [(n, count, count) for n, count in small_even.items()],
         note="no closed count claimed for P_4; brute-force values reported",
     ))
     records.append(_over_n(

@@ -1,3 +1,5 @@
+import itertools
+import os
 import random
 import tracemalloc
 
@@ -22,7 +24,7 @@ from domgraph import (
 )
 from domgraph import cycle_triangle, domination, path_triangle
 from domgraph.domination import DomFamily, SubsetTable, counts_csv, subset_texts
-from domgraph.graphs import VertexSubset, graph_from_edges
+from domgraph.graphs import VertexSubset, graph_from_edges, ladder
 from domgraph.verify import labeled_graph_sweep
 
 
@@ -93,6 +95,53 @@ def test_enumeration_cap():
     assert peak < 1 << 20
     # a raised cap still lets the output-sensitive prune route through
     assert len(enumerate_dominating(p25, 9, cap=63)) == 53
+
+
+def test_prune_route_output_budget(monkeypatch):
+    # K_30 has 2^30 - 1 dominating sets: refused before the first is listed
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLargeError, match="output budget of the prune route"):
+            enumerate_dominating(make_family("complete", 30), 30, cap=63, method="prune")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # the budget is 2^ENUMERATION_CAP sets, counted exactly: at 2^8, K_11 passes at
+    # k = 3 (231 sets, though the first expansion has 2^10 supersets) and not at k = 4 (561)
+    monkeypatch.setattr(domination, "ENUMERATION_CAP", 8)
+    k11 = make_family("complete", 11)
+    assert len(enumerate_dominating(k11, 3, method="prune")) == 231
+    with pytest.raises(TooLargeError, match="more than 2\\^8 dominating sets"):
+        enumerate_dominating(k11, 4, method="prune")
+
+
+def ladder_counts(n):
+    """d(L_n, j) for j = 0..2n by a transfer over the columns: each vertex of the
+    last column is "in" S, "dom"inated, or "wait"s for the next column."""
+    polys = {None: [1]}  # per state of the last column, the counts by cardinality
+    for _ in range(n):
+        nxt = {}
+        for prev, poly in polys.items():
+            for col in itertools.product((0, 1), repeat=2):
+                if prev and any(p == "wait" and not c for p, c in zip(prev, col)):
+                    continue
+                state = tuple("in" if c else "dom" if col[1 - r] or (prev and prev[r] == "in")
+                              else "wait" for r, c in enumerate(col))
+                acc = nxt.setdefault(state, [0] * (len(poly) + 2))
+                for j, c in enumerate(poly):
+                    acc[j + sum(col)] += c
+        polys = nxt
+    return tuple(map(sum, zip(*(p for s, p in polys.items() if "wait" not in s))))
+
+
+@pytest.mark.skipif(not os.environ.get("DOMGRAPH_SLOW_TESTS"),
+                    reason="lists 3.4M sets in about 5 s and 240 MB; set DOMGRAPH_SLOW_TESTS=1")
+def test_prune_route_lists_a_family_within_the_budget():
+    for n in range(1, 9):
+        assert ladder_counts(n) == count_by_cardinality(ladder(n))
+    fam = enumerate_dominating(ladder(13), 13, cap=63, method="prune")
+    assert len(fam) == 3399768 and fam.by_card == ladder_counts(13)[:14]
 
 
 def test_refused_query_keeps_the_cached_table():
@@ -271,6 +320,34 @@ def test_subset_table_on_drawn_graphs(g):
 def test_scan_equals_prune_on_drawn_graphs(g, data):
     k = data.draw(st.integers(1, g.n))
     assert enumerate_dominating(g, k, method="scan") == enumerate_dominating(g, k, method="prune")
+
+
+@st.composite
+def graphs_with_isolated_vertices(draw, max_n):
+    g = draw(drawn_graphs(max_n))
+    return graph_from_edges(g.n + draw(st.integers(0, 3)), g.edges)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(graphs_with_isolated_vertices(11), st.data())
+def test_scan_equals_prune_near_gamma(g, data):
+    # k near gamma, where the prune route cuts branches that k - |S| members
+    # cannot finish
+    gamma = domination_number(g)
+    k = data.draw(st.integers(gamma, min(gamma + 2, g.n)))
+    assert enumerate_dominating(g, k, method="scan") == enumerate_dominating(g, k, method="prune")
+
+
+def test_prune_route_above_the_table_matches_the_triangles():
+    # n = 25..63 is out of the scan route's reach; these k take under a second with
+    # the cut, and more than 40 s without it
+    triangles = {"path": path_triangle(63), "cycle": cycle_triangle(63)}
+    for n in range(25, 64):
+        gamma = -(-n // 3)
+        for k in (gamma, gamma + 1) if n <= 36 else (gamma,):
+            for kind, triangle in triangles.items():
+                fam = enumerate_dominating(make_family(kind, n), k, cap=63, method="prune")
+                assert fam.by_card == triangle.row(n)[: k + 1], (kind, n, k)
 
 
 def test_alternating_graphs_never_read_a_stale_table():

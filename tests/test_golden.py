@@ -26,6 +26,9 @@ INVOCATIONS = {
     "count_cycle_sums.csv": ["count", "--family", "cycle", *SUMS],
     "demo_04_counting_formulas.txt": DEMOS / "04_counting_formulas.py",
     "dominating_path6.json": ["dominating", *P6, "--format", "json"],
+    # n = 40 is above the subset table: the prune route with a raised cap
+    "dominating_path40_k14.csv": ["dominating", "--family", "path", "--n", "40", "--k", "14",
+                                  "--cap", "63", "--format", "csv"],
     "export_ladder5_k4.json": ["export", "--family", "ladder", "--n", "5", "--k", "4"],
     # k = 1 is below gamma(P_6) = 2: the empty D_k(G)
     "reconfig_path6_k1.json": ["reconfig", *P6, "--k", "1", "--format", "json"],
