@@ -270,17 +270,19 @@ def enumerate_dominating(
 
     method is "scan" or "prune"; None picks scan while n <= SCAN_LIMIT and
     prune above it.  At n <= 20 the subset table holds at most 6 MB and the
-    scan is never much slower (P_20, best of 3 in one process: 0.005 s
-    against 0.33 s at k=20, 2.5 ms against 0.1 ms at k=7).  Above 20 the
-    table grows to about 100 MB more peak RSS by n = 24, and at small k the
-    scan also loses.  reconfig.build in a fresh process (median of 3),
-    2 cores, Python 3.11, NumPy 2.4:
+    scan takes a few ms at any k, while the prune route's time follows the
+    output: the scan wins at k = n and the prune route near gamma (P_20,
+    best of 3 in one process: scan 5 ms against prune 0.27 s at k=20, scan
+    2 ms against prune 0.1 ms at k=7).  Above 20 the table grows to about
+    100 MB more peak RSS by n = 24, and at small k the scan loses by more.
+    reconfig.build in a fresh process (median of 5), 2 cores, Python 3.11,
+    NumPy 2.4:
 
         case         prune              scan
-        P_22, k=22   2.79 s   / 189 MB  0.99 s  / 180 MB
-        P_24, k=12   0.57 s   /  57 MB  0.33 s  / 126 MB
-        P_24, k=9    0.0025 s /  31 MB  0.105 s / 126 MB
-        C_24, k=10   0.036 s  /  32 MB  0.070 s / 126 MB
+        P_22, k=22   2.64 s   / 188 MB  1.49 s  / 180 MB
+        P_24, k=12   0.69 s   /  57 MB  0.38 s  / 126 MB
+        P_24, k=9    0.0024 s /  31 MB  0.10 s  / 126 MB
+        C_24, k=10   0.040 s  /  32 MB  0.115 s / 126 MB
     """
     if k is None:
         k = g.n
