@@ -22,6 +22,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import counting, domination, reconfig
+from .errors import TooLargeError
 from .graphs import Graph, corona, graph_from_edges, join, ladder, make_family
 
 
@@ -126,6 +127,15 @@ def _upper_gamma_sets(n: int, g: Graph) -> int:
     return domination.count_maximal_minimal_sets(g)
 
 
+def _upper_gamma_sets_by_prune(g: Graph) -> int:
+    """The same count as _upper_gamma_sets, observed without the subset
+    table: the prune route lists the dominating sets, is_minimal_dominating
+    keeps the minimal ones, and those of the largest cardinality count."""
+    family = domination.enumerate_dominating(g, g.n, method="prune")
+    cards = [b.bit_count() for b in family.bits.tolist() if domination.is_minimal_dominating(g, b)]
+    return cards.count(max(cards))
+
+
 def _path_gamma_count_claim(n: int) -> int:
     k, rem = divmod(n, 3)
     if rem == 0:
@@ -160,11 +170,10 @@ def suite_paths(max_n: int = 12) -> list[CheckRecord]:
             "dominating sets of P_6 (counts grow: 6, 9, 12, 16, ...)",
         ),
     ]
-    small_even = {n: domination.count_maximal_minimal_sets(paths[n])
-                  for n in (2, 4) if n <= enum_hi}
     records.append(_pairs_record(
         "path/upper-gamma-set-count/small-even", "n in {2, 4}",
-        [(n, count, count) for n, count in small_even.items()],
+        [(n, _upper_gamma_sets_by_prune(paths[n]), _upper_gamma_sets(n, paths[n]))
+         for n in (2, 4) if n <= enum_hi],
         note="no closed count claimed for P_4; brute-force values reported",
     ))
     records.append(_over_n(
@@ -334,10 +343,9 @@ def suite_cycles(max_n: int = 12) -> list[CheckRecord]:
         ),
     ]
     if 4 <= enum_hi:
-        c4 = domination.count_maximal_minimal_sets(cycles[4])
         records.append(_pairs_record(
             "cycle/upper-gamma-set-count/C4", "n=4",
-            [(4, c4, c4)],
+            [(4, _upper_gamma_sets_by_prune(cycles[4]), _upper_gamma_sets(4, cycles[4]))],
             note="no closed count claimed for C_4; brute-force value reported",
         ))
     records.append(_over_n(
@@ -430,38 +438,79 @@ def suite_products(max_n: int = 12) -> list[CheckRecord]:
 # Parity of the number of dominating sets
 # ---------------------------------------------------------------------------
 
+PARITY_EXHAUSTIVE_MAX_N = 7  # the largest n of labeled_graph_sweep
+
+
 def labeled_graph_sweep(n: int):
-    """(connected, dominating-set count) for every labeled graph on n
-    vertices, vectorized over all 2^(n(n-1)/2) edge subsets."""
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    m = len(pairs)
-    count = 1 << m
-    edge_bits = np.arange(count, dtype=np.uint32)
-    nbhd = [np.full(count, 1 << v, dtype=np.uint8) for v in range(n)]
+    """(connected, dominating-set count) for every labeled graph G on n
+    vertices, as a bool and an int32 array over all 2^(n(n-1)/2) edge
+    subsets, edge pairs (u, v), u < v, in lexicographic order.
+
+    Vertex 0's pairs come first, so the low n-1 bits of an edge index are
+    its neighbour set A (bit v-1 for vertex v) and the high bits index a
+    graph H on 1..n-1 in the order of the (n-1)-vertex sweep.  A dominating
+    set S of G is S' or S' + {0} with S' a set of H's vertices:
+
+    * 0 in S: S' must cover the rest, ~A; hits[t] counts the S' with
+      N_H[S'] containing t, by inclusion-exclusion over the S' that miss
+      N_H[u] for each u in t;
+    * 0 not in S: S' dominates H and meets A; within[t] counts the
+      dominating sets of H inside t, and within[full] - within[~A] those.
+
+    Both tables are built over the 2^(n-1) sets and the 2^C(n-1,2) graphs H,
+    never over the graphs G, and held in uint8, since every count is at
+    most 2^n <= 128.  G is connected iff every component of H meets A.
+    Raises TooLargeError above PARITY_EXHAUSTIVE_MAX_N, before anything is
+    allocated.
+    """
+    if n < 1:
+        raise ValueError(f"n={n} must be at least 1")
+    if n > PARITY_EXHAUSTIVE_MAX_N:
+        raise TooLargeError(
+            f"n={n} exceeds the exhaustive sweep limit {PARITY_EXHAUSTIVE_MAX_N} "
+            f"(2^{n * (n - 1) // 2} graphs)"
+        )
+    r = n - 1  # H's vertices 1..n-1 are its bits 0..r-1
+    sets = 1 << r
+    pairs = [(u, v) for u in range(r) for v in range(u + 1, r)]
+    graphs = 1 << len(pairs)
+    edge_bits = np.arange(graphs, dtype=np.uint32)
+    nbhd = [np.full(graphs, 1 << v, dtype=np.uint8) for v in range(r)]
     for idx, (u, v) in enumerate(pairs):
         has = ((edge_bits >> idx) & 1).astype(np.uint8)
         nbhd[u] |= has << v
         nbhd[v] |= has << u
-    full = np.uint8((1 << n) - 1)
 
-    # reach only grows, and n passes over the vertices cover every path from 0
-    reach = np.full(count, 1, dtype=np.uint8)
-    for _ in range(n):
-        for v in range(n):
-            reach |= nbhd[v] * (reach >> v & 1)
-    connected = reach == full
+    def unions(rows):
+        # out[s, h] = the OR of rows[v][h] over v in s; the (sets, H) layout
+        # keeps every pass on whole rows
+        out = np.zeros((sets, graphs), dtype=np.uint8)
+        for v, row in enumerate(rows):
+            out[1 << v:2 << v] = out[:1 << v] | row
+        return out
 
-    counts = np.zeros(count, dtype=np.int32)
+    cov = unions(nbhd)  # N_H[s]
 
-    def rec(v, cov):
-        if v == n:
-            counts[:] += cov == full
-            return
-        rec(v + 1, cov)
-        rec(v + 1, cov | nbhd[v])
+    # Every final count is at most 2^n <= 128, so uint8 holds it; the
+    # subtractions of the transform wrap, and the wrap is exact mod 256.
+    hits = np.uint8(1) << (r - np.bitwise_count(cov))  # the S' that miss N_H[u]
+    within = (cov == sets - 1).astype(np.uint8)  # the S' that dominate H
+    for v in range(r):
+        b = 1 << v
+        h = hits.reshape(-1, 2 * b, graphs)
+        h[:, b:] = h[:, :b] - h[:, b:]  # signed subset (Moebius) transform
+        w = within.reshape(-1, 2 * b, graphs)
+        w[:, b:] += w[:, :b]  # subset sums
+    # row A: hits[~A] + within[full] - within[~A], and ~A = full - A
+    counts = hits[::-1] + within[-1] - within[::-1]
 
-    rec(0, np.zeros(count, dtype=np.uint8))
-    return connected, counts
+    comps = [np.full(graphs, 1 << v, dtype=np.uint8) for v in range(r)]
+    for comp in comps:
+        for _ in range(r):  # r passes over the vertices cover every path in H
+            for u in range(r):
+                comp |= nbhd[u] * (comp >> u & 1)
+    connected = unions(comps) == sets - 1  # the components meeting A cover H
+    return connected.T.ravel(), counts.T.astype(np.int32, order="C").ravel()
 
 
 def random_connected_graph(rng: random.Random, n: int) -> Graph:
@@ -483,7 +532,7 @@ PARITY_RANDOM_MAX_N = 16  # their largest order
 
 def suite_parity(max_n: int = 12, seed: int = 0) -> list[CheckRecord]:
     records = []
-    exhaustive_hi = min(max_n, 7)
+    exhaustive_hi = min(max_n, PARITY_EXHAUSTIVE_MAX_N)
     triples = []
     total_checked = 0
     for n in range(1, exhaustive_hi + 1):

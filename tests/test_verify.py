@@ -4,8 +4,10 @@ import re
 import numpy as np
 import pytest
 
-from domgraph import order_sequence, verify_suite
+from domgraph import domination, order_sequence, verify_suite
+from domgraph.errors import TooLargeError
 from domgraph.verify import (
+    PARITY_EXHAUSTIVE_MAX_N,
     labeled_graph_sweep,
     random_connected_graph,
     report_to_json_obj,
@@ -166,6 +168,35 @@ def test_labeled_graph_sweep_equals_a_masked_sweep():
         got, want = labeled_graph_sweep(n), masked_sweep(n)
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_labeled_graph_sweep_splits_on_vertex_0():
+    # the low n-1 bits of an edge index are vertex 0's neighbours A
+    for n in range(2, PARITY_EXHAUSTIVE_MAX_N + 1):
+        connected, counts = (a.reshape(-1, 2 ** (n - 1)) for a in labeled_graph_sweep(n))
+        # an isolated vertex 0 is in every dominating set
+        assert np.array_equal(counts[:, 0], labeled_graph_sweep(n - 1)[1])
+        assert not connected[:, 0].any()
+        assert counts[-1, -1] == 2**n - 1  # K_n
+
+
+def test_labeled_graph_sweep_refuses_n_outside_1_to_7():
+    # both raise before the sweep allocates anything
+    with pytest.raises(TooLargeError, match="limit 7"):
+        labeled_graph_sweep(PARITY_EXHAUSTIVE_MAX_N + 1)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="at least 1"):
+            labeled_graph_sweep(n)
+
+
+def test_small_upper_gamma_set_counts_can_fail(monkeypatch):
+    checks = ("path/upper-gamma-set-count/small-even", "cycle/upper-gamma-set-count/C4")
+    records = by_check(verify_suite("paths", max_n=4) + verify_suite("cycles", max_n=4))
+    assert [records[c].status for c in checks] == ["pass", "pass"]
+    count = domination.count_maximal_minimal_sets
+    monkeypatch.setattr(domination, "count_maximal_minimal_sets", lambda g: count(g) + 1)
+    records = by_check(verify_suite("paths", max_n=4) + verify_suite("cycles", max_n=4))
+    assert [records[c].status for c in checks] == ["fail", "fail"]
 
 
 def test_random_connected_graph_is_connected():
