@@ -9,6 +9,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
+from typing import Iterable, Iterator
 
 from . import counting, domination, reconfig, verify
 from .errors import DomGraphError
@@ -79,12 +81,18 @@ def _resolve_graph(args) -> Graph:
         return from_json(fh.read())
 
 
-def _emit(text: str, args) -> None:
+def _emit(chunks: Iterable[str], args) -> None:
+    """Write the text chunks to --output or stdout, each as it is made."""
     if getattr(args, "output", None):
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
+
+
+def _joined(sep: str, texts: Iterable[str]) -> Iterator[str]:
+    """The chunks of sep.join(texts)."""
+    return (sep + text if i else text for i, text in enumerate(texts))
 
 
 def _table(rows: list[tuple[str, object]]) -> str:
@@ -99,17 +107,17 @@ def _table(rows: list[tuple[str, object]]) -> str:
 def _cmd_family(args) -> int:
     g = _resolve_graph(args)
     if args.format == "json":
-        _emit(json.dumps(to_json_obj(g)) + "\n", args)
+        _emit([json.dumps(to_json_obj(g)) + "\n"], args)
     elif args.format == "dot":
-        _emit(to_dot(g), args)
+        _emit([to_dot(g)], args)
     else:
         degs = g.degree_sequence()
-        _emit(_table([
+        _emit([_table([
             ("vertices", g.n),
             ("edges", g.m),
             ("degree range", f"{min(degs)}..{max(degs)}"),
             ("edge list", " ".join(f"{{{u},{v}}}" for u, v in g.edges_1based()) or "-"),
-        ]), args)
+        ])], args)
     return 0
 
 
@@ -117,13 +125,13 @@ def _cmd_dominating(args) -> int:
     g = _resolve_graph(args)
     family = domination.enumerate_dominating(g, args.k, cap=args.cap)
     if args.format == "json":
-        _emit(family.to_json() + "\n", args)
+        _emit([family.to_json() + "\n"], args)
     elif args.format == "csv":
-        _emit(domination.counts_csv(g.n, family.by_card), args)
+        _emit([domination.counts_csv(g.n, family.by_card)], args)
     else:
         rows = [("graph n", g.n), ("bound k", family.k), ("dominating sets", len(family))]
         rows += [(f"cardinality {j}", c) for j, c in enumerate(family.by_card) if c]
-        _emit(_table(rows), args)
+        _emit([_table(rows)], args)
     return 0
 
 
@@ -149,32 +157,35 @@ def _cmd_reconfig(args) -> int:
     g = _resolve_graph(args)
     r = reconfig.build(g, args.k, cap=args.cap)
     if args.format == "json":
-        _emit(reconfig.to_json(r) + "\n", args)
+        _emit([reconfig.to_json(r) + "\n"], args)
     elif args.format == "dot":
-        _emit(reconfig.to_dot(r), args)
+        _emit([reconfig.to_dot(r)], args)
     else:
-        _emit(_reconfig_stats(r), args)
+        _emit([_reconfig_stats(r)], args)
     return 0
 
 
 def _cmd_count(args) -> int:
     if args.sums:
-        values = counting.order_sequence(args.family, args.n_max)
+        # checked here, before _emit opens --output
+        texts = counting.order_texts(args.family, args.n_max)
         if args.format == "csv":
-            _emit(counting.sequence_csv(args.family, values), args)
+            _emit(counting.sequence_csv(args.family, texts), args)
         elif args.format == "json":
-            _emit(json.dumps({"family": args.family, "orders": values}) + "\n", args)
+            # the bytes of json.dumps({"family": ..., "orders": [...]}) + "\n"
+            head = f'{{"family": {json.dumps(args.family)}, "orders": ['
+            _emit(chain([head], _joined(", ", texts), ["]}\n"]), args)
         else:
-            _emit(",".join(str(v) for v in values) + "\n", args)
+            _emit(chain(_joined(",", texts), ["\n"]), args)
         return 0
     table = (counting.path_triangle if args.family == "path" else counting.cycle_triangle)(args.n_max)
     if args.format == "csv":
-        _emit(counting.triangle_csv(table), args)
+        _emit([counting.triangle_csv(table)], args)
     elif args.format == "json":
-        _emit(counting.triangle_json(table) + "\n", args)
+        _emit([counting.triangle_json(table) + "\n"], args)
     else:
         lines = [f"{n}: {' '.join(str(c) for c in table.row(n))}" for n in sorted(table.rows)]
-        _emit("\n".join(lines) + "\n", args)
+        _emit(["\n".join(lines) + "\n"], args)
     return 0
 
 
@@ -182,7 +193,7 @@ def _cmd_verify(args) -> int:
     records = verify.verify_suite(args.suite, max_n=args.max_n, seed=args.seed)
     if args.format == "json":
         report = verify.report_to_json_obj(records, args.suite, args.max_n)
-        _emit(json.dumps(report, indent=2) + "\n", args)
+        _emit([json.dumps(report, indent=2) + "\n"], args)
         return 0
     width = max(len(r.check) for r in records)
     lines = []
@@ -198,7 +209,7 @@ def _cmd_verify(args) -> int:
         f"{len(records)} checks: {counts['pass']} pass, "
         f"{counts['erratum']} erratum, {counts['fail']} fail"
     )
-    _emit("\n".join(lines) + "\n", args)
+    _emit(["\n".join(lines) + "\n"], args)
     return 0
 
 

@@ -19,12 +19,14 @@ Conventions:
 
 from __future__ import annotations
 
+import decimal
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -87,18 +89,42 @@ def _by_family(family: str, path, cycle):
     raise ValueError(f"unknown family {family!r}, expected 'path' or 'cycle'")
 
 
-def order_sequence(family: str, n_max: int) -> list[int]:
-    """Orders of D_n(G_n) for n = 1..n_max: tribonacci seeded by the base-row sums."""
+def _order_terms(family: str, n_max: int, add=operator.add) -> Iterator:
+    """Orders of D_n(G_n) for n = 1..n_max, tribonacci seeded by the base-row
+    sums and summed by add; the arguments are checked at the call."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     base_rows = _by_family(family, PATH_BASE_ROWS, CYCLE_BASE_ROWS)
-    vals = [sum(base_rows[n]) for n in sorted(base_rows)]
+    seeds = [sum(base_rows[n]) for n in sorted(base_rows)]
     for _ in range(min(base_rows) - 1):  # run the recurrence back to n = 1
-        vals.insert(0, vals[2] - vals[1] - vals[0])
-    del vals[n_max:]
-    while len(vals) < n_max:
-        vals.append(vals[-1] + vals[-2] + vals[-3])
-    return vals
+        seeds.insert(0, seeds[2] - seeds[1] - seeds[0])
+
+    def terms():
+        yield from seeds[:n_max]
+        a, b, c = seeds[-3:]
+        for _ in range(n_max - len(seeds)):
+            a, b, c = b, c, add(add(a, b), c)
+            yield c
+
+    return terms()
+
+
+def order_sequence(family: str, n_max: int) -> list[int]:
+    """Orders of D_n(G_n) for n = 1..n_max: tribonacci seeded by the base-row sums."""
+    return list(_order_terms(family, n_max))
+
+
+# Decimal arithmetic that raises rather than rounds: the orders are exact at
+# any length, and libmpdec prints them in time linear in the digits, where
+# CPython's int-to-str is quadratic
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                        traps=[decimal.Inexact, decimal.Rounded])
+
+
+def order_texts(family: str, n_max: int) -> Iterator[str]:
+    """The decimal text of each of order_sequence(family, n_max), made one at
+    a time in exact decimal arithmetic; the arguments are checked at the call."""
+    return map(str, _order_terms(family, n_max, _EXACT.add))
 
 
 # ---------------------------------------------------------------------------
@@ -393,11 +419,12 @@ def triangle_csv(table: CountTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def sequence_csv(family: str, values: list[int]) -> str:
-    """CSV block `family,n,order` for n = 1..len(values)."""
-    lines = ["family,n,order"]
-    lines += [f"{family},{n},{v}" for n, v in enumerate(values, start=1)]
-    return "\n".join(lines) + "\n"
+def sequence_csv(family: str, values: Iterable) -> Iterator[str]:
+    """The rows of the CSV block `family,n,order` for n = 1, 2, ... over
+    values (ints or their decimal texts), each row made when asked for."""
+    yield "family,n,order\n"
+    for n, v in enumerate(values, start=1):
+        yield f"{family},{n},{v}\n"
 
 
 def triangle_json(table: CountTable) -> str:

@@ -194,6 +194,15 @@ def _component_count(r: ReconfigGraph) -> int:
     return int(r.component.max()) + 1 if r.order else 0
 
 
+def _rows(r: ReconfigGraph, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR rows of the nodes ids, concatenated, and the length of each row."""
+    starts = r.indptr[ids]
+    lengths = r.indptr[ids + 1] - starts
+    ends = np.cumsum(lengths)
+    offsets = np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - ends + lengths, lengths)
+    return r.indices[offsets], lengths
+
+
 def _frontiers(r: ReconfigGraph, a: int):
     """Breadth-first levels from node a: yields (depth, mask of that level)."""
     seen = np.zeros(r.order, dtype=bool)
@@ -202,13 +211,8 @@ def _frontiers(r: ReconfigGraph, a: int):
     depth = 0
     while frontier.size:
         depth += 1
-        # the CSR rows of the frontier, concatenated
-        starts = r.indptr[frontier]
-        lengths = r.indptr[frontier + 1] - starts
-        ends = np.cumsum(lengths)
-        offsets = np.arange(ends[-1]) + np.repeat(starts - ends + lengths, lengths)
         level = np.zeros(r.order, dtype=bool)
-        level[r.indices[offsets]] = True
+        level[_rows(r, frontier)[0]] = True
         level &= ~seen
         seen |= level
         frontier = np.flatnonzero(level)

@@ -161,6 +161,15 @@ def test_count_sums_prints_every_digit(tmp_path, capsys):
             sys.set_int_max_str_digits(limit)
 
 
+def test_count_sums_error_leaves_the_output_file_untouched(tmp_path, capsys):
+    target = tmp_path / "sums.csv"
+    target.write_bytes(b"kept\n")
+    code, out, err = run(capsys, "count", "--family", "path", "--n-max", "0", "--sums",
+                         "--output", str(target))
+    assert code == 1 and out == "" and "n_max must be >= 1" in err
+    assert target.read_bytes() == b"kept\n"
+
+
 def test_count_triangle_csv(capsys):
     code, out, _ = run(
         capsys, "count", "--family", "path", "--n-max", "3", "--format", "csv"

@@ -27,6 +27,7 @@ from domgraph.counting import (
     PATH_ORDER_GF,
     _exact_div,
     closed_d_target,
+    order_texts,
     sequence_csv,
     triangle_csv,
 )
@@ -85,6 +86,20 @@ def test_order_sequence_seeds_are_the_base_row_sums():
     for family in ("path", "cycle"):
         full = order_sequence(family, 6)
         assert [order_sequence(family, n) for n in range(1, 7)] == [full[:n] for n in range(1, 7)]
+
+
+def test_order_texts_are_the_decimal_orders():
+    for family in ("path", "cycle"):
+        for n_max in (1, 2, 3, 4, 5, 6, 5000):
+            want = [str(v) for v in order_sequence(family, n_max)]
+            assert list(order_texts(family, n_max)) == want
+
+
+def test_order_texts_checks_its_arguments_at_the_call():
+    with pytest.raises(ValueError, match="n_max must be >= 1"):
+        order_texts("path", 0)
+    with pytest.raises(ValueError, match="unknown family"):
+        order_texts("tree", 5)
 
 
 def test_row_sums_satisfy_tribonacci():
@@ -242,5 +257,5 @@ def test_csv_formats():
     assert csv.splitlines()[0] == "family,n,j,count"
     assert "path,3,2,3" in csv
     assert all(int(line.rsplit(",", 1)[1]) > 0 for line in csv.splitlines()[1:])
-    seq = sequence_csv("cycle", order_sequence("cycle", 3))
+    seq = "".join(sequence_csv("cycle", order_sequence("cycle", 3)))
     assert seq == "family,n,order\ncycle,1,1\ncycle,2,3\ncycle,3,7\n"

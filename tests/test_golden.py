@@ -35,6 +35,11 @@ INVOCATIONS = {
     "reconfig_path6_k1.dot": ["reconfig", *P6, "--k", "1", "--format", "dot"],
     "reconfig_path6_k1_stats.txt": ["reconfig", *P6, "--k", "1", "--stats"],
 }
+# n = 200: orders of about 53 digits, past Decimal's default 28-digit precision
+for family in ("path", "cycle"):
+    for fmt, ext in (("json", "json"), ("table", "txt")):
+        INVOCATIONS[f"count_{family}_sums_200.{ext}"] = [
+            "count", "--family", family, "--n-max", "200", "--sums", "--format", fmt]
 for suite in ("complete", "products", "parity"):
     INVOCATIONS[f"verify_{suite}.json"] = ["verify", "--suite", suite, "--format", "json"]
     INVOCATIONS[f"verify_{suite}.txt"] = ["verify", "--suite", suite]

@@ -1,10 +1,14 @@
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_domination import drawn_graphs
 
-from domgraph import domination, order_sequence, verify_suite
+from domgraph import domination, make_family, order_sequence, reconfig, verify, verify_suite
 from domgraph.errors import TooLargeError
 from domgraph.verify import (
     PARITY_EXHAUSTIVE_MAX_N,
@@ -208,3 +212,43 @@ def test_random_connected_graph_is_connected():
     for _ in range(20):
         g = random_connected_graph(rng, rng.randint(2, 10))
         assert is_connected(g)
+
+
+def distance_two_by_bfs(r):
+    rows = [reconfig.distance_row(r, a) == 2 for a in range(r.order)]
+    return np.array(rows).reshape(r.order, r.order)
+
+
+def test_two_walk_marks_equal_the_distances_on_path_graphs():
+    for n in range(2, 9):
+        r = reconfig.build(make_family("path", n))
+        assert np.array_equal(verify._distance_two_marks(r), distance_two_by_bfs(r))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(drawn_graphs(7), st.data())
+def test_two_walk_marks_equal_the_distances_below_k_equals_n(g, data):
+    # with k < n, D_k(G) may miss the sets a path through |A xor B| would use
+    if g.n < 2:
+        return
+    r = reconfig.build(g, data.draw(st.integers(1, g.n - 1)))
+    assert np.array_equal(verify._distance_two_marks(r), distance_two_by_bfs(r))
+
+
+def test_distance_two_law_fails_when_an_edge_is_dropped(monkeypatch):
+    assert verify._distance_two_record(6).status == "pass"
+    build = reconfig.build
+
+    def without_first_edge(g, *args, **kwargs):
+        r = build(g, *args, **kwargs)
+        a, b = 0, int(r.indices[0])  # node 0 and its first neighbour
+        src = np.repeat(np.arange(r.order), r.degrees)
+        keep = ~(((src == a) & (r.indices == b)) | ((src == b) & (r.indices == a)))
+        indptr = np.zeros_like(r.indptr)
+        np.cumsum(np.bincount(src[keep], minlength=r.order), out=indptr[1:])
+        return replace(r, indptr=indptr, indices=r.indices[keep])
+
+    monkeypatch.setattr(reconfig, "build", without_first_edge)
+    record = verify._distance_two_record(6)
+    assert record.check == "path/distance-2-law" and record.status == "fail"
+    assert any(violations for _, violations in record.observed)
