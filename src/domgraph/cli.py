@@ -166,26 +166,29 @@ def _cmd_reconfig(args) -> int:
 
 
 def _cmd_count(args) -> int:
+    """Every format is a head, one chunk per order or triangle row joined by a
+    separator, and a tail; the JSON is byte-equal to json.dumps(...) + "\n"."""
+    family = args.family
+    # checked here, before _emit opens --output
     if args.sums:
-        # checked here, before _emit opens --output
-        texts = counting.order_texts(args.family, args.n_max)
-        if args.format == "csv":
-            _emit(counting.sequence_csv(args.family, texts), args)
-        elif args.format == "json":
-            # the bytes of json.dumps({"family": ..., "orders": [...]}) + "\n"
-            head = f'{{"family": {json.dumps(args.family)}, "orders": ['
-            _emit(chain([head], _joined(", ", texts), ["]}\n"]), args)
-        else:
-            _emit(chain(_joined(",", texts), ["\n"]), args)
-        return 0
-    table = (counting.path_triangle if args.family == "path" else counting.cycle_triangle)(args.n_max)
-    if args.format == "csv":
-        _emit([counting.triangle_csv(table)], args)
-    elif args.format == "json":
-        _emit([counting.triangle_json(table) + "\n"], args)
+        items = enumerate(counting.order_texts(family, args.n_max), start=1)
+        head, text, sep, tail = {
+            "csv": ("family,n,order\n", lambda n, v: f"{family},{n},{v}\n", "", ""),
+            "json": (f'{{"family": {json.dumps(family)}, "orders": [',
+                     lambda n, v: v, ", ", "]}\n"),
+            "table": ("", lambda n, v: v, ",", "\n"),
+        }[args.format]
     else:
-        lines = [f"{n}: {' '.join(str(c) for c in table.row(n))}" for n in sorted(table.rows)]
-        _emit(["\n".join(lines) + "\n"], args)
+        items = counting.triangle_rows(family, args.n_max)
+        # str.join takes a list comprehension of str(c) faster than map(str, row)
+        head, text, sep, tail = {
+            "csv": ("family,n,j,count\n", lambda n, row: "".join(
+                [f"{family},{n},{j},{c}\n" for j, c in enumerate(row) if c]), "", ""),
+            "json": (f'{{"family": {json.dumps(family)}, "rows": {{',
+                     lambda n, row: f'"{n}": [{", ".join([str(c) for c in row])}]', ", ", "}}\n"),
+            "table": ("", lambda n, row: f"{n}: {' '.join([str(c) for c in row])}\n", "", ""),
+        }[args.format]
+    _emit(chain([head], _joined(sep, (text(n, item) for n, item in items)), [tail]), args)
     return 0
 
 

@@ -20,13 +20,11 @@ Conventions:
 from __future__ import annotations
 
 import decimal
-import json
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import zip_longest
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -59,26 +57,36 @@ class CountTable:
         return {n: sum(row) for n, row in self.rows.items()}
 
 
-def _roll_triangle(base_rows: dict[int, tuple[int, ...]], n_max: int) -> dict:
-    rows = {n: row for n, row in base_rows.items() if n <= n_max}
-    # d(G_n, j) = sum of d(G_m, j-1) over m = n-1, n-2, n-3, an entry past a row's end being 0
-    for n in range(max(base_rows) + 1, n_max + 1):
-        rows[n] = (0, *map(sum, zip_longest(rows[n - 1], rows[n - 2], rows[n - 3], fillvalue=0)))
-    return rows
+def _roll_triangle(base_rows: dict[int, tuple[int, ...]], n_max: int) -> Iterator:
+    """(n, row) for each n up to n_max: the base rows, then rows rolled from
+    the three before them, which are the only rows kept."""
+    base = sorted(base_rows.items())
+    yield from ((n, row) for n, row in base if n <= n_max)
+    a, b, c = (row for _, row in base)
+    # d(G_n, j) = d(G_{n-1}, j-1) + d(G_{n-2}, j-1) + d(G_{n-3}, j-1); row n has
+    # n + 1 entries, so the two shorter rows are padded with zeros
+    for n in range(base[-1][0] + 1, n_max + 1):
+        a, b, c = b, c, (0, *map(operator.add, map(operator.add, c, (*b, 0)), (*a, 0, 0)))
+        yield n, c
+
+
+def triangle_rows(family: str, n_max: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(n, d(G_n, .)) for each n of the family's triangle up to n_max, made one
+    row at a time; the arguments are checked at the call."""
+    base_rows = _by_family(family, PATH_BASE_ROWS, CYCLE_BASE_ROWS)
+    if n_max < min(base_rows):
+        raise ValueError(_by_family(family, "n_max must be >= 1", "n_max must be >= 3 for cycles"))
+    return _roll_triangle(base_rows, n_max)
 
 
 def path_triangle(n_max: int) -> CountTable:
     """d(P_n, j) for 1 <= n <= n_max via the three-term recurrence."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    return CountTable("path", _roll_triangle(PATH_BASE_ROWS, n_max))
+    return CountTable("path", dict(triangle_rows("path", n_max)))
 
 
 def cycle_triangle(n_max: int) -> CountTable:
     """d(C_n, j) for 3 <= n <= n_max; base rows are the enumerated C_3..C_5."""
-    if n_max < 3:
-        raise ValueError("n_max must be >= 3 for cycles")
-    return CountTable("cycle", _roll_triangle(CYCLE_BASE_ROWS, n_max))
+    return CountTable("cycle", dict(triangle_rows("cycle", n_max)))
 
 
 def _by_family(family: str, path, cycle):
@@ -403,31 +411,3 @@ def ladder_order(n_max: int) -> list[int]:
             3 * vals[-1] + 2 * vals[-2] + 2 * vals[-3] - vals[-4] - vals[-5]
         )
     return vals
-
-
-# ---------------------------------------------------------------------------
-# Emission
-# ---------------------------------------------------------------------------
-
-def triangle_csv(table: CountTable) -> str:
-    """CSV block `family,n,j,count`, one row per nonzero entry."""
-    lines = ["family,n,j,count"]
-    for n in sorted(table.rows):
-        for j, c in enumerate(table.rows[n]):
-            if c:
-                lines.append(f"{table.family},{n},{j},{c}")
-    return "\n".join(lines) + "\n"
-
-
-def sequence_csv(family: str, values: Iterable) -> Iterator[str]:
-    """The rows of the CSV block `family,n,order` for n = 1, 2, ... over
-    values (ints or their decimal texts), each row made when asked for."""
-    yield "family,n,order\n"
-    for n, v in enumerate(values, start=1):
-        yield f"{family},{n},{v}\n"
-
-
-def triangle_json(table: CountTable) -> str:
-    return json.dumps(
-        {"family": table.family, "rows": {str(n): list(r) for n, r in sorted(table.rows.items())}}
-    )

@@ -17,10 +17,11 @@ A ReconfigGraph is a handful of NumPy arrays indexed by node id:
   smallest node id.
 
 Adjacency is found by toggling one vertex bit of every node at once and
-looking the results up.  While n <= SCAN_LIMIT (20) the lookup is one
-gather from a dense id map of 2^n int32 entries (4 MB at n = 20); above it
-the map would grow to 64 MB at n = 24 and past any memory beyond, so the
-lookup is ``np.searchsorted`` in a value-sorted copy of ``bits``.
+looking the results up.  While the dense id map of 2^n int32 entries is no
+larger than the order x n neighbour matrix it fills (2^n <= order * n),
+the lookup is one gather from it; otherwise it is ``np.searchsorted`` in a
+value-sorted copy of ``bits``, so the lookup never needs more memory than
+the matrix.
 Analysis works on the arrays.  Export formats the node labels from
 ``bits`` through ``domination.subset_texts`` and the edges from the upper
 CSR entries, with no Python object per node; ``nodes`` is a DomFamily over
@@ -34,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .domination import ENUMERATION_CAP, SCAN_LIMIT, DomFamily, enumerate_dominating, subset_texts
+from .domination import ENUMERATION_CAP, DomFamily, enumerate_dominating, subset_texts
 from .errors import EmptyGraphError, TooLargeError
 from .graphs import Graph
 
@@ -89,10 +90,10 @@ def build(g: Graph, k: int | None = None, *, cap: int = ENUMERATION_CAP) -> Reco
     """Construct D_k(G) on the sets enumerate_dominating returns; k defaults to n.
 
     Adjacency toggles each of the n bits of every node at once and looks
-    the results up, one gather each from a 2^n id map while n <= 20 and a
-    binary search above, then sorts each row of n candidates: O(order * n
-    log n) below the limit and O(order * n log order) above it, instead of
-    the quadratic pairwise check.
+    the results up, one gather each from a 2^n id map while 2^n <= order * n
+    and a binary search otherwise, then sorts each row of n candidates:
+    O(order * n log n) with the map and O(order * n log order) without it,
+    instead of the quadratic pairwise check.
     """
     nodes = enumerate_dominating(g, k, cap=cap)
     bits = nodes.bits
@@ -112,7 +113,7 @@ def _adjacency(bits: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     # column v: the id of bits ^ (1 << v), or the sentinel `order` when that set is
     # not a node; sorting each row puts the ids in order and the sentinels last
     nbr = np.empty((order, n), dtype=np.int32)
-    (_map_columns if n <= SCAN_LIMIT else _search_columns)(bits, nbr)
+    (_map_columns if 1 << n <= order * n else _search_columns)(bits, nbr)
     nbr.sort(axis=1)
     present = nbr < order
     np.cumsum(np.count_nonzero(present, axis=1), out=indptr[1:])

@@ -136,28 +136,22 @@ def _upper_gamma_sets_by_prune(g: Graph) -> int:
     return cards.count(max(cards))
 
 
-def _path_gamma_count_claim(n: int) -> int:
-    k, rem = divmod(n, 3)
-    if rem == 0:
-        return 1
-    if rem == 1:
-        return ((k * k + 5 * k + 2) // 2)
-    return k + 2
-
-
 def suite_paths(max_n: int = 12) -> list[CheckRecord]:
     enum_hi = min(max_n, 20)
     struct_hi = min(max_n, 14)
     dist_hi = min(max_n, 10)
     paths = {n: make_family("path", n) for n in range(1, enum_hi + 1)}
     table = counting.path_triangle(max(3 * 30 + 2, enum_hi))
+    # the gamma-set counts of P_n for n = 3k, 3k+1, 3k+2, as formulas of k
+    gamma_sets = [counting.PATH_FORMULAS[case].value
+                  for case in ("d(P3n,n)", "d(P3n+1,n+1)", "d(P3n+2,n+1)")]
 
     records = [
         _over_n("path/gamma", paths, 1, enum_hi, lambda n: math.ceil(n / 3),
                 lambda n, g: domination.domination_number(g)),
         _over_n("path/upper-gamma", paths, 1, enum_hi, UPPER_GAMMA["path"],
                 lambda n, g: domination.upper_domination_number(g)),
-        _over_n("path/gamma-set-count", paths, 1, enum_hi, _path_gamma_count_claim,
+        _over_n("path/gamma-set-count", paths, 1, enum_hi, lambda n: gamma_sets[n % 3](n // 3),
                 lambda n, g: domination.count_minimum_sets(g),
                 note="1 / (k^2+5k+2)/2 / k+2 for n = 3k, 3k+1, 3k+2"),
         _over_n("path/upper-gamma-set-count/odd", paths, 1, enum_hi, lambda n: 1,
@@ -207,8 +201,9 @@ def suite_paths(max_n: int = 12) -> list[CheckRecord]:
         mismatch_status="erratum",
     ))
     records += _gf_and_closed_form_records("path")
-    records += _structure_records("path", paths, struct_hi)
-    records.append(_distance_two_record(dist_hi))
+    built = {n: reconfig.build(g) for n, g in paths.items() if n <= struct_hi}
+    records += _structure_records("path", built, struct_hi)
+    records.append(_distance_two_record(built, dist_hi))
     return records
 
 
@@ -234,9 +229,9 @@ def _distance_two_marks(r: reconfig.ReconfigGraph) -> np.ndarray:
     return marks
 
 
-def _distance_two_record(dist_hi: int) -> CheckRecord:
+def _distance_two_record(built: dict[int, reconfig.ReconfigGraph], dist_hi: int) -> CheckRecord:
     """Same-cardinality nodes of D_n(P_n) are at distance 2 iff the sets share
-    all but one vertex, checked on every such pair a < b.
+    all but one vertex, checked on every such pair a < b of built[n], n = 2..dist_hi.
 
     No breadth-first search is needed: a pair at distance 2 has a shortest
     path a-m-b, which is a walk of two edges, and a walk a-m-b between
@@ -247,7 +242,7 @@ def _distance_two_record(dist_hi: int) -> CheckRecord:
     triples = []
     pairs_checked = 0
     for n in range(2, dist_hi + 1):
-        r = reconfig.build(make_family("path", n))
+        r = built[n]
         cards = r.cards.astype(np.int64)
         same = np.triu(cards[:, None] == cards, 1)  # the pairs a < b of one cardinality
         want_two = np.bitwise_count(r.bits[:, None] & r.bits) == cards[:, None] - 1
@@ -312,8 +307,8 @@ def _gf_and_closed_form_records(family: str) -> list[CheckRecord]:
     return records
 
 
-def _structure_records(family: str, graphs: dict[int, Graph], struct_hi: int) -> list[CheckRecord]:
-    built = {n: reconfig.build(g) for n, g in graphs.items() if n <= struct_hi}
+def _structure_records(family: str, built: dict[int, reconfig.ReconfigGraph],
+                       struct_hi: int) -> list[CheckRecord]:
     lo = min(built)
     return [
         _over_n(f"{family}/connected", built, lo, struct_hi, lambda n: 1,
@@ -381,7 +376,8 @@ def suite_cycles(max_n: int = 12) -> list[CheckRecord]:
         mismatch_status="erratum",
     ))
     records += _gf_and_closed_form_records("cycle")
-    records += _structure_records("cycle", cycles, struct_hi)
+    built = {n: reconfig.build(g) for n, g in cycles.items() if n <= struct_hi}
+    records += _structure_records("cycle", built, struct_hi)
     return records
 
 

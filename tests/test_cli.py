@@ -1,5 +1,8 @@
 import json
 import sys
+import tracemalloc
+
+import pytest
 
 from domgraph import closed_form_order
 from domgraph.cli import main
@@ -168,6 +171,33 @@ def test_count_sums_error_leaves_the_output_file_untouched(tmp_path, capsys):
                          "--output", str(target))
     assert code == 1 and out == "" and "n_max must be >= 1" in err
     assert target.read_bytes() == b"kept\n"
+
+
+@pytest.mark.parametrize("family, n_max, message", [
+    ("path", "0", "n_max must be >= 1"), ("cycle", "2", "n_max must be >= 3 for cycles")])
+def test_count_triangle_error_leaves_the_output_file_untouched(tmp_path, capsys, family, n_max,
+                                                               message):
+    target = tmp_path / "triangle.csv"
+    target.write_bytes(b"kept\n")
+    code, out, err = run(capsys, "count", "--family", family, "--n-max", n_max,
+                         "--output", str(target))
+    assert code == 1 and out == "" and err == f"error: {message}\n"
+    assert target.read_bytes() == b"kept\n"
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_count_streams_with_flat_memory(tmp_path, fmt):
+    # the triangle is written row by row with three rows kept, the orders one by one
+    target = tmp_path / f"count.{fmt}"
+    for sums in ([], ["--sums"]):
+        tracemalloc.start()
+        try:
+            code = main(["count", "--family", "path", "--n-max", "300", "--format", fmt,
+                         *sums, "--output", str(target)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and peak < 1 << 20
 
 
 def test_count_triangle_csv(capsys):

@@ -28,8 +28,7 @@ from domgraph.counting import (
     _exact_div,
     closed_d_target,
     order_texts,
-    sequence_csv,
-    triangle_csv,
+    triangle_rows,
 )
 from domgraph import corona, join
 from domgraph.verify import PRINTED_NUMERATORS
@@ -252,10 +251,10 @@ def test_ladder_order_seeds_and_recurrence():
         assert orders[n - 1] == total_count(ladder(n))
 
 
-def test_csv_formats():
-    csv = triangle_csv(path_triangle(3))
-    assert csv.splitlines()[0] == "family,n,j,count"
-    assert "path,3,2,3" in csv
-    assert all(int(line.rsplit(",", 1)[1]) > 0 for line in csv.splitlines()[1:])
-    seq = "".join(sequence_csv("cycle", order_sequence("cycle", 3)))
-    assert seq == "family,n,order\ncycle,1,1\ncycle,2,3\ncycle,3,7\n"
+def test_triangle_rows_check_their_arguments_at_the_call():
+    with pytest.raises(ValueError, match="n_max must be >= 1"):
+        triangle_rows("path", 0)
+    with pytest.raises(ValueError, match="n_max must be >= 3 for cycles"):
+        triangle_rows("cycle", 2)
+    with pytest.raises(ValueError, match="unknown family"):
+        triangle_rows("ladder", 5)

@@ -40,6 +40,11 @@ for family in ("path", "cycle"):
     for fmt, ext in (("json", "json"), ("table", "txt")):
         INVOCATIONS[f"count_{family}_sums_200.{ext}"] = [
             "count", "--family", family, "--n-max", "200", "--sums", "--format", fmt]
+# the triangles, which no other golden file pins
+for family in ("path", "cycle"):
+    for fmt, ext in (("table", "txt"), ("csv", "csv"), ("json", "json")):
+        INVOCATIONS[f"count_{family}_60.{ext}"] = [
+            "count", "--family", family, "--n-max", "60", "--format", fmt]
 for suite in ("complete", "products", "parity"):
     INVOCATIONS[f"verify_{suite}.json"] = ["verify", "--suite", suite, "--format", "json"]
     INVOCATIONS[f"verify_{suite}.txt"] = ["verify", "--suite", suite]

@@ -277,13 +277,10 @@ def test_arrays_match_the_definitions_on_drawn_graphs(g, data):
 def test_id_map_adjacency_equals_searchsorted_adjacency(g):
     for k in range(1, g.n + 1):
         bits = enumerate_dominating(g, k, method="prune").bits
-        indptr, indices = reconfig._adjacency(bits, g.n)
-        # with the limit below n, the same bits go through searchsorted
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(reconfig, "SCAN_LIMIT", 0)
-            search_indptr, search_indices = reconfig._adjacency(bits, g.n)
-        assert np.array_equal(indptr, search_indptr)
-        assert np.array_equal(indices, search_indices)
+        by_map, by_search = (np.empty((len(bits), g.n), dtype=np.int32) for _ in range(2))
+        reconfig._map_columns(bits, by_map)
+        reconfig._search_columns(bits, by_search)
+        assert np.array_equal(by_map, by_search)
 
 
 def test_default_route_depends_on_n(monkeypatch):
