@@ -23,7 +23,7 @@ from .graphs import (
     ladder,
     make_family,
     to_dot,
-    to_json_obj,
+    to_json,
 )
 
 
@@ -107,7 +107,7 @@ def _table(rows: list[tuple[str, object]]) -> str:
 def _cmd_family(args) -> int:
     g = _resolve_graph(args)
     if args.format == "json":
-        _emit([json.dumps(to_json_obj(g)) + "\n"], args)
+        _emit([to_json(g) + "\n"], args)
     elif args.format == "dot":
         _emit([to_dot(g)], args)
     else:
@@ -127,7 +127,8 @@ def _cmd_dominating(args) -> int:
     if args.format == "json":
         _emit([family.to_json() + "\n"], args)
     elif args.format == "csv":
-        _emit([domination.counts_csv(g.n, family.by_card)], args)
+        rows = (f"{g.n},{j},{c}\n" for j, c in enumerate(family.by_card) if c)
+        _emit(chain(["n,j,count\n"], rows), args)
     else:
         rows = [("graph n", g.n), ("bound k", family.k), ("dominating sets", len(family))]
         rows += [(f"cardinality {j}", c) for j, c in enumerate(family.by_card) if c]

@@ -1,16 +1,17 @@
 """Exact-integer recurrences, closed forms, generating functions, and
 product-graph order formulas for dominating-set counts.
 
-Everything here is computed algebraically, independent of graph
-enumeration, so the two sides can cross-validate each other.  All values
-are arbitrary-precision integers, the cubic-root closed form included.
+The recurrences are algebraic.  Their initial values are read from the
+prune route of domination.enumerate_dominating once per process, on first
+use, and the verify suite judges the rolled values with the subset table.
+All values are arbitrary-precision integers, the closed forms included.
 
 Conventions:
 
 * d(P_n, j) and d(C_n, j) denote the number of dominating sets of the
   path / cycle on n vertices with cardinality exactly j; d(., 0) = 0.
 * Triangle rows satisfy d(G_n, j) = d(G_{n-1}, j-1) + d(G_{n-2}, j-1)
-  + d(G_{n-3}, j-1) once past the hardcoded base rows.
+  + d(G_{n-3}, j-1) once past the base rows P_1..P_3 and C_3..C_5.
 * Row sums follow the tribonacci recurrence.  Its seeds are the sums of
   the base rows: (1, 3, 5) for P_1..P_3, and 7, 11, 21 for C_3..C_5, run
   back to n = 1 (21 - 11 - 7 = 3, 11 - 7 - 3 = 1).  The cycle values for
@@ -23,27 +24,37 @@ import decimal
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Callable, Iterator
 
 import numpy as np
 
+from . import domination
 from .errors import FormulaViolationError, InvalidSeriesError
+from .graphs import ladder, make_family
 
-# Base triangle rows (index j = 0..n), frozen from direct enumeration.
-PATH_BASE_ROWS = {1: (0, 1), 2: (0, 2, 1), 3: (0, 1, 3, 1)}
-CYCLE_BASE_ROWS = {3: (0, 3, 3, 1), 4: (0, 0, 6, 4, 1), 5: (0, 0, 5, 10, 5, 1)}
 
-# Dominating-set totals of the ladders L_1..L_5, frozen from brute force;
-# the published five-term recurrence comes without initial values.
-LADDER_SEEDS = (3, 11, 41, 149, 547)
+@cache
+def _base_rows(family: str) -> dict[int, tuple[int, ...]]:
+    """d(G_n, j) for j = 0..n of the family's first three graphs, P_1..P_3 or
+    C_3..C_5, as the prune route counts them."""
+    first = _by_family(family, 1, 3)
+    return {n: domination.enumerate_dominating(make_family(family, n), method="prune").by_card
+            for n in range(first, first + 3)}
+
+
+@cache
+def _ladder_seeds() -> tuple[int, ...]:
+    """Dominating-set totals of the ladders L_1..L_5 from the prune route; the
+    published five-term recurrence comes without initial values."""
+    return tuple(len(domination.enumerate_dominating(ladder(n), method="prune"))
+                 for n in range(1, 6))
 
 
 @dataclass(frozen=True)
 class CountTable:
     """Triangle of exact counts d(family_n, j) for a range of n."""
 
-    family: str
     rows: dict[int, tuple[int, ...]]
 
     def row(self, n: int) -> tuple[int, ...]:
@@ -73,7 +84,7 @@ def _roll_triangle(base_rows: dict[int, tuple[int, ...]], n_max: int) -> Iterato
 def triangle_rows(family: str, n_max: int) -> Iterator[tuple[int, tuple[int, ...]]]:
     """(n, d(G_n, .)) for each n of the family's triangle up to n_max, made one
     row at a time; the arguments are checked at the call."""
-    base_rows = _by_family(family, PATH_BASE_ROWS, CYCLE_BASE_ROWS)
+    base_rows = _base_rows(family)
     if n_max < min(base_rows):
         raise ValueError(_by_family(family, "n_max must be >= 1", "n_max must be >= 3 for cycles"))
     return _roll_triangle(base_rows, n_max)
@@ -81,12 +92,12 @@ def triangle_rows(family: str, n_max: int) -> Iterator[tuple[int, tuple[int, ...
 
 def path_triangle(n_max: int) -> CountTable:
     """d(P_n, j) for 1 <= n <= n_max via the three-term recurrence."""
-    return CountTable("path", dict(triangle_rows("path", n_max)))
+    return CountTable(dict(triangle_rows("path", n_max)))
 
 
 def cycle_triangle(n_max: int) -> CountTable:
     """d(C_n, j) for 3 <= n <= n_max; base rows are the enumerated C_3..C_5."""
-    return CountTable("cycle", dict(triangle_rows("cycle", n_max)))
+    return CountTable(dict(triangle_rows("cycle", n_max)))
 
 
 def _by_family(family: str, path, cycle):
@@ -102,7 +113,7 @@ def _order_terms(family: str, n_max: int, add=operator.add) -> Iterator:
     sums and summed by add; the arguments are checked at the call."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    base_rows = _by_family(family, PATH_BASE_ROWS, CYCLE_BASE_ROWS)
+    base_rows = _base_rows(family)
     seeds = [sum(base_rows[n]) for n in sorted(base_rows)]
     for _ in range(min(base_rows) - 1):  # run the recurrence back to n = 1
         seeds.insert(0, seeds[2] - seeds[1] - seeds[0])
@@ -208,7 +219,6 @@ class CubicClosedForm:
     roots, kept for display.
     """
 
-    family: str
     numerator: tuple[int, ...]
     denominator: tuple[int, ...]
     roots: tuple[complex, complex, complex]
@@ -240,7 +250,6 @@ def cubic_closed_form(family: str, numerator: tuple[int, ...] | None = None) -> 
     """
     gf = _by_family(family, PATH_ORDER_GF, CYCLE_ORDER_GF)
     return CubicClosedForm(
-        family=family,
         numerator=numerator or gf.numerator,
         denominator=gf.denominator,
         roots=_cubic_roots(gf.denominator),
@@ -401,11 +410,11 @@ def ladder_order(n_max: int) -> list[int]:
 
         a_n = 3 a_{n-1} + 2 a_{n-2} + 2 a_{n-3} - a_{n-4} - a_{n-5}
 
-    rolled forward from the brute-forced seeds for L_1..L_5.
+    rolled forward from the totals of L_1..L_5 that the prune route lists.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    vals = list(LADDER_SEEDS[:n_max])
+    vals = list(_ladder_seeds()[:n_max])
     while len(vals) < n_max:
         vals.append(
             3 * vals[-1] + 2 * vals[-2] + 2 * vals[-3] - vals[-4] - vals[-5]

@@ -48,8 +48,7 @@ from .graphs import Graph, VertexSubset, subset_bits
 
 # The subset table holds 2^n words; 24 keeps that around 16.7M.
 ENUMERATION_CAP = 24
-# Up to this n the default route is the scan, and reconfig's adjacency looks
-# nodes up in a 2^n id map (4 MB at n = 20); above it, prune and searchsorted.
+# Up to this n enumerate_dominating's default route is the scan; above it, prune.
 SCAN_LIMIT = 20
 
 
@@ -331,10 +330,3 @@ def count_minimum_sets(g: Graph) -> int:
 def count_maximal_minimal_sets(g: Graph) -> int:
     """Number of minimal dominating sets of cardinality Gamma(G)."""
     return next(c for c in reversed(_table(g).minimal_by_card) if c)
-
-
-def counts_csv(graph_n: int, counts) -> str:
-    """CSV block `n,j,count` with one row per nonzero cardinality."""
-    lines = ["n,j,count"]
-    lines += [f"{graph_n},{j},{c}" for j, c in enumerate(counts) if c]
-    return "\n".join(lines) + "\n"

@@ -85,6 +85,14 @@ def test_ladder_product_factor(capsys):
     assert out == json.dumps(to_json_obj(join(ladder(2), make_family("path", 2)))) + "\n"
 
 
+@pytest.mark.parametrize("argv", [("--family", "ladder", "--n", "0"),
+                                  ("--product", "cartesian:ladder:0,path:2")])
+def test_ladder_without_rungs_exit_1(capsys, argv):
+    code, out, err = run(capsys, "family", *argv)
+    assert (code, out) == (1, "")
+    assert "ladder L_n needs n >= 1" in err and "path" not in err
+
+
 def test_unknown_product_factor_exit_2(capsys):
     code, _, err = run(capsys, "family", "--product", "join:lad:2,path:2")
     assert code == 2

@@ -54,6 +54,11 @@ def test_cycle_triangle_matches_enumeration():
         assert table.row(n) == count_by_cardinality(make_family("cycle", n))
 
 
+def test_path_triangle_base_rows():
+    table = path_triangle(3)
+    assert [table.row(n) for n in (1, 2, 3)] == [(0, 1), (0, 2, 1), (0, 1, 3, 1)]
+
+
 def test_cycle_triangle_base_rows():
     table = cycle_triangle(6)
     assert table.row(3) == (0, 3, 3, 1)

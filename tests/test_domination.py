@@ -22,7 +22,7 @@ from domgraph import (
     upper_domination_number,
 )
 from domgraph import cycle_triangle, domination, path_triangle
-from domgraph.domination import DomFamily, SubsetTable, counts_csv, subset_texts
+from domgraph.domination import DomFamily, SubsetTable, subset_texts
 from domgraph.graphs import VertexSubset, graph_from_edges, ladder
 from domgraph.verify import labeled_graph_sweep
 
@@ -269,11 +269,6 @@ def test_total_count_parity_on_random_connected():
             continue
         assert total_count(g) % 2 == 1
         done += 1
-
-
-def test_counts_csv_format():
-    counts = count_by_cardinality(make_family("path", 4))
-    assert counts_csv(4, counts) == "n,j,count\n4,2,4\n4,3,4\n4,4,1\n"
 
 
 # ---------------------------------------------------------------------------

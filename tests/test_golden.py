@@ -34,7 +34,16 @@ INVOCATIONS = {
     "reconfig_path6_k1.json": ["reconfig", *P6, "--k", "1", "--format", "json"],
     "reconfig_path6_k1.dot": ["reconfig", *P6, "--k", "1", "--format", "dot"],
     "reconfig_path6_k1_stats.txt": ["reconfig", *P6, "--k", "1", "--stats"],
+    "family_join_k2_k2.json": ["family", "--product", "join:complete:2,complete:2",
+                               "--format", "json"],
 }
+# the family command in each format, and dominating's table and csv
+for fmt, ext in (("table", "txt"), ("json", "json"), ("dot", "dot")):
+    INVOCATIONS[f"family_cycle5.{ext}"] = ["family", "--family", "cycle", "--n", "5",
+                                           "--format", fmt]
+for fmt, ext in (("table", "txt"), ("csv", "csv")):
+    INVOCATIONS[f"dominating_path4.{ext}"] = ["dominating", "--family", "path", "--n", "4",
+                                              "--format", fmt]
 # n = 200: orders of about 53 digits, past Decimal's default 28-digit precision
 for family in ("path", "cycle"):
     for fmt, ext in (("json", "json"), ("table", "txt")):
@@ -63,3 +72,7 @@ def test_output_matches_golden(name, capsys):
     else:
         assert main(invocation) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
+
+
+def test_golden_files_are_exactly_the_invocations():
+    assert sorted(path.name for path in GOLDEN.iterdir()) == sorted(INVOCATIONS)

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_domination import drawn_graphs
 
-from domgraph import domination, make_family, order_sequence, reconfig, verify, verify_suite
+from domgraph import (counting, domination, make_family, order_sequence, reconfig, verify,
+                      verify_suite)
 from domgraph.errors import TooLargeError
 from domgraph.verify import (
     PARITY_EXHAUSTIVE_MAX_N,
@@ -201,6 +202,37 @@ def test_small_upper_gamma_set_counts_can_fail(monkeypatch):
     monkeypatch.setattr(domination, "count_maximal_minimal_sets", lambda g: count(g) + 1)
     records = by_check(verify_suite("paths", max_n=4) + verify_suite("cycles", max_n=4))
     assert [records[c].status for c in checks] == ["fail", "fail"]
+
+
+def clear_seeds():
+    counting._base_rows.cache_clear()
+    counting._ladder_seeds.cache_clear()
+
+
+def test_recurrence_records_fail_when_the_prune_route_drops_a_set(monkeypatch):
+    # the recurrences take their seeds from the prune route and verify judges
+    # them with the subset table, so a set the route drops from C_4, L_2 or L_3
+    # shows as a fail
+    checks = ("cycle/triangle", "cycle/gf", "product/ladder")
+
+    def statuses():
+        clear_seeds()
+        records = by_check(verify_suite("cycles", max_n=8) + verify_suite("products", max_n=8))
+        return [records[c].status for c in checks]
+
+    assert statuses() == ["pass", "pass", "pass"]
+    prune_bits = domination._prune_bits
+
+    def drop_first(g, k):
+        bits = prune_bits(g, k)
+        return bits[1:] if g.n in (4, 6) else bits
+
+    monkeypatch.setattr(domination, "_prune_bits", drop_first)
+    try:
+        assert statuses() == ["fail", "fail", "fail"]
+    finally:
+        monkeypatch.undo()
+        clear_seeds()
 
 
 def test_random_connected_graph_is_connected():
