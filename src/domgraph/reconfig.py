@@ -22,10 +22,12 @@ larger than the order x n neighbour matrix it fills (2^n <= order * n),
 the lookup is one gather from it; otherwise it is ``np.searchsorted`` in a
 value-sorted copy of ``bits``, so the lookup never needs more memory than
 the matrix.
-Analysis works on the arrays.  Export formats the node labels from
-``bits`` through ``domination.subset_texts`` and the edges from the upper
-CSR entries, with no Python object per node; ``nodes`` is a DomFamily over
-``bits`` whose VertexSubset objects are made only when a caller reads them.
+Analysis works on the arrays: breadth-first levels are masks over node
+ids, and the Hamiltonian search keeps its layers as uint32 arrays.
+Export formats the node labels from ``bits`` through
+``domination.subset_texts`` and the edges from the upper CSR entries, with
+no Python object per node; ``nodes`` is a DomFamily over ``bits`` whose
+VertexSubset objects are made only when a caller reads them.
 """
 
 from __future__ import annotations
@@ -93,7 +95,9 @@ def build(g: Graph, k: int | None = None, *, cap: int = ENUMERATION_CAP) -> Reco
     the results up, one gather each from a 2^n id map while 2^n <= order * n
     and a binary search otherwise, then sorts each row of n candidates:
     O(order * n log n) with the map and O(order * n log order) without it,
-    instead of the quadratic pairwise check.
+    instead of the quadratic pairwise check.  Components take one
+    breadth-first search from node 0, which covers D_n(G), and label
+    propagation only for the nodes it leaves over.
     """
     nodes = enumerate_dominating(g, k, cap=cap)
     bits = nodes.bits
@@ -144,18 +148,29 @@ def _search_columns(bits: np.ndarray, nbr: np.ndarray) -> None:
 def _component_labels(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
     """Per-node component label, components numbered by their smallest node id.
 
-    Label propagation: each node takes the smallest label among itself and
-    its neighbours, then the label of its label (pointer jumping), until
-    nothing changes.  Labels only fall and stay node ids of the component,
-    so the fixed point labels every node with its component's smallest id.
+    One breadth-first search labels node 0's component 0; it reaches every
+    node of D_n(G), which is connected.  The nodes it leaves over take label
+    propagation: each takes the smallest label among itself and its
+    neighbours, then the label of its label (pointer jumping), until nothing
+    changes.  Labels only fall and stay node ids of the component, so the
+    fixed point labels every node with its component's smallest id.  One
+    search per component would be one per node on edgeless D_1(K_n).
     """
     order = len(indptr) - 1
+    seen = np.arange(order) == 0
+    for _ in _frontiers(indptr, indices, seen):
+        pass
+    if seen.all():
+        return np.zeros(order, dtype=np.int64)
     labels = np.arange(order)
-    rows = np.flatnonzero(np.diff(indptr))
-    starts = indptr[rows]
-    while rows.size:
+    labels[seen] = 0
+    # gather the leftover rows alone: a reduceat segment runs to the next start
+    rest = np.flatnonzero(~seen & (np.diff(indptr) > 0))
+    nbrs, lengths = _rows(indptr, indices, rest)
+    starts = np.cumsum(lengths) - lengths
+    while rest.size:
         low = labels.copy()
-        low[rows] = np.minimum(labels[rows], np.minimum.reduceat(labels[indices], starts))
+        low[rest] = np.minimum(labels[rest], np.minimum.reduceat(labels[nbrs], starts))
         low = low[low]
         if np.array_equal(low, labels):
             break
@@ -195,41 +210,56 @@ def _component_count(r: ReconfigGraph) -> int:
     return int(r.component.max()) + 1 if r.order else 0
 
 
-def _rows(r: ReconfigGraph, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _rows(indptr: np.ndarray, indices: np.ndarray,
+          ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The CSR rows of the nodes ids, concatenated, and the length of each row."""
-    starts = r.indptr[ids]
-    lengths = r.indptr[ids + 1] - starts
+    starts = indptr[ids]
+    lengths = indptr[ids + 1] - starts
     ends = np.cumsum(lengths)
     offsets = np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - ends + lengths, lengths)
-    return r.indices[offsets], lengths
+    return indices[offsets], lengths
 
 
-def _frontiers(r: ReconfigGraph, a: int):
-    """Breadth-first levels from node a: yields (depth, mask of that level)."""
-    seen = np.zeros(r.order, dtype=bool)
-    seen[a] = True
-    frontier = np.array([a])
-    depth = 0
-    while frontier.size:
-        depth += 1
-        level = np.zeros(r.order, dtype=bool)
-        level[_rows(r, frontier)[0]] = True
+def _frontiers(indptr: np.ndarray, indices: np.ndarray, seen: np.ndarray):
+    """Breadth-first levels from the nodes marked in seen: yields the ids of
+    each nonempty level in turn, depth 1 first, and marks them in seen."""
+    frontier = np.flatnonzero(seen)
+    while True:
+        level = np.zeros(len(seen), dtype=bool)
+        level[_rows(indptr, indices, frontier)[0]] = True
         level &= ~seen
         seen |= level
         frontier = np.flatnonzero(level)
-        yield depth, level
+        if not frontier.size:
+            return
+        yield frontier
 
 
 def distance(r: ReconfigGraph, a: int, b: int) -> int | None:
-    """Breadth-first hop count between node ids; None when unreachable."""
+    """Breadth-first hop count between node ids; None when unreachable.
+
+    The search runs from both ends, each step growing the smaller frontier
+    by one level.  The balls of radii d_a and d_b were disjoint before the
+    step, so d(a, b) > d_a + d_b, and the first new level that meets the
+    other side's ball gives d(a, b) = d_a + d_b + 1 exactly.
+    """
     if not (0 <= a < r.order and 0 <= b < r.order):
         raise ValueError(f"node ids must be in 0..{r.order - 1}")
     if a == b:
         return 0
-    for depth, level in _frontiers(r, a):
-        if level[b]:
+    seen = [np.arange(r.order) == a, np.arange(r.order) == b]
+    searches = [_frontiers(r.indptr, r.indices, mask) for mask in seen]
+    sizes = [1, 1]
+    depth = 0
+    while True:
+        side = int(sizes[1] < sizes[0])
+        frontier = next(searches[side], None)
+        if frontier is None:
+            return None
+        depth += 1
+        if seen[1 - side][frontier].any():
             return depth
-    return None
+        sizes[side] = frontier.size
 
 
 def distance_row(r: ReconfigGraph, a: int) -> np.ndarray:
@@ -238,8 +268,8 @@ def distance_row(r: ReconfigGraph, a: int) -> np.ndarray:
         raise ValueError(f"node ids must be in 0..{r.order - 1}")
     row = np.full(r.order, -1)
     row[a] = 0
-    for depth, level in _frontiers(r, a):
-        row[level] = depth
+    for depth, frontier in enumerate(_frontiers(r.indptr, r.indices, np.arange(r.order) == a), 1):
+        row[frontier] = depth
     return row
 
 
@@ -265,10 +295,13 @@ def euler_status(r: ReconfigGraph) -> str:
 def is_hamiltonian(r: ReconfigGraph) -> bool:
     """Exact Hamiltonian-cycle decision by subset dynamic programming.
 
-    Layer j maps the vertex set S of each simple path of j + 1 nodes from
-    node 0 to the bitmask of the nodes where such a path can end, so only
-    reachable sets are stored.  A cycle exists iff some end at the full set
-    is adjacent to node 0.  Exponential in the order, hence the cap.
+    Layer j holds the vertex set S of each simple path of j + 1 nodes from
+    node 0 (``sets``) and the bitmask of the nodes where such a path can end
+    (``ends``), as uint32 arrays, so only reachable sets are stored.  One
+    broadcast lists every extension (S, w) by an end's neighbour w outside
+    S; sorting the grown sets and OR-ing w's bit over each run of equal sets
+    gives the next layer.  A cycle exists iff some end at the full set is
+    adjacent to node 0.  Exponential in the order, hence the cap.
     D_k(G) is bipartite by cardinality parity, and a cycle alternates
     parts, so parts of unequal size decide False before the search.
     """
@@ -283,20 +316,21 @@ def is_hamiltonian(r: ReconfigGraph) -> bool:
         return False
     if _component_count(r) > 1:
         return False
-    adj_mask = [
-        sum(1 << j for j in r.indices[r.indptr[i] : r.indptr[i + 1]].tolist())
-        for i in range(n)
-    ]
-    nodes = [(1 << w, nbrs) for w, nbrs in enumerate(adj_mask)]
-    layer = {1: 1}
+    bit = np.uint32(1) << np.arange(n, dtype=np.uint32)
+    adj = np.zeros(n, dtype=np.uint32)  # adj[w]: the bitmask of w's neighbours
+    np.bitwise_or.at(adj, np.repeat(np.arange(n), r.degrees), bit[r.indices])
+    sets = ends = bit[:1]
     for _ in range(n - 1):
-        grown: dict[int, int] = {}
-        for s, ends in layer.items():
-            for bit, nbrs in nodes:
-                if nbrs & ends and not s & bit:
-                    grown[s | bit] = grown.get(s | bit, 0) | bit
-        layer = grown
-    return bool(layer.get((1 << n) - 1, 0) & adj_mask[0])
+        si, w = np.nonzero(((ends[:, None] & adj) != 0) & ((sets[:, None] & bit) == 0))
+        if not si.size:
+            return False
+        grown = sets[si] | bit[w]
+        by_set = np.argsort(grown, kind="stable")
+        grown = grown[by_set]
+        starts = np.flatnonzero(np.r_[True, grown[1:] != grown[:-1]])
+        sets = grown[starts]
+        ends = np.bitwise_or.reduceat(bit[w[by_set]], starts)
+    return bool(ends[0] & adj[0])
 
 
 # ---------------------------------------------------------------------------

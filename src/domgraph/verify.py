@@ -221,7 +221,8 @@ def _distance_two_marks(r: reconfig.ReconfigGraph) -> np.ndarray:
     a != b of some walk a-m-b of two edges that are not adjacent themselves,
     all walks listed at once from the CSR arrays."""
     src = np.repeat(np.arange(r.order), r.degrees)  # the near end of each CSR entry
-    far, lengths = reconfig._rows(r, r.indices)  # the rows of each entry's far end
+    # the rows of each entry's far end
+    far, lengths = reconfig._rows(r.indptr, r.indices, r.indices)
     marks = np.zeros((r.order, r.order), dtype=bool)
     marks[np.repeat(src, lengths), far] = True
     marks[src, r.indices] = False

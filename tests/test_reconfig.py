@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import tracemalloc
@@ -24,7 +25,7 @@ from domgraph import (
     make_family,
 )
 from domgraph import domination, reconfig
-from domgraph.graphs import VertexSubset, graph_from_edges
+from domgraph.graphs import VertexSubset, graph_from_edges, ladder
 from domgraph.reconfig import edge_list, to_dot, to_json, to_json_obj
 
 
@@ -170,18 +171,41 @@ def dfs_hamiltonian(r) -> bool:
 
 
 def test_is_hamiltonian_search_finds_no_cycle_across_a_bridge():
-    # two 4-cycles joined by one edge: parts of equal size, minimum degree 2
+    # two m-cycles joined by one edge: parts of equal size, minimum degree 2
     # and one component, so only the search can say no (small D_k(G) that
-    # pass those checks all turn out Hamiltonian)
-    edges = [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (6, 7), (4, 7), (0, 5)]
-    rows = [sorted({b for a, b in edges if a == i} | {a for a, b in edges if b == i})
-            for i in range(8)]
-    indptr = np.cumsum([0] + [len(row) for row in rows])
-    indices = np.array([j for row in rows for j in row], dtype=np.int32)
-    cards = np.arange(8, dtype=np.uint8) % 2
-    r = reconfig.ReconfigGraph(3, 3, np.arange(8, dtype=np.uint64), cards, indptr, indices,
-                               reconfig._component_labels(indptr, indices), empty=False)
-    assert not is_hamiltonian(r) and not dfs_hamiltonian(r)
+    # pass those checks all turn out Hamiltonian); m = 10 is at the order cap.
+    # Across a bridge at node 0 no path covers both cycles; across one far
+    # from node 0 paths do, and only the closing edge is missing
+    for m, far in itertools.product((4, 8, 10), (False, True)):
+        edges = [(i, (i + 1) % m) for i in range(m)]
+        edges += [(m + a, m + b) for a, b in edges] + [(m - 1, m) if far else (0, m + 1)]
+        order = 2 * m
+        rows = [sorted({b for a, b in edges if a == i} | {a for a, b in edges if b == i})
+                for i in range(order)]
+        indptr = np.cumsum([0] + [len(row) for row in rows])
+        indices = np.array([j for row in rows for j in row], dtype=np.int32)
+        cards = np.arange(order, dtype=np.uint8) % 2  # m is even: both bridges cross
+        r = reconfig.ReconfigGraph(5, 5, np.arange(order, dtype=np.uint64), cards, indptr,
+                                   indices, reconfig._component_labels(indptr, indices),
+                                   empty=False)
+        assert not is_hamiltonian(r) and not dfs_hamiltonian(r)
+
+
+def test_is_hamiltonian_dp_on_every_graph_up_to_4_vertices():
+    # most D_k(G) end at the parity, degree or connectivity check; count the
+    # ones that reach the search, which on these small graphs all say yes
+    reached = 0
+    for n in range(1, 5):
+        pairs = list(itertools.combinations(range(n), 2))
+        for chosen in itertools.product((False, True), repeat=len(pairs)):
+            g = graph_from_edges(n, itertools.compress(pairs, chosen))
+            for k in range(1, n + 1):
+                r = build(g, k)
+                if (r.order >= 3 and 2 * len(bipartition(r)[0]) == r.order
+                        and degree_extremes(r)[0] >= 2 and connected_components(r)[0] == 1):
+                    reached += 1
+                    assert is_hamiltonian(r)
+    assert reached == 38
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -242,6 +266,41 @@ def python_bfs(n: int, bits: list[int], a: int) -> dict[int, int]:
     return dist
 
 
+def python_components(n: int, bits: list[int]) -> tuple[int, tuple[int, ...]]:
+    """(component count, labels), components numbered by their smallest node."""
+    labels, count = {}, 0
+    for a in range(len(bits)):
+        if a not in labels:
+            labels.update(dict.fromkeys(python_bfs(n, bits, a), count))
+            count += 1
+    return count, tuple(labels[i] for i in range(len(bits)))
+
+
+# node 0's component is not all of D_3(G): the search from node 0 leaves four
+# components to label propagation
+LEFTOVER_G = graph_from_edges(10, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 6), (1, 2), (1, 6),
+                                   (1, 8), (3, 5), (4, 5), (5, 7), (5, 9), (7, 9), (8, 9)])
+
+
+def test_components_left_over_by_the_search_from_node_0():
+    r = build(LEFTOVER_G, 3)
+    assert r.order == 21
+    assert connected_components(r) == python_components(10, r.bits.tolist())
+    assert connected_components(r)[0] == 5
+    # edgeless: one component per node
+    assert connected_components(build(make_family("complete", 4), 1)) == (4, (0, 1, 2, 3))
+
+
+def test_distance_from_both_ends_equals_the_one_sided_search():
+    # across components (None), both depth parities, and a meeting on either side
+    for g, k in [(LEFTOVER_G, 3), (make_family("cycle", 5), 3), (ladder(2), 4)]:
+        r = build(g, k)
+        for a in range(r.order):
+            row = reconfig.distance_row(r, a)
+            for b in range(r.order):
+                assert distance(r, a, b) == (int(row[b]) if row[b] >= 0 else None)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(drawn_graphs(10), st.data())
 def test_arrays_match_the_definitions_on_drawn_graphs(g, data):
@@ -260,12 +319,7 @@ def test_arrays_match_the_definitions_on_drawn_graphs(g, data):
             assert np.array_equal(row, np.flatnonzero(pairwise[i]))
         assert (pairwise == pairwise.T).all() and r.size == pairwise.sum() // 2
         # components and distances against a breadth-first search in Python
-        labels, count = {}, 0
-        for a in range(r.order):
-            if a not in labels:
-                labels.update(dict.fromkeys(python_bfs(g.n, bits, a), count))
-                count += 1
-        assert connected_components(r) == (count, tuple(labels[i] for i in range(r.order)))
+        assert connected_components(r) == python_components(g.n, bits)
         for _ in range(3):
             a = data.draw(st.integers(0, r.order - 1))
             b = data.draw(st.integers(0, r.order - 1))
