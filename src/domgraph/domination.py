@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -211,12 +212,12 @@ def is_minimal_dominating(g: Graph, subset) -> bool:
     return True
 
 
-def _prune_bits(g: Graph, k: int) -> list[int]:
+def _prune_bits(g: Graph, k: int) -> np.ndarray:
     full = g.full_mask
     nbhd = g.closed_nbhd
     width = max(m.bit_count() for m in nbhd)  # the most vertices one member covers
     budget = 1 << ENUMERATION_CAP  # sets; the scan route returns at most as many
-    out: list[int] = []
+    out = array("Q")  # 8 bytes a set, where a list of ints takes about 71
 
     def expand(base: int, card: int, banned: int) -> None:
         # every superset of a dominating set dominates; list those within budget
@@ -259,7 +260,7 @@ def _prune_bits(g: Graph, k: int) -> list[int]:
             tried |= 1 << v
 
     branch(0, 0, 0, 0)
-    return out
+    return np.frombuffer(out, dtype=np.uint64)
 
 
 def enumerate_dominating(
@@ -292,7 +293,7 @@ def enumerate_dominating(
     if method is None:
         method = "scan" if g.n <= SCAN_LIMIT else "prune"
     if method == "prune":
-        bits = np.sort(np.array(_prune_bits(g, k), dtype=np.uint64))
+        bits = np.sort(_prune_bits(g, k))
     elif method == "scan":
         table = _table(g)
         bits = np.flatnonzero(table.dom & (table.cards <= k)).astype(np.uint64)

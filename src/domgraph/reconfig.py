@@ -112,8 +112,6 @@ def build(g: Graph, k: int | None = None, *, cap: int = ENUMERATION_CAP) -> Reco
 def _adjacency(bits: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     order = len(bits)
     indptr = np.zeros(order + 1, dtype=np.int64)
-    if not order:
-        return indptr, np.empty(0, dtype=np.int32)
     # column v: the id of bits ^ (1 << v), or the sentinel `order` when that set is
     # not a node; sorting each row puts the ids in order and the sentinels last
     nbr = np.empty((order, n), dtype=np.int32)
@@ -277,11 +275,9 @@ def euler_status(r: ReconfigGraph) -> str:
     """'eulerian', 'trail-only', or 'neither'.
 
     Connectivity plus the odd-degree count decides: 0 odd vertices gives a
-    closed tour, exactly 2 an open trail.  A single node is vacuously
-    eulerian; a disconnected graph is neither.
+    closed tour, exactly 2 an open trail, and a disconnected graph neither.
+    A single node and an empty D_k(G) (no odd degree) are vacuously eulerian.
     """
-    if r.order == 0:
-        return "eulerian"
     if _component_count(r) > 1:
         return "neither"
     odd = np.count_nonzero(r.degrees % 2)
@@ -301,20 +297,16 @@ def is_hamiltonian(r: ReconfigGraph) -> bool:
     broadcast lists every extension (S, w) by an end's neighbour w outside
     S; sorting the grown sets and OR-ing w's bit over each run of equal sets
     gives the next layer.  A cycle exists iff some end at the full set is
-    adjacent to node 0.  Exponential in the order, hence the cap.
-    D_k(G) is bipartite by cardinality parity, and a cycle alternates
-    parts, so parts of unequal size decide False before the search.
+    adjacent to node 0, so pendant nodes and split graphs need no check.
+    Exponential in the order, hence the cap.  Every edge changes the
+    cardinality parity, so parity classes of unequal size decide False first.
     """
     n = r.order
     if n > HAMILTONIAN_ORDER_CAP:
         raise TooLargeError(f"order {n} exceeds the Hamiltonian search cap {HAMILTONIAN_ORDER_CAP}")
-    if n < 3:
+    if n < 3:  # the search would take the 2-node path for a cycle
         return False
     if 2 * np.count_nonzero(r.cards % 2) != n:
-        return False
-    if r.degrees.min() < 2:
-        return False
-    if _component_count(r) > 1:
         return False
     bit = np.uint32(1) << np.arange(n, dtype=np.uint32)
     adj = np.zeros(n, dtype=np.uint32)  # adj[w]: the bitmask of w's neighbours

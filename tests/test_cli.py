@@ -42,6 +42,8 @@ def test_family_domain_error_exit_1(capsys):
 def test_missing_spec_exit_2(capsys):
     code, _, err = run(capsys, "family")
     assert code == 2
+    code, _, err = run(capsys, "family", "--family", "path")
+    assert (code, err) == (2, "usage error: --family needs --n\n")
 
 
 def test_conflicting_spec_exit_2(capsys):
@@ -71,6 +73,11 @@ def test_product_expression(capsys):
 def test_bad_product_expression(capsys):
     code, _, err = run(capsys, "family", "--product", "meet:path:2,path:2")
     assert code == 2
+    for expr, message in [("join:path:3", "product 'join:path:3' needs exactly two factors"),
+                          ("join:path,path:2", "bad factor 'path'; expected family:n"),
+                          ("join:path:x,path:2", "bad factor size 'x'")]:
+        code, out, err = run(capsys, "family", "--product", expr)
+        assert (code, out, err) == (2, "", f"usage error: {message}\n")
 
 
 def test_ladder_family(capsys):

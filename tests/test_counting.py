@@ -146,6 +146,8 @@ def test_closed_form_order_matches_recurrence():
         seq = order_sequence(family, 5000)
         for n in range(1, 5001):
             assert closed_form_order(family, n) == seq[n - 1]
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            closed_form_order(family, 0)
         # below n = 1 the form runs the recurrence backwards
         form = cubic_closed_form(family)
         for n in range(-5, 1):
@@ -254,6 +256,8 @@ def test_ladder_order_seeds_and_recurrence():
     assert orders[:6] == [3, 11, 41, 149, 547, 2007]
     for n in range(1, 9):
         assert orders[n - 1] == total_count(ladder(n))
+    with pytest.raises(ValueError, match="n_max must be >= 1"):
+        ladder_order(0)
 
 
 def test_triangle_rows_check_their_arguments_at_the_call():

@@ -70,6 +70,8 @@ def test_enumerate_k_validation():
         enumerate_dominating(g, 0)
     with pytest.raises(ValueError):
         enumerate_dominating(g, 5)
+    with pytest.raises(ValueError, match="unknown enumeration method 'bogus'"):
+        enumerate_dominating(g, method="bogus")
 
 
 def test_enumeration_cap():
@@ -140,6 +142,18 @@ def test_prune_route_on_a_ladder_above_the_table():
     # L_13 has 26 vertices; gamma = 7, and k = 9 lists 6,086 sets
     fam = enumerate_dominating(ladder(13), 9, cap=63, method="prune")
     assert len(fam) == 6086 and fam.by_card == ladder_counts(13)[:10]
+
+
+def test_prune_route_collects_8_bytes_a_set():
+    # the sets go into one uint64 buffer, not a list of Python ints (about 71 bytes a set)
+    tracemalloc.start()
+    try:
+        bits = domination._prune_bits(ladder(13), 9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert bits.dtype == np.uint64 and len(bits) == 6086
+    assert peak < 16 * len(bits)
 
 
 def test_refused_query_keeps_the_cached_table():
@@ -367,6 +381,7 @@ def test_family_makes_its_sets_on_first_use():
     assert len(fam) == 157305 and "sets" not in vars(fam)
     assert fam == enumerate_dominating(p20, method="prune")
     assert fam != enumerate_dominating(p20, 19) and fam != DomFamily(19, 20, fam.bits)
+    assert fam != fam.bits.tolist() and fam != 157305
     assert fam.sets[0] == VertexSubset(int(fam.bits[0])) and "sets" in vars(fam)
     assert not fam.bits.flags.writeable
 

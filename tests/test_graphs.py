@@ -65,6 +65,8 @@ def test_graph_rejects_self_loops_and_range():
         graph_from_edges(3, [(0, 0)])
     with pytest.raises(InvalidSizeError):
         graph_from_edges(3, [(0, 3)])
+    with pytest.raises(InvalidSizeError, match="at least one vertex"):
+        graph_from_edges(0, [])
 
 
 def test_join_of_two_singletons_is_k2():
@@ -185,6 +187,8 @@ def test_subset_bits_validation():
         subset_bits(g, 0b1000)
     with pytest.raises(InvalidSubsetError):
         subset_bits(g, [0])
+    with pytest.raises(InvalidSubsetError, match="nonnegative"):
+        VertexSubset(-1)
 
 
 def test_subset_card_matches_popcount():

@@ -124,6 +124,11 @@ def test_distance_unreachable_and_validation():
     assert distance(r, 0, 1) is None
     with pytest.raises(ValueError):
         distance(r, 0, 99)
+    with pytest.raises(ValueError):
+        reconfig.distance_row(r, r.order)
+    for bits in (0b111, 0b1000, -1):  # a set above k, one out of range, a negative
+        with pytest.raises(KeyError):
+            r.node_id(bits)
 
 
 def test_distance_two_characterization_small():
@@ -143,6 +148,11 @@ def test_euler_status():
     assert euler_status(build(make_family("path", 1))) == "eulerian"
     assert euler_status(build(make_family("path", 3))) == "trail-only"
     assert euler_status(build(make_family("complete", 3), 1)) == "neither"
+    # D_1(P_6) has no node (gamma(P_6) = 2): no component and no odd degree
+    empty = build(make_family("path", 6), 1)
+    assert euler_status(empty) == "eulerian"
+    assert empty.indptr.tolist() == [0]
+    assert empty.indices.dtype == np.int32 and empty.indices.size == 0
 
 
 def test_is_hamiltonian():
@@ -171,29 +181,37 @@ def dfs_hamiltonian(r) -> bool:
 
 
 def test_is_hamiltonian_search_finds_no_cycle_across_a_bridge():
-    # two m-cycles joined by one edge: parts of equal size, minimum degree 2
-    # and one component, so only the search can say no (small D_k(G) that
-    # pass those checks all turn out Hamiltonian); m = 10 is at the order cap.
-    # Across a bridge at node 0 no path covers both cycles; across one far
-    # from node 0 paths do, and only the closing edge is missing
-    for m, far in itertools.product((4, 8, 10), (False, True)):
-        edges = [(i, (i + 1) % m) for i in range(m)]
-        edges += [(m + a, m + b) for a, b in edges] + [(m - 1, m) if far else (0, m + 1)]
+    # parity parts of equal size and every edge crossing them, so only the
+    # search can say no; m = 10 is at the order cap.  Two m-cycles joined by
+    # one edge have minimum degree 2 and one component (small D_k(G) like
+    # that all turn out Hamiltonian): across a bridge at node 0 no path
+    # covers both cycles; across one far from node 0 paths do, and only the
+    # closing edge is missing.  Two disjoint m-cycles leave one unreached,
+    # and a pendant node, at node 0 or away from it, is a leaf of every path
+    for m in (4, 8, 10):
         order = 2 * m
-        rows = [sorted({b for a, b in edges if a == i} | {a for a, b in edges if b == i})
-                for i in range(order)]
-        indptr = np.cumsum([0] + [len(row) for row in rows])
-        indices = np.array([j for row in rows for j in row], dtype=np.int32)
-        cards = np.arange(order, dtype=np.uint8) % 2  # m is even: both bridges cross
-        r = reconfig.ReconfigGraph(5, 5, np.arange(order, dtype=np.uint64), cards, indptr,
-                                   indices, reconfig._component_labels(indptr, indices),
-                                   empty=False)
-        assert not is_hamiltonian(r) and not dfs_hamiltonian(r)
+        cycle = [(i, (i + 1) % m) for i in range(m)]
+        twins = cycle + [(m + a, m + b) for a, b in cycle]
+        # a cycle of order - 2 nodes and a two-node tail, whose end is the leaf
+        ring = [(i, (i + 1) % (order - 2)) for i in range(order - 2)]
+        tail_far = ring + [(1, order - 2), (order - 2, order - 1)]
+        tail_at_0 = [(a + 2, b + 2) for a, b in ring] + [(1, 2), (0, 1)]
+        for edges in (twins + [(0, m + 1)], twins + [(m - 1, m)], twins, tail_far, tail_at_0):
+            rows = [sorted({b for a, b in edges if a == i} | {a for a, b in edges if b == i})
+                    for i in range(order)]
+            indptr = np.cumsum([0] + [len(row) for row in rows])
+            indices = np.array([j for row in rows for j in row], dtype=np.int32)
+            cards = np.arange(order, dtype=np.uint8) % 2  # m is even: every edge crosses
+            r = reconfig.ReconfigGraph(5, 5, np.arange(order, dtype=np.uint64), cards, indptr,
+                                       indices, reconfig._component_labels(indptr, indices),
+                                       empty=False)
+            assert not is_hamiltonian(r) and not dfs_hamiltonian(r)
 
 
 def test_is_hamiltonian_dp_on_every_graph_up_to_4_vertices():
-    # most D_k(G) end at the parity, degree or connectivity check; count the
-    # ones that reach the search, which on these small graphs all say yes
+    # on these small graphs, the D_k(G) with parity parts of equal size,
+    # minimum degree 2 and one component are all Hamiltonian; the search must
+    # say yes on those and no on every other
     reached = 0
     for n in range(1, 5):
         pairs = list(itertools.combinations(range(n), 2))
@@ -201,10 +219,10 @@ def test_is_hamiltonian_dp_on_every_graph_up_to_4_vertices():
             g = graph_from_edges(n, itertools.compress(pairs, chosen))
             for k in range(1, n + 1):
                 r = build(g, k)
-                if (r.order >= 3 and 2 * len(bipartition(r)[0]) == r.order
-                        and degree_extremes(r)[0] >= 2 and connected_components(r)[0] == 1):
-                    reached += 1
-                    assert is_hamiltonian(r)
+                necessary = (r.order >= 3 and 2 * len(bipartition(r)[0]) == r.order
+                             and degree_extremes(r)[0] >= 2 and connected_components(r)[0] == 1)
+                reached += necessary
+                assert is_hamiltonian(r) == necessary
     assert reached == 38
 
 
