@@ -15,6 +15,7 @@ from typing import Iterable, Iterator
 from . import counting, domination, reconfig, verify
 from .errors import DomGraphError
 from .graphs import (
+    FAMILY_KINDS,
     Graph,
     cartesian,
     corona,
@@ -33,7 +34,7 @@ class UsageError(Exception):
 
 PRODUCT_OPS = {"join": join, "corona": corona, "cartesian": cartesian}
 # the --family choices and the product factor kinds
-_FAMILIES = ("path", "cycle", "complete", "empty", "ladder")
+_FAMILIES = (*FAMILY_KINDS, "ladder")
 
 
 def _family_graph(kind: str, n: int) -> Graph:

@@ -279,10 +279,11 @@ def enumerate_dominating(
     NumPy 2.4:
 
         case         prune              scan
-        P_22, k=22   2.64 s   / 188 MB  1.49 s  / 180 MB
-        P_24, k=12   0.69 s   /  57 MB  0.38 s  / 126 MB
-        P_24, k=9    0.0024 s /  31 MB  0.10 s  / 126 MB
-        C_24, k=10   0.040 s  /  32 MB  0.115 s / 126 MB
+        P_22, k=22   1.99 s   / 137 MB  0.57 s   / 153 MB
+        P_24, k=12   0.49 s   /  53 MB  0.31 s   / 126 MB
+        P_24, k=9    0.0029 s /  31 MB  0.087 s  / 126 MB
+        C_24, k=10   0.043 s  /  32 MB  0.105 s  / 126 MB
+        P_20, k=7    0.0010 s /  31 MB  0.0073 s /  37 MB
     """
     if k is None:
         k = g.n

@@ -71,7 +71,9 @@ class ReconfigGraph:
 
     @cached_property
     def degrees(self) -> np.ndarray:
-        return np.diff(self.indptr)
+        degrees = np.diff(self.indptr)
+        degrees.flags.writeable = False
+        return degrees
 
     @cached_property
     def nodes(self) -> DomFamily:

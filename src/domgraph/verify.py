@@ -52,13 +52,13 @@ def _pairs_record(check, rng, triples, note="", mismatch_status="fail"):
 
 def _over_n(check, items, lo, hi, claim, observe, *, parity="", note="", mismatch_status="fail"):
     """Build a record over the n of items in lo..hi (only odd or even n when
-    parity says so), pairing claim(n) with observe(n, items[n]); the range
+    parity says so), pairing claim(n) with observe(items[n]); the range
     label is written from the same bounds."""
     rest = {"odd": 1, "even": 0}.get(parity)
     return _pairs_record(
         check, f"{parity} n, {lo}<=n<={hi}" if parity else f"{lo}<=n<={hi}",
         [
-            (n, claim(n), observe(n, item)) for n, item in items.items()
+            (n, claim(n), observe(item)) for n, item in items.items()
             if lo <= n <= hi and (rest is None or n % 2 == rest)
         ],
         note=note, mismatch_status=mismatch_status,
@@ -73,33 +73,30 @@ def suite_complete(max_n: int = 12) -> list[CheckRecord]:
     hi = min(max_n, 12)
     built = {n: reconfig.build(make_family("complete", n)) for n in range(1, hi + 1)}
     records = [
-        _over_n("complete/order", built, 1, hi, lambda n: 2**n - 1, lambda n, r: r.order),
-        _over_n("complete/size", built, 1, hi, lambda n: n * (2 ** (n - 1) - 1),
-                lambda n, r: r.size),
+        _over_n("complete/order", built, 1, hi, lambda n: 2**n - 1, lambda r: r.order),
+        _over_n("complete/size", built, 1, hi, lambda n: n * (2 ** (n - 1) - 1), lambda r: r.size),
         _over_n("complete/bipartition", built, 1, hi, lambda n: [2 ** (n - 1), 2 ** (n - 1) - 1],
-                lambda n, r: [len(p) for p in reconfig.bipartition(r)],
+                lambda r: [len(p) for p in reconfig.bipartition(r)],
                 note="parts are the odd- and even-cardinality dominating sets"),
         _over_n("complete/min-degree", built, 1, hi, lambda n: n - 1,
-                lambda n, r: reconfig.degree_extremes(r)[0]),
+                lambda r: reconfig.degree_extremes(r)[0]),
         _over_n("complete/max-degree", built, 2, hi, lambda n: n,
-                lambda n, r: reconfig.degree_extremes(r)[1],
+                lambda r: reconfig.degree_extremes(r)[1],
                 note="D_1(K_1) is a single node with degree 0, excluded"),
         _over_n("complete/degree-n-1-count", built, 1, hi, lambda n: n,
-                lambda n, r: int(np.count_nonzero(r.degrees == n - 1)),
+                lambda r: int(np.count_nonzero(r.degrees == r.base_n - 1)),
                 note="exactly the n singletons have degree n-1"),
-        _over_n("complete/non-regularity", built, 2, hi, lambda n: False,
-                lambda n, r: reconfig.is_regular(r)),
-        _over_n("complete/bipartite-edges-cross", built, 1, hi, lambda n: 0,
-                lambda n, r: parity_violations(r)),
+        _over_n("complete/non-regularity", built, 2, hi, lambda n: False, reconfig.is_regular),
+        _over_n("complete/bipartite-edges-cross", built, 1, hi, lambda n: 0, parity_violations),
         _over_n("complete/euler", built, 3, min(hi, 10), lambda n: "neither",
-                lambda n, r: reconfig.euler_status(r)),
+                reconfig.euler_status),
     ]
     ham = _over_n("complete/hamiltonian", built, 1, min(hi, 4), lambda n: False,
-                  lambda n, r: reconfig.is_hamiltonian(r))
+                  reconfig.is_hamiltonian)
     records.append(replace(ham, range=f"{ham.range} (order <= {reconfig.HAMILTONIAN_ORDER_CAP})"))
 
-    def complement(n, _):
-        r1 = reconfig.build(make_family("complete", n), 1)
+    def complement(r):
+        r1 = reconfig.build(make_family("complete", r.base_n), 1)
         return [r1.size, reconfig.connected_components(r1)[0]]
 
     records.append(_over_n(
@@ -123,14 +120,11 @@ def parity_violations(r: reconfig.ReconfigGraph) -> int:
 UPPER_GAMMA = {"path": lambda n: math.ceil(n / 2), "cycle": lambda n: n // 2}
 
 
-def _upper_gamma_sets(n: int, g: Graph) -> int:
-    return domination.count_maximal_minimal_sets(g)
-
-
 def _upper_gamma_sets_by_prune(g: Graph) -> int:
-    """The same count as _upper_gamma_sets, observed without the subset
-    table: the prune route lists the dominating sets, is_minimal_dominating
-    keeps the minimal ones, and those of the largest cardinality count."""
+    """The same count as domination.count_maximal_minimal_sets, observed
+    without the subset table: the prune route lists the dominating sets,
+    is_minimal_dominating keeps the minimal ones, and those of the largest
+    cardinality count."""
     family = domination.enumerate_dominating(g, g.n, method="prune")
     cards = [b.bit_count() for b in family.bits.tolist() if domination.is_minimal_dominating(g, b)]
     return cards.count(max(cards))
@@ -148,17 +142,17 @@ def suite_paths(max_n: int = 12) -> list[CheckRecord]:
 
     records = [
         _over_n("path/gamma", paths, 1, enum_hi, lambda n: math.ceil(n / 3),
-                lambda n, g: domination.domination_number(g)),
+                domination.domination_number),
         _over_n("path/upper-gamma", paths, 1, enum_hi, UPPER_GAMMA["path"],
-                lambda n, g: domination.upper_domination_number(g)),
+                domination.upper_domination_number),
         _over_n("path/gamma-set-count", paths, 1, enum_hi, lambda n: gamma_sets[n % 3](n // 3),
-                lambda n, g: domination.count_minimum_sets(g),
+                domination.count_minimum_sets,
                 note="1 / (k^2+5k+2)/2 / k+2 for n = 3k, 3k+1, 3k+2"),
         _over_n("path/upper-gamma-set-count/odd", paths, 1, enum_hi, lambda n: 1,
-                _upper_gamma_sets, parity="odd"),
+                domination.count_maximal_minimal_sets, parity="odd"),
         _over_n(
             "path/upper-gamma-set-count/even", paths, 6, enum_hi, lambda n: 2,
-            _upper_gamma_sets, parity="even", mismatch_status="erratum",
+            domination.count_maximal_minimal_sets, parity="even", mismatch_status="erratum",
             note="claimed: exactly the two alternating sets; refuted by exhaustive "
             "enumeration, e.g. {1,4,5} and {1,3,6} are also maximum minimal "
             "dominating sets of P_6 (counts grow: 6, 9, 12, 16, ...)",
@@ -166,13 +160,13 @@ def suite_paths(max_n: int = 12) -> list[CheckRecord]:
     ]
     records.append(_pairs_record(
         "path/upper-gamma-set-count/small-even", "n in {2, 4}",
-        [(n, _upper_gamma_sets_by_prune(paths[n]), _upper_gamma_sets(n, paths[n]))
-         for n in (2, 4) if n <= enum_hi],
+        [(n, _upper_gamma_sets_by_prune(g), domination.count_maximal_minimal_sets(g))
+         for n, g in paths.items() if n in (2, 4)],
         note="no closed count claimed for P_4; brute-force values reported",
     ))
     records.append(_over_n(
         "path/triangle", paths, 1, enum_hi, lambda n: list(table.row(n)),
-        lambda n, g: list(domination.count_by_cardinality(g)),
+        lambda g: list(domination.count_by_cardinality(g)),
         note="three-term recurrence vs exhaustive enumeration, entrywise",
     ))
     records.append(_order_record("path", paths, enum_hi))
@@ -211,7 +205,7 @@ def _order_record(family: str, graphs: dict[int, Graph], enum_hi: int) -> CheckR
     seq = counting.order_sequence(family, enum_hi)
     return _over_n(
         f"{family}/order-tribonacci", graphs, min(graphs), enum_hi,
-        lambda n: seq[n - 1], lambda n, g: domination.total_count(g),
+        lambda n: seq[n - 1], domination.total_count,
         note="seeds " + ", ".join(map(str, counting.order_sequence(family, 3))),
     )
 
@@ -313,17 +307,17 @@ def _structure_records(family: str, built: dict[int, reconfig.ReconfigGraph],
     lo = min(built)
     return [
         _over_n(f"{family}/connected", built, lo, struct_hi, lambda n: 1,
-                lambda n, r: reconfig.connected_components(r)[0]),
+                lambda r: reconfig.connected_components(r)[0]),
         _over_n(f"{family}/max-degree", built, max(lo, 2), struct_hi, lambda n: n,
-                lambda n, r: reconfig.degree_extremes(r)[1],
+                lambda r: reconfig.degree_extremes(r)[1],
                 note="n=1 is a single node" if family == "path" else ""),
         _over_n(f"{family}/min-degree", built, lo, struct_hi, lambda n: n - UPPER_GAMMA[family](n),
-                lambda n, r: reconfig.degree_extremes(r)[0],
+                lambda r: reconfig.degree_extremes(r)[0],
                 note="minimum degree is n - Gamma, attained at the Gamma-sets"),
         _over_n(f"{family}/bipartite-edges-cross", built, lo, struct_hi, lambda n: 0,
-                lambda n, r: parity_violations(r)),
+                parity_violations),
         _over_n(f"{family}/non-regularity", built, max(lo, 2), struct_hi, lambda n: False,
-                lambda n, r: reconfig.is_regular(r)),
+                reconfig.is_regular),
     ]
 
 
@@ -339,16 +333,16 @@ def suite_cycles(max_n: int = 12) -> list[CheckRecord]:
 
     records = [
         _over_n("cycle/upper-gamma", cycles, 3, enum_hi, UPPER_GAMMA["cycle"],
-                lambda n, g: domination.upper_domination_number(g)),
+                domination.upper_domination_number),
         _over_n(
             "cycle/upper-gamma-set-count/odd", cycles, 3, enum_hi, lambda n: n,
-            _upper_gamma_sets, parity="odd", mismatch_status="erratum",
+            domination.count_maximal_minimal_sets, parity="odd", mismatch_status="erratum",
             note="claimed: the n rotations of the alternating pattern; refuted by "
             "exhaustive enumeration from n=7 on (C_7 has 14, C_9 has 18, ...)",
         ),
         _over_n(
             "cycle/upper-gamma-set-count/even", cycles, 6, enum_hi, lambda n: 2,
-            _upper_gamma_sets, parity="even", mismatch_status="erratum",
+            domination.count_maximal_minimal_sets, parity="even", mismatch_status="erratum",
             note="claimed: two; holds for n = 2 mod 4 but fails for n = 0 mod 4 "
             "(C_8 and C_12 have 6)",
         ),
@@ -356,12 +350,13 @@ def suite_cycles(max_n: int = 12) -> list[CheckRecord]:
     if 4 <= enum_hi:
         records.append(_pairs_record(
             "cycle/upper-gamma-set-count/C4", "n=4",
-            [(4, _upper_gamma_sets_by_prune(cycles[4]), _upper_gamma_sets(4, cycles[4]))],
+            [(4, _upper_gamma_sets_by_prune(cycles[4]),
+              domination.count_maximal_minimal_sets(cycles[4]))],
             note="no closed count claimed for C_4; brute-force value reported",
         ))
     records.append(_over_n(
         "cycle/triangle", cycles, 3, enum_hi, lambda n: list(table.row(n)),
-        lambda n, g: list(domination.count_by_cardinality(g)),
+        lambda g: list(domination.count_by_cardinality(g)),
         note="three-term recurrence from enumerated base rows C_3..C_5",
     ))
     records.append(_order_record("cycle", cycles, enum_hi))
@@ -400,49 +395,36 @@ def family_pool(max_size: int):
 
 
 def suite_products(max_n: int = 12) -> list[CheckRecord]:
-    records = []
     pool = family_pool(max_n - 1)
     totals = {name: domination.total_count(g) for name, g in pool}
 
-    join_triples = []
-    for i, (name_g, g) in enumerate(pool):
-        for name_h, h in pool[i:]:
-            if g.n + h.n > max_n:
-                continue
-            formula = counting.join_order(g.n, h.n, totals[name_g], totals[name_h])
-            join_triples.append(
-                (f"{name_g}+{name_h}", formula, domination.total_count(join(g, h)))
-            )
-    records.append(_pairs_record(
-        "product/join", f"p+q<={max_n}",
-        join_triples,
-        note=f"(2^p-1)(2^q-1) + d(G) + d(H) over {len(join_triples)} family pairs",
-    ))
+    def product_record(check, rng, note, pairs, op):
+        """The claimed order against the count of op(g, h) over the (label,
+        claim, g, h) pairs; note is formatted with their number."""
+        triples = [(label, claim, domination.total_count(op(g, h))) for label, claim, g, h in pairs]
+        return _pairs_record(check, rng, triples, note=note.format(len(triples)))
 
-    corona_triples = []
-    for name_g, g in pool:
-        for name_h, h in pool:
-            if g.n * (1 + h.n) > max_n:
-                continue
-            formula = counting.corona_order(g.n, h.n, totals[name_h])
-            corona_triples.append(
-                (f"{name_g}o{name_h}", formula, domination.total_count(corona(g, h)))
-            )
-    records.append(_pairs_record(
-        "product/corona", f"p(1+q)<={max_n}",
-        corona_triples,
-        note=f"(2^q + d(H))^p over {len(corona_triples)} ordered family pairs",
-    ))
-
+    records = [
+        product_record(
+            "product/join", f"p+q<={max_n}", "(2^p-1)(2^q-1) + d(G) + d(H) over {} family pairs",
+            [(f"{a}+{b}", counting.join_order(g.n, h.n, totals[a], totals[b]), g, h)
+             for i, (a, g) in enumerate(pool) for b, h in pool[i:] if g.n + h.n <= max_n],
+            join,
+        ),
+        product_record(
+            "product/corona", f"p(1+q)<={max_n}", "(2^q + d(H))^p over {} ordered family pairs",
+            [(f"{a}o{b}", counting.corona_order(g.n, h.n, totals[b]), g, h)
+             for a, g in pool for b, h in pool if g.n * (1 + h.n) <= max_n],
+            corona,
+        ),
+    ]
     ladder_hi = min(max_n // 2, 10)
-    if ladder_hi >= 1:
-        orders = counting.ladder_order(ladder_hi)
-        ladders = {n: ladder(n) for n in range(1, ladder_hi + 1)}
-        records.append(_over_n(
-            "product/ladder", ladders, 1, ladder_hi,
-            lambda n: orders[n - 1], lambda n, g: domination.total_count(g),
-            note="five-term recurrence from brute-forced seeds for L_1..L_5",
-        ))
+    orders = counting.ladder_order(ladder_hi)
+    ladders = {n: ladder(n) for n in range(1, ladder_hi + 1)}
+    records.append(_over_n(
+        "product/ladder", ladders, 1, ladder_hi, lambda n: orders[n - 1], domination.total_count,
+        note="five-term recurrence from brute-forced seeds for L_1..L_5",
+    ))
     return records
 
 

@@ -92,6 +92,17 @@ def test_is_regular():
     assert not is_regular(build(make_family("path", 4)))
 
 
+def test_every_array_the_graph_hands_out_refuses_a_write():
+    r = build(make_family("path", 5))
+    arrays = {"bits": r.bits, "cards": r.cards, "indptr": r.indptr, "indices": r.indices,
+              "component": r.component, "degrees": r.degrees, "nodes.bits": r.nodes.bits}
+    for name, a in arrays.items():
+        with pytest.raises(ValueError, match="read-only"):
+            a[:] = 3
+        assert not a.flags.writeable, name
+    assert degree_extremes(r) == (2, 5) and not is_regular(r)
+
+
 def test_empty_graph_ops_raise():
     r = build(make_family("path", 9), 2)  # gamma(P_9) = 3
     assert r.empty and r.order == 0
