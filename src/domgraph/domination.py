@@ -9,8 +9,10 @@ Two independent enumeration routes exist on purpose:
   vertices, so at k = n the cut never fires).  Already-tried candidates
   are excluded on later branches, so each dominating set is generated
   exactly once and work follows the output, far below 2^n for sparse
-  graphs at small k.  It raises TooLargeError before it lists more than
-  2^24 sets, the most the scan route returns.
+  graphs at small k.  A parent decides each child: one that dominates
+  goes straight to the listing of its supersets, and only one that
+  passes the cut is searched.  It raises TooLargeError before it lists
+  more than 2^24 sets, the most the scan route returns.
 
 Both return the identical DomFamily, sorted by (cardinality, bitmask
 value); the test suite holds them to that.  ``enumerate_dominating`` is the
@@ -23,10 +25,14 @@ The counting operations read the same table.  It builds the coverage of
 every subset by doubling (subsets of {0..v} are those of {0..v-1} with and
 without v), keeps only the boolean dominating mask, and fills popcounts and
 the minimal mask on first use.  The last graph's table is kept, so queries
-on one graph (or on equal graphs) build it once.  The table refuses graphs
-above ENUMERATION_CAP = 24 vertices with TooLargeError, whatever the query
-or route.  enumerate_dominating and reconfig.build also take a ``cap`` on n
-(default 24); only the prune route can use a larger one.
+on one graph (or on equal graphs) build it once.  The last prune-route
+family is kept the same way: a prune-route call on an equal graph with no
+larger k returns the kept family's first sets, those with at most k
+members, so reconfig.build after enumerate_dominating searches once.  The
+table refuses graphs above ENUMERATION_CAP = 24 vertices with
+TooLargeError, whatever the query or route.  enumerate_dominating and
+reconfig.build also take a ``cap`` on n (default 24); only the prune route
+can use a larger one.
 
 A DomFamily holds the bitmask array and makes VertexSubset objects only
 when ``sets`` is read.  Its JSON, and the labels of reconfig's exports, come
@@ -38,6 +44,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
@@ -183,6 +190,25 @@ def _table(g: Graph) -> SubsetTable:
     return table
 
 
+def _family(n: int, k: int, bits: np.ndarray) -> DomFamily:
+    # bits is sorted by value; a stable sort by cardinality keeps that inside each block
+    return DomFamily(n, k, bits[np.argsort(np.bitwise_count(bits), kind="stable")])
+
+
+_last_family: tuple = (None, None)  # (graph, DomFamily) of the last prune-route search
+
+
+def _prune_family(g: Graph, k: int) -> DomFamily:
+    global _last_family
+    graph, family = _last_family
+    if graph != g or family.k < k:
+        _last_family = (None, None)  # free the previous family before searching again
+        family = _family(g.n, k, np.sort(_prune_bits(g, k)))
+        _last_family = (g, family)
+    # sorted by cardinality, so the sets with at most k members come first
+    return DomFamily(g.n, k, family.bits[: sum(family.by_card[: k + 1])])
+
+
 def is_dominating(g: Graph, subset) -> bool:
     """True iff the union of closed neighborhoods over the subset is V."""
     bits = subset_bits(g, subset)
@@ -222,7 +248,7 @@ def _prune_bits(g: Graph, k: int) -> np.ndarray:
     def expand(base: int, card: int, banned: int) -> None:
         # every superset of a dominating set dominates; list those within budget
         free = []  # the bits of the vertices that may join base
-        m = full & ~(base | banned)
+        m = full & ~(base | banned) if card < k else 0
         while m:
             free.append(m & -m)
             m &= m - 1
@@ -240,26 +266,26 @@ def _prune_bits(g: Graph, k: int) -> np.ndarray:
             # distinct bits, so their sum is their union
             out.extend(base | sum(combo) for combo in itertools.combinations(free, extra))
 
-    def branch(chosen: int, card: int, banned: int, covered: int) -> None:
-        if covered == full:
-            expand(chosen, card, banned)
-            return
-        miss = full & ~covered
-        if (k - card) * width < miss.bit_count():
-            return  # each of the k - card members left covers at most width of miss
+    def branch(chosen: int, card: int, banned: int, miss: int) -> None:
+        # miss is not empty, and the k - card members left can cover it
         u = (miss & -miss).bit_length() - 1
+        reach = (k - card - 1) * width  # the most a child's remaining members cover
         # u must be covered by a not-yet-banned member of N[u]; trying the
         # candidates in order and banning earlier ones partitions the space
-        cand = nbhd[u] & ~banned
         tried = 0
-        m = cand
+        m = nbhd[u] & ~banned
         while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            branch(chosen | (1 << v), card + 1, banned | tried, covered | nbhd[v])
-            tried |= 1 << v
+            low = m & -m
+            m ^= low
+            left = miss & ~nbhd[low.bit_length() - 1]
+            if not left:
+                expand(chosen | low, card + 1, banned | tried)
+            elif left.bit_count() <= reach:
+                branch(chosen | low, card + 1, banned | tried, left)
+            tried |= low
 
-    branch(0, 0, 0, 0)
+    if k * width >= g.n:  # else k members cannot cover V
+        branch(0, 0, 0, full)
     return np.frombuffer(out, dtype=np.uint64)
 
 
@@ -272,36 +298,36 @@ def enumerate_dominating(
     prune above it.  At n <= 20 the subset table holds at most 6 MB and the
     scan takes a few ms at any k, while the prune route's time follows the
     output: the scan wins at k = n and the prune route near gamma (P_20,
-    best of 3 in one process: scan 5 ms against prune 0.27 s at k=20, scan
-    2 ms against prune 0.1 ms at k=7).  Above 20 the table grows to about
-    100 MB more peak RSS by n = 24, and at small k the scan loses by more.
+    enumerate_dominating in a fresh process, median of 5, table build
+    included: scan 10 ms against prune 0.24 s at k=20, scan 9 ms against
+    prune 0.3 ms at k=7).  Above 20 the table grows to about 100 MB more
+    peak RSS by n = 24, and at small k the scan loses by more.
     reconfig.build in a fresh process (median of 5), 2 cores, Python 3.11,
     NumPy 2.4:
 
         case         prune              scan
-        P_22, k=22   1.99 s   / 137 MB  0.57 s   / 153 MB
-        P_24, k=12   0.49 s   /  53 MB  0.31 s   / 126 MB
-        P_24, k=9    0.0029 s /  31 MB  0.087 s  / 126 MB
-        C_24, k=10   0.043 s  /  32 MB  0.105 s  / 126 MB
-        P_20, k=7    0.0010 s /  31 MB  0.0073 s /  37 MB
+        P_22, k=22   1.34 s   / 137 MB  0.57 s   / 153 MB
+        P_24, k=12   0.40 s   /  53 MB  0.31 s   / 126 MB
+        P_24, k=9    0.0014 s /  31 MB  0.087 s  / 126 MB
+        C_24, k=10   0.018 s  /  32 MB  0.105 s  / 126 MB
+        P_20, k=7    0.0009 s /  31 MB  0.0073 s /  37 MB
     """
-    if k is None:
-        k = g.n
-    if not 1 <= k <= g.n:
-        raise ValueError(f"cardinality bound k={k} must satisfy 1 <= k <= {g.n}")
+    try:
+        k = g.n if k is None else operator.index(k)  # NumPy integers too
+    except TypeError:
+        pass  # not an integer: refused below
+    if not (isinstance(k, int) and 1 <= k <= g.n):
+        raise ValueError(f"cardinality bound k={k!r} must satisfy 1 <= k <= {g.n}")
     if g.n > cap:
         raise TooLargeError(f"n={g.n} exceeds the enumeration cap {cap}; pass cap= to override")
     if method is None:
         method = "scan" if g.n <= SCAN_LIMIT else "prune"
     if method == "prune":
-        bits = np.sort(_prune_bits(g, k))
-    elif method == "scan":
-        table = _table(g)
-        bits = np.flatnonzero(table.dom & (table.cards <= k)).astype(np.uint64)
-    else:
+        return _prune_family(g, k)
+    if method != "scan":
         raise ValueError(f"unknown enumeration method {method!r}")
-    # bits is sorted by value; a stable sort by cardinality keeps that inside each block
-    return DomFamily(g.n, k, bits[np.argsort(np.bitwise_count(bits), kind="stable")])
+    table = _table(g)
+    return _family(g.n, k, np.flatnonzero(table.dom & (table.cards <= k)).astype(np.uint64))
 
 
 def count_by_cardinality(g: Graph) -> tuple[int, ...]:

@@ -8,6 +8,7 @@ vertices, so any vertex subset fits one machine word as a bitmask.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -200,13 +201,14 @@ class VertexSubset:
 
 
 def subset_bits(g: Graph, subset) -> int:
-    """Normalize a subset (VertexSubset, bitmask int, or iterable of 1-based
-    labels) to a bitmask, validating it against g's vertex range."""
+    """Normalize a subset (VertexSubset, bitmask integer such as a NumPy
+    uint64, or iterable of 1-based labels) to a bitmask, validating it
+    against g's vertex range."""
     if isinstance(subset, VertexSubset):
-        bits = subset.bits
-    elif isinstance(subset, int):
-        bits = subset
-    else:
+        subset = subset.bits
+    try:
+        bits = operator.index(subset)
+    except TypeError:
         bits = VertexSubset.from_vertices(subset).bits
     if bits < 0 or bits > g.full_mask:
         raise InvalidSubsetError(

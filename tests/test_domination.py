@@ -24,6 +24,7 @@ from domgraph import (
 from domgraph import cycle_triangle, domination, path_triangle
 from domgraph.domination import DomFamily, SubsetTable, subset_texts
 from domgraph.graphs import VertexSubset, graph_from_edges, ladder
+from domgraph.reconfig import build
 from domgraph.verify import labeled_graph_sweep
 
 
@@ -52,6 +53,18 @@ def test_is_minimal_dominating_examples():
     assert is_minimal_dominating(make_family("cycle", 4), [1, 3])
 
 
+def test_numpy_bitmasks_are_subsets():
+    # the uint64 elements of a family's and of D_k(G)'s bits arrays
+    c6 = make_family("cycle", 6)
+    fam = enumerate_dominating(c6, 4)
+    assert all(is_dominating(c6, b) for b in fam.bits)
+    assert all(is_dominating(c6, b) for b in build(c6, 3).bits)
+    assert [is_minimal_dominating(c6, b) for b in fam.bits[:2]] == [True, True]
+    assert not is_minimal_dominating(c6, fam.bits[-1])  # a 4-set of C_6 is never minimal
+    with pytest.raises(InvalidSubsetError):
+        is_dominating(c6, np.uint64(1 << 6))
+
+
 def test_enumerate_p3_exact_order():
     fam = enumerate_dominating(make_family("path", 3), 3)
     assert fam.to_json_obj() == [[2], [1, 2], [1, 3], [2, 3], [1, 2, 3]]
@@ -72,6 +85,12 @@ def test_enumerate_k_validation():
         enumerate_dominating(g, 5)
     with pytest.raises(ValueError, match="unknown enumeration method 'bogus'"):
         enumerate_dominating(g, method="bogus")
+    # k is read as an index: NumPy integers pass, a float does not, on either route
+    for method in ("scan", "prune"):
+        fam = enumerate_dominating(g, np.int64(3), method=method)
+        assert type(fam.k) is int and fam.by_card == (0, 0, 4, 4)
+        with pytest.raises(ValueError, match="k=3.0 must satisfy"):
+            enumerate_dominating(g, 3.0, method=method)
 
 
 def test_enumeration_cap():
@@ -154,6 +173,49 @@ def test_prune_route_collects_8_bytes_a_set():
         tracemalloc.stop()
     assert bits.dtype == np.uint64 and len(bits) == 6086
     assert peak < 16 * len(bits)
+
+
+def count_searches(monkeypatch) -> list:
+    """Empty the kept prune family and record each (n, k) the prune search runs on."""
+    calls = []
+    prune_bits = domination._prune_bits
+
+    def counted(g, k):
+        calls.append((g.n, k))
+        return prune_bits(g, k)
+
+    monkeypatch.setattr(domination, "_prune_bits", counted)
+    monkeypatch.setattr(domination, "_last_family", (None, None))
+    return calls
+
+
+def test_prune_route_keeps_the_last_family(monkeypatch):
+    row = path_triangle(9).row(9)  # its seeds come from the prune route, so before counting
+    calls = count_searches(monkeypatch)
+    p9, c9 = make_family("path", 9), make_family("cycle", 9)
+    p9_again = graph_from_edges(9, [(i + 1, i) for i in reversed(range(8))])
+    enumerate_dominating(p9, 5, method="prune")
+    # an equal graph at the same or a smaller k reads the kept family
+    for k in (5, 3, 4):
+        assert enumerate_dominating(p9_again, k, method="prune").by_card == row[: k + 1]
+    assert calls == [(9, 5)]
+    # a larger k and a different graph search again
+    enumerate_dominating(p9, 6, method="prune")
+    enumerate_dominating(c9, 4, method="prune")
+    assert calls == [(9, 5), (9, 6), (9, 4)]
+    # the scan route reads the subset table, not the kept family, and keeps it
+    monkeypatch.setattr(domination, "_last_table", (None, None))
+    assert enumerate_dominating(c9, 3, method="scan") == enumerate_dominating(c9, 3, method="prune")
+    assert domination._last_table[0] == c9 and len(calls) == 3
+
+
+def test_build_reads_the_kept_prune_family(monkeypatch):
+    calls = count_searches(monkeypatch)
+    p28 = make_family("path", 28)  # above SCAN_LIMIT, so build takes the prune route
+    fam = enumerate_dominating(p28, 11, cap=63, method="prune")
+    for k in (11, 10):
+        assert np.array_equal(build(p28, k, cap=63).bits, fam.bits[: sum(fam.by_card[: k + 1])])
+    assert calls == [(28, 11)]
 
 
 def test_refused_query_keeps_the_cached_table():
@@ -327,6 +389,19 @@ def test_subset_table_on_drawn_graphs(g):
 def test_scan_equals_prune_on_drawn_graphs(g, data):
     k = data.draw(st.integers(1, g.n))
     assert enumerate_dominating(g, k, method="scan") == enumerate_dominating(g, k, method="prune")
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(drawn_graphs(9))
+def test_kept_prune_family_answers_every_smaller_k(g):
+    fresh = {}
+    for k in range(1, g.n + 1):
+        domination._last_family = (None, None)
+        fresh[k] = enumerate_dominating(g, k, method="prune")
+    for top in range(1, g.n + 1):
+        enumerate_dominating(g, top, method="prune")
+        for k in range(1, top + 1):
+            assert enumerate_dominating(g, k, method="prune") == fresh[k]
 
 
 @st.composite

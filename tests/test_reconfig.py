@@ -251,6 +251,14 @@ def test_default_k_is_n():
     assert r.k == 4
 
 
+def test_k_is_read_as_an_integer():
+    p4 = make_family("path", 4)
+    r = build(p4, np.uint8(3))
+    assert type(r.k) is int and np.array_equal(r.bits, build(p4, 3).bits)
+    with pytest.raises(ValueError, match="k=3.5 must satisfy"):
+        build(p4, 3.5)
+
+
 def test_edgeless_base_graph_gives_single_regular_node():
     # only the full vertex set dominates O_n, so D_n(O_n) is one node
     r = build(make_family("empty", 4))
@@ -368,6 +376,7 @@ def test_id_map_adjacency_equals_searchsorted_adjacency(g):
 
 def test_default_route_depends_on_n(monkeypatch):
     monkeypatch.setattr(domination, "_last_table", (None, None))
+    monkeypatch.setattr(domination, "_last_family", (None, None))
     # above the limit, prune: its peak stays far below the 2^22-entry table
     p22 = make_family("path", 22)
     tracemalloc.start()

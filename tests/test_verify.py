@@ -207,6 +207,7 @@ def test_small_upper_gamma_set_counts_can_fail(monkeypatch):
 def clear_seeds():
     counting._base_rows.cache_clear()
     counting._ladder_seeds.cache_clear()
+    domination._last_family = (None, None)  # so that each seed graph is searched again
 
 
 def test_recurrence_records_fail_when_the_prune_route_drops_a_set(monkeypatch):
