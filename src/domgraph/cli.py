@@ -7,6 +7,7 @@ Exit statuses: 0 success, 1 domain errors (too-large, invalid-size, ...),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from itertools import chain
@@ -227,7 +228,15 @@ def _cmd_export(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The domgraph parser: one per process, built on the first call.
+
+    parse_args leaves a parser unchanged (each call fills a fresh Namespace,
+    and every default is immutable), so main reuses this one.  The handlers
+    bound by set_defaults(func=...), the --suite choices and the --cap
+    default are fixed when it is built.
+    """
     parser = argparse.ArgumentParser(
         prog="domgraph",
         description="Dominating sets, k-dominating reconfiguration graphs, "

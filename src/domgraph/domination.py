@@ -319,7 +319,8 @@ def enumerate_dominating(
     if not (isinstance(k, int) and 1 <= k <= g.n):
         raise ValueError(f"cardinality bound k={k!r} must satisfy 1 <= k <= {g.n}")
     if g.n > cap:
-        raise TooLargeError(f"n={g.n} exceeds the enumeration cap {cap}; pass cap= to override")
+        raise TooLargeError(f"n={g.n} exceeds the enumeration cap {cap}; "
+                            "raise cap (--cap on the command line) to override")
     if method is None:
         method = "scan" if g.n <= SCAN_LIMIT else "prune"
     if method == "prune":

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -593,9 +593,11 @@ def status_counts(records: list[CheckRecord]) -> dict[str, int]:
 
 
 def report_to_json_obj(records: list[CheckRecord], suite: str, max_n: int) -> dict:
+    """The JSON report; each record a shallow dict in field order, whose
+    expected/observed lists are the record's own (json.dumps only reads them)."""
     return {
         "suite": suite,
         "max_n": max_n,
         "counts": status_counts(records),
-        "records": [asdict(r) for r in records],
+        "records": [dict(vars(r)) for r in records],
     }

@@ -1,6 +1,8 @@
+import argparse
 import json
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -120,9 +122,9 @@ def test_dominating_csv(capsys):
 
 
 def test_dominating_too_large_exit_1(capsys):
-    code, _, err = run(capsys, "dominating", "--family", "path", "--n", "30")
-    assert code == 1
-    assert "cap" in err
+    code, out, err = run(capsys, "dominating", "--family", "path", "--n", "30")
+    assert (code, out) == (1, "")
+    assert "cap" in err and "--cap" in err
 
 
 def test_reconfig_stats(capsys):
@@ -319,3 +321,30 @@ def test_input_graph_with_malformed_edges_is_a_clean_error(tmp_path, capsys):
         code, out, err = run(capsys, "family", "--input", str(source))
         assert code == 1 and out == ""
         assert err.startswith("error:") and "edge" in err
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    add_argument = argparse.ArgumentParser.add_argument
+    calls = []
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
+    argv = ["family", "--family", "path", "--n", "3"]
+    assert run(capsys, *argv)[0] == 0
+    calls.clear()
+    assert run(capsys, *argv)[0] == 0
+    assert calls == []
+
+
+def test_shared_parser_survives_errors_and_help(capsys):
+    assert run(capsys, "family", "--bogus")[0] == 2
+    code, out, _ = run(capsys, "family", "--help")
+    assert code == 0 and "--family" in out
+    assert run(capsys, "family", "--family", "cycle", "--n", "2")[0] == 1
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--max-n", "4", "--format", "json")
+    golden = Path(__file__).parent / "golden" / "verify_all_max_n4.json"
+    assert code == 0
+    assert out == golden.read_text(encoding="utf-8")

@@ -1,6 +1,6 @@
 import json
 import re
-from dataclasses import replace
+from dataclasses import asdict, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -121,6 +121,29 @@ def test_report_json_serializable():
     assert parsed["suite"] == "complete"
     assert parsed["counts"]["fail"] == 0
     assert len(parsed["records"]) == len(records)
+
+
+@pytest.mark.parametrize("max_n", [4, 8, 12])
+def test_report_records_are_shallow_copies_of_asdict(max_n):
+    records = verify_suite("all", max_n=max_n)
+    report = report_to_json_obj(records, "all", max_n)
+    deep = [asdict(r) for r in records]
+    assert report["records"] == deep
+    assert json.dumps(report, indent=2) == json.dumps({**report, "records": deep}, indent=2)
+
+    def holds_a_dataclass(value):
+        if isinstance(value, (list, tuple)):
+            return any(holds_a_dataclass(v) for v in value)
+        if isinstance(value, dict):
+            return any(holds_a_dataclass(v) for v in value.values())
+        return is_dataclass(value)
+
+    assert not any(holds_a_dataclass(r.expected) or holds_a_dataclass(r.observed)
+                   for r in records)
+    first = report["records"][0]
+    first["status"] = "fail"
+    first["check"] = "changed"
+    assert (records[0].status, records[0].check) == (deep[0]["status"], deep[0]["check"])
 
 
 def test_unknown_suite_and_cap():
