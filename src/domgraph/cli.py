@@ -1,6 +1,8 @@
 """Command-line front end.
 
-Exit statuses: 0 success, 1 domain errors (too-large, invalid-size, ...),
+Each subcommand handler maps the parsed arguments to the chunks of its
+text; main alone writes them, to --output or stdout, and maps errors to
+exit statuses: 0 success, 1 domain errors (too-large, invalid-size, ...),
 2 usage errors.  All output is deterministic for a fixed argument vector.
 """
 
@@ -83,15 +85,6 @@ def _resolve_graph(args) -> Graph:
         return from_json(fh.read())
 
 
-def _emit(chunks: Iterable[str], args) -> None:
-    """Write the text chunks to --output or stdout, each as it is made."""
-    if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.writelines(chunks)
-    else:
-        sys.stdout.writelines(chunks)
-
-
 def _joined(sep: str, texts: Iterable[str]) -> Iterator[str]:
     """The chunks of sep.join(texts)."""
     return (sep + text if i else text for i, text in enumerate(texts))
@@ -106,36 +99,32 @@ def _table(rows: list[tuple[str, object]]) -> str:
 # Subcommand handlers
 # ---------------------------------------------------------------------------
 
-def _cmd_family(args) -> int:
+def _cmd_family(args) -> Iterable[str]:
     g = _resolve_graph(args)
     if args.format == "json":
-        _emit([to_json(g) + "\n"], args)
-    elif args.format == "dot":
-        _emit([to_dot(g)], args)
-    else:
-        degs = g.degree_sequence()
-        _emit([_table([
-            ("vertices", g.n),
-            ("edges", g.m),
-            ("degree range", f"{min(degs)}..{max(degs)}"),
-            ("edge list", " ".join(f"{{{u},{v}}}" for u, v in g.edges_1based()) or "-"),
-        ])], args)
-    return 0
+        return [to_json(g) + "\n"]
+    if args.format == "dot":
+        return [to_dot(g)]
+    degs = g.degree_sequence()
+    return [_table([
+        ("vertices", g.n),
+        ("edges", g.m),
+        ("degree range", f"{min(degs)}..{max(degs)}"),
+        ("edge list", " ".join(f"{{{u},{v}}}" for u, v in g.edges_1based()) or "-"),
+    ])]
 
 
-def _cmd_dominating(args) -> int:
+def _cmd_dominating(args) -> Iterable[str]:
     g = _resolve_graph(args)
     family = domination.enumerate_dominating(g, args.k, cap=args.cap)
     if args.format == "json":
-        _emit([family.to_json() + "\n"], args)
-    elif args.format == "csv":
+        return [family.to_json() + "\n"]
+    if args.format == "csv":
         rows = (f"{g.n},{j},{c}\n" for j, c in enumerate(family.by_card) if c)
-        _emit(chain(["n,j,count\n"], rows), args)
-    else:
-        rows = [("graph n", g.n), ("bound k", family.k), ("dominating sets", len(family))]
-        rows += [(f"cardinality {j}", c) for j, c in enumerate(family.by_card) if c]
-        _emit([_table(rows)], args)
-    return 0
+        return chain(["n,j,count\n"], rows)
+    rows = [("graph n", g.n), ("bound k", family.k), ("dominating sets", len(family))]
+    rows += [(f"cardinality {j}", c) for j, c in enumerate(family.by_card) if c]
+    return [_table(rows)]
 
 
 def _reconfig_stats(r: reconfig.ReconfigGraph) -> str:
@@ -156,23 +145,20 @@ def _reconfig_stats(r: reconfig.ReconfigGraph) -> str:
     ])
 
 
-def _cmd_reconfig(args) -> int:
+def _cmd_reconfig(args) -> Iterable[str]:
     g = _resolve_graph(args)
     r = reconfig.build(g, args.k, cap=args.cap)
     if args.format == "json":
-        _emit([reconfig.to_json(r) + "\n"], args)
-    elif args.format == "dot":
-        _emit([reconfig.to_dot(r)], args)
-    else:
-        _emit([_reconfig_stats(r)], args)
-    return 0
+        return [reconfig.to_json(r) + "\n"]
+    if args.format == "dot":
+        return [reconfig.to_dot(r)]
+    return [_reconfig_stats(r)]
 
 
-def _cmd_count(args) -> int:
+def _cmd_count(args) -> Iterable[str]:
     """Every format is a head, one chunk per order or triangle row joined by a
     separator, and a tail; the JSON is byte-equal to json.dumps(...) + "\n"."""
     family = args.family
-    # checked here, before _emit opens --output
     if args.sums:
         items = enumerate(counting.order_texts(family, args.n_max), start=1)
         head, text, sep, tail = {
@@ -191,16 +177,14 @@ def _cmd_count(args) -> int:
                      lambda n, row: f'"{n}": [{", ".join([str(c) for c in row])}]', ", ", "}}\n"),
             "table": ("", lambda n, row: f"{n}: {' '.join([str(c) for c in row])}\n", "", ""),
         }[args.format]
-    _emit(chain([head], _joined(sep, (text(n, item) for n, item in items)), [tail]), args)
-    return 0
+    return chain([head], _joined(sep, (text(n, item) for n, item in items)), [tail])
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> Iterable[str]:
     records = verify.verify_suite(args.suite, max_n=args.max_n, seed=args.seed)
     if args.format == "json":
         report = verify.report_to_json_obj(records, args.suite, args.max_n)
-        _emit([json.dumps(report, indent=2) + "\n"], args)
-        return 0
+        return [json.dumps(report, indent=2) + "\n"]
     width = max(len(r.check) for r in records)
     lines = []
     for r in records:
@@ -215,11 +199,10 @@ def _cmd_verify(args) -> int:
         f"{len(records)} checks: {counts['pass']} pass, "
         f"{counts['erratum']} erratum, {counts['fail']} fail"
     )
-    _emit(["\n".join(lines) + "\n"], args)
-    return 0
+    return ["\n".join(lines) + "\n"]
 
 
-def _cmd_export(args) -> int:
+def _cmd_export(args) -> Iterable[str]:
     # export writes what `reconfig` (with --k) or `family` writes in the same format
     return (_cmd_family if args.k is None else _cmd_reconfig)(args)
 
@@ -298,13 +281,19 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    # counts are exact integers of any length: lift Python's int-to-str digit
-    # limit (3.11+) while the command prints them, and restore it afterwards
+    # counts are exact integers of any length: lift Python's int-to-str digit limit
+    # (3.11+) while the chunks, some lazy, are made and written, then restore it
     set_digits = getattr(sys, "set_int_max_str_digits", lambda digits: None)
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     set_digits(0)
     try:
-        return args.func(args)
+        chunks = args.func(args)  # a handler checks its arguments before --output is opened
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.writelines(chunks)
+        else:
+            sys.stdout.writelines(chunks)
+        return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

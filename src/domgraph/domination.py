@@ -267,7 +267,8 @@ def _prune_bits(g: Graph, k: int) -> np.ndarray:
             out.extend(base | sum(combo) for combo in itertools.combinations(free, extra))
 
     def branch(chosen: int, card: int, banned: int, miss: int) -> None:
-        # miss is not empty, and the k - card members left can cover it
+        # miss is not empty and card < k; a child that leaves more than reach
+        # uncovered is cut, as every root child is when k * width < n
         u = (miss & -miss).bit_length() - 1
         reach = (k - card - 1) * width  # the most a child's remaining members cover
         # u must be covered by a not-yet-banned member of N[u]; trying the
@@ -284,8 +285,7 @@ def _prune_bits(g: Graph, k: int) -> np.ndarray:
                 branch(chosen | low, card + 1, banned | tried, left)
             tried |= low
 
-    if k * width >= g.n:  # else k members cannot cover V
-        branch(0, 0, 0, full)
+    branch(0, 0, 0, full)
     return np.frombuffer(out, dtype=np.uint64)
 
 

@@ -32,6 +32,7 @@ VertexSubset objects are made only when a caller reads them.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -81,6 +82,7 @@ class ReconfigGraph:
 
     def node_id(self, bits: int) -> int:
         """Node id of the dominating set with this bitmask (KeyError if absent)."""
+        bits = operator.index(bits)  # TypeError unless an integer, NumPy's too
         if 0 <= bits < 1 << self.base_n:
             # binary search inside the block of ids with this cardinality
             lo, hi = np.searchsorted(self.cards, [bits.bit_count(), bits.bit_count() + 1])
@@ -160,8 +162,6 @@ def _component_labels(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
     seen = np.arange(order) == 0
     for _ in _frontiers(indptr, indices, seen):
         pass
-    if seen.all():
-        return np.zeros(order, dtype=np.int64)
     labels = np.arange(order)
     labels[seen] = 0
     # gather the leftover rows alone: a reduceat segment runs to the next start
@@ -235,6 +235,17 @@ def _frontiers(indptr: np.ndarray, indices: np.ndarray, seen: np.ndarray):
         yield frontier
 
 
+def _node_ids(r: ReconfigGraph, *ids) -> list[int]:
+    """The ids as ints; ValueError unless each is an integer (NumPy's too) in 0..order-1."""
+    try:
+        ids = [operator.index(i) for i in ids]
+    except TypeError:
+        pass  # not all integers: refused below
+    if not all(isinstance(i, int) and 0 <= i < r.order for i in ids):
+        raise ValueError(f"node ids must be in 0..{r.order - 1}")
+    return ids
+
+
 def distance(r: ReconfigGraph, a: int, b: int) -> int | None:
     """Breadth-first hop count between node ids; None when unreachable.
 
@@ -243,8 +254,7 @@ def distance(r: ReconfigGraph, a: int, b: int) -> int | None:
     step, so d(a, b) > d_a + d_b, and the first new level that meets the
     other side's ball gives d(a, b) = d_a + d_b + 1 exactly.
     """
-    if not (0 <= a < r.order and 0 <= b < r.order):
-        raise ValueError(f"node ids must be in 0..{r.order - 1}")
+    a, b = _node_ids(r, a, b)
     if a == b:
         return 0
     seen = [np.arange(r.order) == a, np.arange(r.order) == b]
@@ -264,8 +274,7 @@ def distance(r: ReconfigGraph, a: int, b: int) -> int | None:
 
 def distance_row(r: ReconfigGraph, a: int) -> np.ndarray:
     """Hop counts from node a to every node, -1 where unreachable."""
-    if not 0 <= a < r.order:
-        raise ValueError(f"node ids must be in 0..{r.order - 1}")
+    [a] = _node_ids(r, a)
     row = np.full(r.order, -1)
     row[a] = 0
     for depth, frontier in enumerate(_frontiers(r.indptr, r.indices, np.arange(r.order) == a), 1):

@@ -202,6 +202,21 @@ def test_count_triangle_error_leaves_the_output_file_untouched(tmp_path, capsys,
     assert target.read_bytes() == b"kept\n"
 
 
+@pytest.mark.parametrize("argv, status, message", [
+    (["dominating", "--family", "path", "--n", "30"], 1, "exceeds the enumeration cap 24"),
+    (["reconfig", "--family", "path", "--n", "3", "--k", "0"], 1, "k=0 must satisfy"),
+    (["family", "--product", "join:path:3"], 2, "needs exactly two factors"),
+    (["verify", "--max-n", "2"], 1, "outside the valid range 3..24"),
+])
+def test_error_leaves_the_output_file_untouched(tmp_path, capsys, argv, status, message):
+    # a handler raises before main opens --output
+    target = tmp_path / "out.txt"
+    target.write_bytes(b"kept\n")
+    code, out, err = run(capsys, *argv, "--output", str(target))
+    assert code == status and out == "" and message in err
+    assert target.read_bytes() == b"kept\n"
+
+
 @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
 def test_count_streams_with_flat_memory(tmp_path, fmt):
     # the triangle is written row by row with three rows kept, the orders one by one

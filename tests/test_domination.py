@@ -238,6 +238,10 @@ def test_scan_and_prune_agree():
             a = enumerate_dominating(g, k, method="scan")
             b = enumerate_dominating(g, k, method="prune")
             assert a == b
+    # 2 * 3 < 9: two members cover at most six vertices, so both routes are empty
+    for g in (make_family("path", 9), make_family("cycle", 9)):
+        a = enumerate_dominating(g, 2, method="scan")
+        assert a == enumerate_dominating(g, 2, method="prune") and len(a) == 0
 
 
 def test_family_sorted_and_unique():

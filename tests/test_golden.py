@@ -74,5 +74,15 @@ def test_output_matches_golden(name, capsys):
     assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
 
 
+@pytest.mark.parametrize("name", sorted(
+    name for name, invocation in INVOCATIONS.items() if isinstance(invocation, list)))
+def test_output_file_matches_golden(name, tmp_path, capsys):
+    # main writes the same bytes to --output as to stdout, and nothing to stdout
+    target = tmp_path / name
+    assert main([*INVOCATIONS[name], "--output", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert target.read_bytes() == (GOLDEN / name).read_bytes()
+
+
 def test_golden_files_are_exactly_the_invocations():
     assert sorted(path.name for path in GOLDEN.iterdir()) == sorted(INVOCATIONS)

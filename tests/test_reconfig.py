@@ -140,6 +140,20 @@ def test_distance_unreachable_and_validation():
     for bits in (0b111, 0b1000, -1):  # a set above k, one out of range, a negative
         with pytest.raises(KeyError):
             r.node_id(bits)
+    # a non-integer id is refused, never read as a node or an unreachable one
+    p5 = build(make_family("path", 5))  # connected
+    for a, b in ((0.5, 3), (1.0, 2), (0, "1"), (np.float64(2.0), 1)):
+        with pytest.raises(ValueError, match="node ids must be in"):
+            distance(p5, a, b)
+    for a in (1.0, "0", None):
+        with pytest.raises(ValueError, match="node ids must be in"):
+            reconfig.distance_row(p5, a)
+    with pytest.raises(TypeError):
+        p5.node_id(3.0)
+    # NumPy integers are ids and bitmasks
+    assert distance(p5, np.int64(0), np.uint8(3)) == distance(p5, 0, 3) == 1
+    assert reconfig.distance_row(p5, np.int32(1)).tolist() == reconfig.distance_row(p5, 1).tolist()
+    assert p5.node_id(p5.bits[3]) == p5.node_id(int(p5.bits[3])) == 3
 
 
 def test_distance_two_characterization_small():
