@@ -3,7 +3,9 @@
 Each subcommand handler maps the parsed arguments to the chunks of its
 text; main alone writes them, to --output or stdout, and maps errors to
 exit statuses: 0 success, 1 domain errors (too-large, invalid-size, ...),
-2 usage errors.  All output is deterministic for a fixed argument vector.
+2 usage errors.  A reader that closes stdout early (`| head`) ends the
+run quietly with status 0.  All output is deterministic for a fixed
+argument vector.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from itertools import chain
 from typing import Iterable, Iterator
@@ -293,6 +296,18 @@ def main(argv=None) -> int:
                 fh.writelines(chunks)
         else:
             sys.stdout.writelines(chunks)
+            sys.stdout.flush()  # a closed pipe raises here, not in the flush at exit
+        return 0
+    except BrokenPipeError:
+        # the reader took what it wanted: point stdout at devnull, as Python's
+        # signal docs advise, so the flush at exit writes nowhere
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError):  # no descriptor (io.UnsupportedOperation)
+            return 0
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
         return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -3,6 +3,8 @@
 Vertices are 0-based internally and 1-based on every external surface
 (JSON, DOT, printed labels).  Graphs are immutable and capped at 63
 vertices, so any vertex subset fits one machine word as a bitmask.
+Graph(n, edges) checks and canonicalizes every graph however it is made,
+so the families and products restate none of its checks.
 """
 
 from __future__ import annotations
@@ -23,7 +25,10 @@ FAMILY_KINDS = ("path", "cycle", "complete", "empty")
 class Graph:
     """Immutable simple graph with per-vertex closed-neighborhood bitmasks.
 
-    edges holds 0-based pairs (u, v) with u < v, sorted lexicographically.
+    Graph(n, edges) raises InvalidSizeError unless 1 <= n <= 63 and each
+    0-based pair of edges joins two distinct vertices in 0..n-1.  It stores
+    n as an int (read through operator.index) and edges as each pair once,
+    (u, v) with u < v, sorted lexicographically.
     closed_nbhd[v] is the bitmask of N[v]; bit v is always set.
     """
 
@@ -32,11 +37,28 @@ class Graph:
     closed_nbhd: tuple[int, ...] = field(init=False, compare=False)
 
     def __post_init__(self):
-        # a plain attribute, not a cached_property, whose reads cost 3x on Python 3.11
-        nbhd = [1 << v for v in range(self.n)]
+        n = operator.index(self.n)
+        if n < 1:
+            raise InvalidSizeError(f"a graph needs at least one vertex, got n={n}")
+        if n > MAX_VERTICES:
+            raise InvalidSizeError(
+                f"n={n} exceeds the {MAX_VERTICES}-vertex single-word bitmask budget"
+            )
+        canon = set()
         for u, v in self.edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise InvalidSizeError(f"edge ({u},{v}) out of range for n={n}")
+            if u == v:
+                raise InvalidSizeError(f"self-loop at vertex {u} (graphs are simple)")
+            canon.add((u, v) if u < v else (v, u))
+        edges = tuple(sorted(canon))
+        # a plain attribute, not a cached_property, whose reads cost 3x on Python 3.11
+        nbhd = [1 << v for v in range(n)]
+        for u, v in edges:
             nbhd[u] |= 1 << v
             nbhd[v] |= 1 << u
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "closed_nbhd", tuple(nbhd))
 
     @property
@@ -58,39 +80,25 @@ class Graph:
 
 
 def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Build a validated Graph from 0-based endpoint pairs."""
-    if n < 1:
-        raise InvalidSizeError(f"a graph needs at least one vertex, got n={n}")
-    if n > MAX_VERTICES:
-        raise InvalidSizeError(
-            f"n={n} exceeds the {MAX_VERTICES}-vertex single-word bitmask budget"
-        )
-    canon = set()
-    for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise InvalidSizeError(f"edge ({u},{v}) out of range for n={n}")
-        if u == v:
-            raise InvalidSizeError(f"self-loop at vertex {u} (graphs are simple)")
-        canon.add((u, v) if u < v else (v, u))
-    return Graph(n, tuple(sorted(canon)))
+    """Build a validated Graph from 0-based endpoint pairs: Graph(n, edges)."""
+    return Graph(n, edges)
 
 
 def make_family(kind: str, n: int) -> Graph:
     """Construct P_n, C_n, K_n, or the edgeless graph O_n with labels 1..n."""
     if kind not in FAMILY_KINDS:
         raise ValueError(f"unknown family {kind!r}, expected one of {FAMILY_KINDS}")
-    if n < 1:
-        raise InvalidSizeError(f"family {kind} needs n >= 1, got n={n}")
+    # lazy edges: Graph checks n before it reads them, so a huge n allocates nothing
     if kind == "path":
-        return graph_from_edges(n, [(i, i + 1) for i in range(n - 1)])
+        return graph_from_edges(n, ((i, i + 1) for i in range(n - 1)))
     if kind == "cycle":
         if n < 3:
             raise DegenerateFamilyError(
                 f"C_{n} is not a simple cycle; cycles need n >= 3"
             )
-        return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+        return graph_from_edges(n, ((i, (i + 1) % n) for i in range(n)))
     if kind == "complete":
-        return graph_from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+        return graph_from_edges(n, ((i, j) for i in range(n) for j in range(i + 1, n)))
     return graph_from_edges(n, [])
 
 
@@ -99,13 +107,10 @@ def join(g: Graph, h: Graph) -> Graph:
 
     g's vertices come first, then h's shifted by g.n.
     """
-    n = g.n + h.n
-    if n > MAX_VERTICES:
-        raise InvalidSizeError(f"join would have {n} > {MAX_VERTICES} vertices")
     edges = list(g.edges)
     edges += [(g.n + u, g.n + v) for u, v in h.edges]
     edges += [(u, g.n + v) for u in range(g.n) for v in range(h.n)]
-    return graph_from_edges(n, edges)
+    return graph_from_edges(g.n + h.n, edges)
 
 
 def corona(g: Graph, h: Graph) -> Graph:
@@ -114,24 +119,18 @@ def corona(g: Graph, h: Graph) -> Graph:
     Layout: g's vertices 0..p-1, then copy i of h at p + i*q .. p + i*q + q - 1.
     """
     p, q = g.n, h.n
-    n = p * (1 + q)
-    if n > MAX_VERTICES:
-        raise InvalidSizeError(f"corona would have {n} > {MAX_VERTICES} vertices")
     edges = list(g.edges)
     for i in range(p):
         base = p + i * q
         edges += [(base + u, base + v) for u, v in h.edges]
         edges += [(i, base + v) for v in range(q)]
-    return graph_from_edges(n, edges)
+    return graph_from_edges(p * (1 + q), edges)
 
 
 def cartesian(g: Graph, h: Graph) -> Graph:
     """Cartesian product: (u1,v1) ~ (u2,v2) iff equal in one coordinate and
     adjacent in the other.  Pair (u, v) maps to index u*h.n + v.
     """
-    n = g.n * h.n
-    if n > MAX_VERTICES:
-        raise InvalidSizeError(f"cartesian product would have {n} > {MAX_VERTICES} vertices")
     edges = []
     for u in range(g.n):
         for a, b in h.edges:
@@ -139,7 +138,7 @@ def cartesian(g: Graph, h: Graph) -> Graph:
     for a, b in g.edges:
         for v in range(h.n):
             edges.append((a * h.n + v, b * h.n + v))
-    return graph_from_edges(n, edges)
+    return graph_from_edges(g.n * h.n, edges)
 
 
 def ladder(n: int) -> Graph:
@@ -249,7 +248,8 @@ def from_json_obj(obj: dict) -> Graph:
 def from_json(text: str) -> Graph:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    # json.loads raises RecursionError on input nested deeper than the recursion limit
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InvalidSizeError(f"malformed graph JSON: {exc}") from exc
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise InvalidSizeError('graph JSON must look like {"n": 3, "edges": [[1,2],...]}')

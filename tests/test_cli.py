@@ -1,14 +1,22 @@
 import argparse
+import contextlib
+import errno
+import io
 import json
+import os
+import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from domgraph import closed_form_order
-from domgraph.cli import main
+from domgraph.cli import _FAMILIES, main
 from domgraph.graphs import join, ladder, make_family, to_json_obj
+from domgraph.verify import SUITES
 
 
 def run(capsys, *argv):
@@ -363,3 +371,117 @@ def test_shared_parser_survives_errors_and_help(capsys):
     golden = Path(__file__).parent / "golden" / "verify_all_max_n4.json"
     assert code == 0
     assert out == golden.read_text(encoding="utf-8")
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    # the reader takes one line and closes the pipe while count is still writing
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "domgraph.cli", "count", "--family", "path", "--n-max", "2000",
+         "--format", "csv"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"family,n,j,count\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0 and err == b""
+
+
+class _ClosingStdout(io.StringIO):
+    """A stdout whose reader goes away once `limit` characters have been written."""
+
+    def __init__(self, limit):
+        super().__init__()
+        self.limit = limit
+        self.broke = False
+
+    def write(self, text):
+        if self.tell() + len(text) > self.limit:
+            self.broke = True
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+        return super().write(text)
+
+
+# --input texts: well-formed, malformed, and nested deeper than the recursion limit
+FUZZ_INPUTS = (
+    '{"n": 4, "edges": [[1, 2], [2, 3], [3, 4]]}', "[" * 100_000, "not json",
+    '{"n": 3, "edges": [[1, 1]]}', '{"n": 3, "edges": ' + "[" * 100_000, '{"n": 64, "edges": []}',
+    '{"n": 2.5, "edges": []}', None,  # None: a missing file
+)
+# sizes of at most 8 vertices, the refused 0 and 64, and text argparse refuses
+FUZZ_SIZES = ("1", "2", "3", "4", "8", "0", "64", "x")
+FUZZ_FORMATS = {"family": ("table", "json", "dot"), "dominating": ("table", "json", "csv"),
+                "reconfig": ("table", "json", "dot"), "export": ("json", "dot"),
+                "count": ("table", "json", "csv"), "verify": ("table", "json")}
+
+
+@st.composite
+def cli_calls(draw):
+    """An argument list over the CLI grammar, the --input text it reads, and
+    whether it writes to --output.  Most draws are well-formed; the graphs
+    that get past --cap have at most 8 vertices, so each call is quick."""
+    command = draw(st.sampled_from(list(FUZZ_FORMATS)))
+    argv, text = [command], None
+    if command == "count":
+        argv += ["--family", draw(st.sampled_from(["path", "cycle", "ladder"])),
+                 "--n-max", draw(st.sampled_from(["1", "2", "3", "40", "0", "x"]))]
+        argv += ["--sums"] if draw(st.booleans()) else []
+    elif command == "verify":
+        argv += ["--suite", draw(st.sampled_from([*SUITES, "all"])),
+                 "--max-n", draw(st.sampled_from(["3", "4", "5", "2"])),
+                 "--seed", draw(st.sampled_from(["0", "3"]))]
+    else:
+        source = draw(st.sampled_from(["family", "input", "product", "family input", ""]))
+        if "family" in source:
+            argv += ["--family", draw(st.sampled_from([*_FAMILIES, "wheel"]))]
+            size = draw(st.sampled_from((*FUZZ_SIZES, None)))
+            argv += [] if size is None else ["--n", size]
+        if "input" in source:
+            text = draw(st.sampled_from(FUZZ_INPUTS))
+            argv += ["--input", "<input>"]
+        if "product" in source:
+            factors = [f"{draw(st.sampled_from([*_FAMILIES, 'wheel']))}:"
+                       f"{draw(st.sampled_from(FUZZ_SIZES))}" for _ in range(2)]
+            op = draw(st.sampled_from(["join", "corona", "cartesian", "meet"]))
+            argv += ["--product", draw(st.sampled_from(
+                [f"{op}:{factors[0]},{factors[1]}", f"{op}:{factors[0]}"]))]
+        if command != "family":
+            k = draw(st.sampled_from([None, "2", "4", "9", "0", "-1"]))
+            argv += [] if k is None else ["--k", k]
+        argv += ["--cap", draw(st.sampled_from(["8", "4", "0", "-1"]))]
+    fmt = draw(st.sampled_from([None, *FUZZ_FORMATS[command], "xml"]))
+    argv += [] if fmt is None else ["--format", fmt]
+    return argv, text, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(cli_calls(), st.one_of(st.none(), st.integers(0, 300)), st.booleans())
+def test_cli_fuzz_exits_cleanly(tmp_path_factory, call, stdout_limit, output_exists):
+    argv, text, to_output = call
+    work = tmp_path_factory.getbasetemp() / "fuzz"
+    work.mkdir(exist_ok=True)
+    source, target = work / "g.json", work / "out.txt"
+    source.unlink(missing_ok=True)
+    target.unlink(missing_ok=True)
+    if text is not None:
+        source.write_text(text, encoding="utf-8")
+    argv = [str(source) if arg == "<input>" else arg for arg in argv]
+    if to_output:
+        argv += ["--output", str(target)]
+        if output_exists:
+            target.write_bytes(b"kept\n")
+    stdout = io.StringIO() if stdout_limit is None else _ClosingStdout(stdout_limit)
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    out, err = stdout.getvalue(), stderr.getvalue()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code:
+        assert out == "" and err
+        if to_output:
+            assert target.read_bytes() == b"kept\n" if output_exists else not target.exists()
+    else:
+        assert err == ""
+    if getattr(stdout, "broke", False):
+        assert code == 0 and err == ""

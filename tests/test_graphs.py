@@ -1,13 +1,17 @@
 import json
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from domgraph import (
     DegenerateFamilyError,
+    Graph,
     InvalidSizeError,
     InvalidSubsetError,
     VertexSubset,
+    build,
     cartesian,
     corona,
     from_json,
@@ -55,6 +59,18 @@ def test_family_size_errors():
         make_family("complete", 64)
 
 
+def test_family_beyond_the_gate_is_refused_before_its_edges_are_made():
+    tracemalloc.start()
+    try:
+        for kind in ("path", "cycle", "complete"):
+            with pytest.raises(InvalidSizeError, match="exceeds the 63-vertex"):
+                make_family(kind, 500)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+
+
 def test_unknown_family_rejected():
     with pytest.raises(ValueError):
         make_family("wheel", 5)
@@ -67,6 +83,22 @@ def test_graph_rejects_self_loops_and_range():
         graph_from_edges(3, [(0, 3)])
     with pytest.raises(InvalidSizeError, match="at least one vertex"):
         graph_from_edges(0, [])
+
+
+def test_direct_construction_checks_and_canonicalizes():
+    for n, edges in ((0, ()), (64, ()), (3, ((1, 1),)), (3, ((0, 5),))):
+        with pytest.raises(InvalidSizeError):
+            Graph(n, edges)
+    g = Graph(3, [(2, 0), (1, 0), (0, 1)])
+    assert g == graph_from_edges(3, [(0, 1), (0, 2)])
+    assert g.edges == ((0, 1), (0, 2))
+    assert hash(g) == hash(graph_from_edges(3, [(0, 1), (0, 2)]))
+
+
+def test_numpy_and_bool_vertex_counts_are_read_as_ints():
+    assert to_json(make_family("path", np.int64(4))) == to_json(make_family("path", 4))
+    assert build(make_family("path", np.int64(4))).order == build(make_family("path", 4)).order
+    assert to_json(make_family("path", True)) == '{"n": 1, "edges": []}'
 
 
 def test_join_of_two_singletons_is_k2():
@@ -134,6 +166,10 @@ def test_product_size_overflow():
         corona(make_family("complete", 8), make_family("complete", 8))
     with pytest.raises(InvalidSizeError):
         cartesian(make_family("complete", 8), make_family("complete", 8))
+    k63 = make_family("complete", 63)
+    for product in (join, corona, cartesian):
+        with pytest.raises(InvalidSizeError, match="exceeds the 63-vertex"):
+            product(k63, k63)
 
 
 def test_handshake_over_random_products():
@@ -158,6 +194,8 @@ def test_from_json_rejects_garbage():
         from_json("not json")
     with pytest.raises(InvalidSizeError):
         from_json('{"edges": []}')
+    with pytest.raises(InvalidSizeError, match="malformed graph JSON"):
+        from_json("[" * 100_000)
 
 
 def test_from_json_rejects_malformed_edges():
