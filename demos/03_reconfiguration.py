@@ -55,7 +55,7 @@ print("D_2(K_3) hamiltonian?", is_hamiltonian(build(make_family("complete", 3), 
 print()
 print("=== k below the domination number gives an empty graph, not an error ===")
 probe = build(make_family("path", 9), 2)
-print("k=2 < gamma(P_9)=3:", "empty warning set" if probe.empty else "nodes exist")
+print("k=2 < gamma(P_9)=3:", "empty, order 0" if probe.order == 0 else "nodes exist")
 
 print()
 print("=== DOT export of D_3(P_3) ===")

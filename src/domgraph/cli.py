@@ -131,7 +131,7 @@ def _cmd_dominating(args) -> Iterable[str]:
 
 
 def _reconfig_stats(r: reconfig.ReconfigGraph) -> str:
-    if r.empty:
+    if not r.order:
         return _table([
             ("order", 0),
             ("warning", "k below the domination number; graph is empty"),

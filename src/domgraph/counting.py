@@ -250,7 +250,7 @@ def cubic_closed_form(family: str, numerator: tuple[int, ...] | None = None) -> 
     """
     gf = _by_family(family, PATH_ORDER_GF, CYCLE_ORDER_GF)
     return CubicClosedForm(
-        numerator=numerator or gf.numerator,
+        numerator=gf.numerator if numerator is None else numerator,
         denominator=gf.denominator,
         roots=_cubic_roots(gf.denominator),
     )

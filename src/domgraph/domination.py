@@ -65,8 +65,8 @@ class DomFamily:
     """All dominating sets of a graph with cardinality at most k.
 
     bits holds their bitmasks (uint64), sorted by (cardinality, bitmask
-    value) and duplicate-free; sets wraps them as VertexSubset on first
-    use; by_card[j] counts members of cardinality j for j = 0..k.
+    value) and duplicate-free; cards (uint8 popcounts) and sets (VertexSubset)
+    are made on first use; by_card[j] counts members of cardinality j <= k.
     Families are equal when graph_n, k and bits are.
     """
 
@@ -75,7 +75,7 @@ class DomFamily:
     bits: np.ndarray
 
     def __post_init__(self):
-        self.bits.flags.writeable = False  # sets and by_card are cached from it
+        self.bits.flags.writeable = False  # sets and cards are cached from it
 
     def __len__(self) -> int:
         return len(self.bits)
@@ -95,8 +95,14 @@ class DomFamily:
         return tuple(VertexSubset(b) for b in self.bits.tolist())
 
     @cached_property
+    def cards(self) -> np.ndarray:
+        cards = np.bitwise_count(self.bits)
+        cards.flags.writeable = False
+        return cards
+
+    @cached_property
     def by_card(self) -> tuple[int, ...]:
-        return tuple(np.bincount(np.bitwise_count(self.bits), minlength=self.k + 1).tolist())
+        return tuple(np.bincount(self.cards, minlength=self.k + 1).tolist())
 
     def to_json_obj(self) -> list[list[int]]:
         return [list(s.vertices()) for s in self.sets]

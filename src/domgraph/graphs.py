@@ -26,9 +26,9 @@ class Graph:
     """Immutable simple graph with per-vertex closed-neighborhood bitmasks.
 
     Graph(n, edges) raises InvalidSizeError unless 1 <= n <= 63 and each
-    0-based pair of edges joins two distinct vertices in 0..n-1.  It stores
-    n as an int (read through operator.index) and edges as each pair once,
-    (u, v) with u < v, sorted lexicographically.
+    0-based pair of edges joins two distinct vertices in 0..n-1.  It reads n
+    and each endpoint as an int (through operator.index) and stores edges as
+    each pair once, (u, v) with u < v, sorted lexicographically.
     closed_nbhd[v] is the bitmask of N[v]; bit v is always set.
     """
 
@@ -46,6 +46,7 @@ class Graph:
             )
         canon = set()
         for u, v in self.edges:
+            u, v = operator.index(u), operator.index(v)  # TypeError unless integers, NumPy's too
             if not (0 <= u < n and 0 <= v < n):
                 raise InvalidSizeError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
@@ -240,8 +241,9 @@ def from_json_obj(obj: dict) -> Graph:
     if not isinstance(edges, list):
         raise InvalidSizeError(f"graph JSON edges must be a list, got {edges!r}")
     for e in edges:
-        if not (isinstance(e, list) and len(e) == 2 and all(_is_int(x) and 1 <= x <= n for x in e)):
-            raise InvalidSizeError(f"graph JSON edge {e!r} is not a pair of labels in 1..{n}")
+        if not (isinstance(e, list) and len(e) == 2 and e[0] != e[1]
+                and all(_is_int(x) and 1 <= x <= n for x in e)):
+            raise InvalidSizeError(f"graph JSON edge {e!r} is not two distinct labels in 1..{n}")
     return graph_from_edges(n, [(u - 1, v - 1) for u, v in edges])
 
 

@@ -5,11 +5,11 @@ are adjacent iff the sets differ by adding or deleting a single vertex.
 Node ids are positions in the DomFamily sort order (cardinality, then
 bitmask), so exports are deterministic.
 
-A ReconfigGraph is a handful of NumPy arrays indexed by node id:
+A ReconfigGraph is the DomFamily it was built on and NumPy arrays, all
+indexed by node id:
 
-* ``bits`` (uint64): the node's dominating set as a bitmask;
-* ``cards`` (uint8): its cardinality, so each cardinality is one block of
-  ids, sorted by bitmask inside the block;
+* ``nodes``: the family, whose ``bits`` and ``cards`` give each node's set
+  and cardinality, each cardinality one block of ids sorted by bitmask;
 * ``indptr`` (int64) and ``indices`` (int32): the adjacency in CSR form,
   the neighbours of node i being ``indices[indptr[i]:indptr[i + 1]]`` in
   increasing order;
@@ -20,14 +20,14 @@ Adjacency is found by toggling one vertex bit of every node at once and
 looking the results up.  While the dense id map of 2^n int32 entries is no
 larger than the order x n neighbour matrix it fills (2^n <= order * n),
 the lookup is one gather from it; otherwise it is ``np.searchsorted`` in a
-value-sorted copy of ``bits``, so the lookup never needs more memory than
-the matrix.
+value-sorted copy of ``nodes.bits``, so the lookup never needs more memory
+than the matrix.
 Analysis works on the arrays: breadth-first levels are masks over node
 ids, and the Hamiltonian search keeps its layers as uint32 arrays.
-Export formats the node labels from ``bits`` through
+Export formats the node labels from ``nodes.bits`` through
 ``domination.subset_texts`` and the edges from the upper CSR entries, with
-no Python object per node; ``nodes`` is a DomFamily over ``bits`` whose
-VertexSubset objects are made only when a caller reads them.
+no Python object per node; the family makes its VertexSubset objects only
+when a caller reads them.
 """
 
 from __future__ import annotations
@@ -47,24 +47,20 @@ HAMILTONIAN_ORDER_CAP = 20
 
 @dataclass(frozen=True, eq=False)
 class ReconfigGraph:
-    """D_k(G) as node bitmask, cardinality, CSR adjacency and component arrays.
+    """D_k(G) as its node family plus CSR adjacency and component arrays.
 
-    empty is a warning flag: k < gamma(G) gives a valid graph with no nodes
-    rather than an error, so callers can probe k ranges.
+    k < gamma(G) gives a valid graph with no nodes (order 0) rather than an
+    error, so callers can probe k ranges.
     """
 
-    base_n: int
-    k: int
-    bits: np.ndarray
-    cards: np.ndarray
+    nodes: DomFamily
     indptr: np.ndarray
     indices: np.ndarray
     component: np.ndarray
-    empty: bool
 
     @property
     def order(self) -> int:
-        return len(self.bits)
+        return len(self.nodes)
 
     @property
     def size(self) -> int:
@@ -76,18 +72,14 @@ class ReconfigGraph:
         degrees.flags.writeable = False
         return degrees
 
-    @cached_property
-    def nodes(self) -> DomFamily:
-        return DomFamily(self.base_n, self.k, self.bits)
-
     def node_id(self, bits: int) -> int:
         """Node id of the dominating set with this bitmask (KeyError if absent)."""
         bits = operator.index(bits)  # TypeError unless an integer, NumPy's too
-        if 0 <= bits < 1 << self.base_n:
+        if 0 <= bits < 1 << self.nodes.graph_n:
             # binary search inside the block of ids with this cardinality
-            lo, hi = np.searchsorted(self.cards, [bits.bit_count(), bits.bit_count() + 1])
-            i = lo + int(np.searchsorted(self.bits[lo:hi], np.uint64(bits)))
-            if i < hi and self.bits[i] == bits:
+            lo, hi = np.searchsorted(self.nodes.cards, [bits.bit_count(), bits.bit_count() + 1])
+            i = lo + int(np.searchsorted(self.nodes.bits[lo:hi], np.uint64(bits)))
+            if i < hi and self.nodes.bits[i] == bits:
                 return int(i)
         raise KeyError(f"no node with bitmask {bin(bits)}")
 
@@ -104,13 +96,11 @@ def build(g: Graph, k: int | None = None, *, cap: int = ENUMERATION_CAP) -> Reco
     propagation only for the nodes it leaves over.
     """
     nodes = enumerate_dominating(g, k, cap=cap)
-    bits = nodes.bits
-    cards = np.bitwise_count(bits)
-    indptr, indices = _adjacency(bits, g.n)
+    indptr, indices = _adjacency(nodes.bits, g.n)
     component = _component_labels(indptr, indices)
-    for a in (bits, cards, indptr, indices, component):
-        a.flags.writeable = False  # the graph is frozen; degrees and nodes are cached from these
-    return ReconfigGraph(g.n, nodes.k, bits, cards, indptr, indices, component, empty=not bits.size)
+    for a in (indptr, indices, component):
+        a.flags.writeable = False  # the graph is frozen; degrees are cached from these
+    return ReconfigGraph(nodes, indptr, indices, component)
 
 
 def _adjacency(bits: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -184,7 +174,7 @@ def bipartition(r: ReconfigGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
     Every move changes cardinality by one, so every edge crosses the parts.
     """
-    odd = r.cards % 2 == 1
+    odd = r.nodes.cards % 2 == 1
     return tuple(np.flatnonzero(odd).tolist()), tuple(np.flatnonzero(~odd).tolist())
 
 
@@ -317,7 +307,7 @@ def is_hamiltonian(r: ReconfigGraph) -> bool:
         raise TooLargeError(f"order {n} exceeds the Hamiltonian search cap {HAMILTONIAN_ORDER_CAP}")
     if n < 3:  # the search would take the 2-node path for a cycle
         return False
-    if 2 * np.count_nonzero(r.cards % 2) != n:
+    if 2 * np.count_nonzero(r.nodes.cards % 2) != n:
         return False
     bit = np.uint32(1) << np.arange(n, dtype=np.uint32)
     adj = np.zeros(n, dtype=np.uint32)  # adj[w]: the bitmask of w's neighbours
@@ -368,8 +358,8 @@ def _edges_text(r: ReconfigGraph, left: str, mid: str, right: str) -> str:
 
 def to_json_obj(r: ReconfigGraph) -> dict:
     return {
-        "base_n": r.base_n,
-        "k": r.k,
+        "base_n": r.nodes.graph_n,
+        "k": r.nodes.k,
         "nodes": r.nodes.to_json_obj(),
         "edges": [[i, j] for i, j in edge_list(r)],
     }
@@ -378,11 +368,12 @@ def to_json_obj(r: ReconfigGraph) -> dict:
 def to_json(r: ReconfigGraph) -> str:
     """json.dumps(to_json_obj(r)), formatted from the arrays."""
     edges = _edges_text(r, "[", ", ", "], ")[:-2]
-    return f'{{"base_n": {r.base_n}, "k": {r.k}, "nodes": {r.nodes.to_json()}, "edges": [{edges}]}}'
+    return (f'{{"base_n": {r.nodes.graph_n}, "k": {r.nodes.k}, "nodes": {r.nodes.to_json()}, '
+            f'"edges": [{edges}]}}')
 
 
 def to_dot(r: ReconfigGraph) -> str:
-    labels = subset_texts(r.bits, r.base_n, ",")
+    labels = subset_texts(r.nodes.bits, r.nodes.graph_n, ",")
     nodes = "".join(f'  s{i} [label="{{{s}}}"];\n' for i, s in enumerate(labels))
     edges = _edges_text(r, "  s", " -- s", ";\n")
     return f"graph D {{\n{nodes}{edges}}}\n"

@@ -84,7 +84,7 @@ def suite_complete(max_n: int = 12) -> list[CheckRecord]:
                 lambda r: reconfig.degree_extremes(r)[1],
                 note="D_1(K_1) is a single node with degree 0, excluded"),
         _over_n("complete/degree-n-1-count", built, 1, hi, lambda n: n,
-                lambda r: int(np.count_nonzero(r.degrees == r.base_n - 1)),
+                lambda r: int(np.count_nonzero(r.degrees == r.nodes.graph_n - 1)),
                 note="exactly the n singletons have degree n-1"),
         _over_n("complete/non-regularity", built, 2, hi, lambda n: False, reconfig.is_regular),
         _over_n("complete/bipartite-edges-cross", built, 1, hi, lambda n: 0, parity_violations),
@@ -96,7 +96,7 @@ def suite_complete(max_n: int = 12) -> list[CheckRecord]:
     records.append(replace(ham, range=f"{ham.range} (order <= {reconfig.HAMILTONIAN_ORDER_CAP})"))
 
     def complement(r):
-        r1 = reconfig.build(make_family("complete", r.base_n), 1)
+        r1 = reconfig.build(make_family("complete", r.nodes.graph_n), 1)
         return [r1.size, reconfig.connected_components(r1)[0]]
 
     records.append(_over_n(
@@ -107,9 +107,9 @@ def suite_complete(max_n: int = 12) -> list[CheckRecord]:
 
 def parity_violations(r: reconfig.ReconfigGraph) -> int:
     """Edges of D_k(G) joining two sets whose cardinalities have equal parity."""
-    rows = np.repeat(r.cards, r.degrees)
+    rows = np.repeat(r.nodes.cards, r.degrees)
     # every edge appears in both endpoints' rows
-    return int(np.count_nonzero((rows ^ r.cards[r.indices]) % 2 == 0)) // 2
+    return int(np.count_nonzero((rows ^ r.nodes.cards[r.indices]) % 2 == 0)) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +238,9 @@ def _distance_two_record(built: dict[int, reconfig.ReconfigGraph], dist_hi: int)
     pairs_checked = 0
     for n in range(2, dist_hi + 1):
         r = built[n]
-        cards = r.cards.astype(np.int64)
+        bits, cards = r.nodes.bits, r.nodes.cards.astype(np.int64)
         same = np.triu(cards[:, None] == cards, 1)  # the pairs a < b of one cardinality
-        want_two = np.bitwise_count(r.bits[:, None] & r.bits) == cards[:, None] - 1
+        want_two = np.bitwise_count(bits[:, None] & bits) == cards[:, None] - 1
         pairs_checked += int(np.count_nonzero(same))
         triples.append((n, 0, int(np.count_nonzero((want_two != _distance_two_marks(r)) & same))))
     return _pairs_record(

@@ -43,6 +43,13 @@ def test_family_dot(capsys):
     assert "v1 -- v2;" in out
 
 
+def test_self_loop_in_graph_json_is_named_by_its_labels(tmp_path, capsys):
+    path = tmp_path / "loop.json"
+    path.write_text('{"n": 3, "edges": [[2, 2]]}')
+    code, out, err = run(capsys, "family", "--input", str(path))
+    assert code == 1 and out == "" and "[2, 2]" in err
+
+
 def test_family_domain_error_exit_1(capsys):
     code, _, err = run(capsys, "family", "--family", "cycle", "--n", "2")
     assert code == 1

@@ -186,6 +186,11 @@ def test_closed_form_matches_sympy_root_sum(family, printed):
         assert form.evaluate(n) == -res[1] / res[0]
 
 
+def test_zero_numerator_is_given_not_defaulted():
+    assert cubic_closed_form("path", ()).evaluate(5) == 0
+    assert cubic_closed_form("path", None).evaluate(5) == closed_form_order("path", 5)
+
+
 def test_cubic_roots_residuals():
     for family in ("path", "cycle"):
         form = cubic_closed_form(family)

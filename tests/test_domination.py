@@ -58,7 +58,7 @@ def test_numpy_bitmasks_are_subsets():
     c6 = make_family("cycle", 6)
     fam = enumerate_dominating(c6, 4)
     assert all(is_dominating(c6, b) for b in fam.bits)
-    assert all(is_dominating(c6, b) for b in build(c6, 3).bits)
+    assert all(is_dominating(c6, b) for b in build(c6, 3).nodes.bits)
     assert [is_minimal_dominating(c6, b) for b in fam.bits[:2]] == [True, True]
     assert not is_minimal_dominating(c6, fam.bits[-1])  # a 4-set of C_6 is never minimal
     with pytest.raises(InvalidSubsetError):
@@ -214,7 +214,8 @@ def test_build_reads_the_kept_prune_family(monkeypatch):
     p28 = make_family("path", 28)  # above SCAN_LIMIT, so build takes the prune route
     fam = enumerate_dominating(p28, 11, cap=63, method="prune")
     for k in (11, 10):
-        assert np.array_equal(build(p28, k, cap=63).bits, fam.bits[: sum(fam.by_card[: k + 1])])
+        want = fam.bits[: sum(fam.by_card[: k + 1])]
+        assert np.array_equal(build(p28, k, cap=63).nodes.bits, want)
     assert calls == [(28, 11)]
 
 

@@ -101,6 +101,14 @@ def test_numpy_and_bool_vertex_counts_are_read_as_ints():
     assert to_json(make_family("path", True)) == '{"n": 1, "edges": []}'
 
 
+def test_numpy_endpoints_are_read_as_ints():
+    g = graph_from_edges(3, np.array([[0, 1], [2, 1]]))
+    assert g.edges == ((0, 1), (1, 2)) and all(type(v) is int for e in g.edges for v in e)
+    assert to_json(g) == to_json(graph_from_edges(3, [(0, 1), (2, 1)]))
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        Graph(3, [(0.0, 1.0)])
+
+
 def test_join_of_two_singletons_is_k2():
     g = join(make_family("complete", 1), make_family("complete", 1))
     assert g.edges_1based() == ((1, 2),)

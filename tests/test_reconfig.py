@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from test_domination import drawn_graphs
 
 from domgraph import (
+    DomFamily,
     EmptyGraphError,
     TooLargeError,
     bipartition,
@@ -25,6 +26,7 @@ from domgraph import (
     make_family,
 )
 from domgraph import domination, reconfig
+from domgraph.domination import ENUMERATION_CAP
 from domgraph.graphs import VertexSubset, graph_from_edges, ladder
 from domgraph.reconfig import edge_list, to_dot, to_json, to_json_obj
 
@@ -32,7 +34,17 @@ from domgraph.reconfig import edge_list, to_dot, to_json, to_json_obj
 def test_build_complete_3():
     r = build(make_family("complete", 3))
     assert r.order == 7 and r.size == 9
-    assert r.k == 3 and r.base_n == 3
+    assert r.nodes.k == 3 and r.nodes.graph_n == 3
+
+
+def test_build_holds_the_family_enumerate_dominating_returns():
+    # the scan route, the prune route above the scan limit, and k < gamma
+    p10, p28 = make_family("path", 10), make_family("path", 28)
+    for g, k, cap in [(p10, 10, ENUMERATION_CAP), (p28, 11, 63), (p10, 3, ENUMERATION_CAP)]:
+        r = build(g, k, cap=cap)
+        assert r.nodes == enumerate_dominating(g, k, cap=cap)
+        assert r.order == len(r.nodes) and r.nodes.k == k
+    assert r.order == 0  # gamma(P_10) = 4
 
 
 def test_build_path_3():
@@ -94,8 +106,8 @@ def test_is_regular():
 
 def test_every_array_the_graph_hands_out_refuses_a_write():
     r = build(make_family("path", 5))
-    arrays = {"bits": r.bits, "cards": r.cards, "indptr": r.indptr, "indices": r.indices,
-              "component": r.component, "degrees": r.degrees, "nodes.bits": r.nodes.bits}
+    arrays = {"nodes.bits": r.nodes.bits, "nodes.cards": r.nodes.cards, "indptr": r.indptr,
+              "indices": r.indices, "component": r.component, "degrees": r.degrees}
     for name, a in arrays.items():
         with pytest.raises(ValueError, match="read-only"):
             a[:] = 3
@@ -105,7 +117,7 @@ def test_every_array_the_graph_hands_out_refuses_a_write():
 
 def test_empty_graph_ops_raise():
     r = build(make_family("path", 9), 2)  # gamma(P_9) = 3
-    assert r.empty and r.order == 0
+    assert r.order == 0 and r.nodes.k == 2
     assert connected_components(r) == (0, ())
     with pytest.raises(EmptyGraphError):
         degree_extremes(r)
@@ -153,7 +165,7 @@ def test_distance_unreachable_and_validation():
     # NumPy integers are ids and bitmasks
     assert distance(p5, np.int64(0), np.uint8(3)) == distance(p5, 0, 3) == 1
     assert reconfig.distance_row(p5, np.int32(1)).tolist() == reconfig.distance_row(p5, 1).tolist()
-    assert p5.node_id(p5.bits[3]) == p5.node_id(int(p5.bits[3])) == 3
+    assert p5.node_id(p5.nodes.bits[3]) == p5.node_id(int(p5.nodes.bits[3])) == 3
 
 
 def test_distance_two_characterization_small():
@@ -226,10 +238,10 @@ def test_is_hamiltonian_search_finds_no_cycle_across_a_bridge():
                     for i in range(order)]
             indptr = np.cumsum([0] + [len(row) for row in rows])
             indices = np.array([j for row in rows for j in row], dtype=np.int32)
-            cards = np.arange(order, dtype=np.uint8) % 2  # m is even: every edge crosses
-            r = reconfig.ReconfigGraph(5, 5, np.arange(order, dtype=np.uint64), cards, indptr,
-                                       indices, reconfig._component_labels(indptr, indices),
-                                       empty=False)
+            # node i holds i vertices, so parity alternates by id; m is even: every edge crosses
+            bits = (np.uint64(1) << np.arange(order, dtype=np.uint64)) - np.uint64(1)
+            r = reconfig.ReconfigGraph(DomFamily(order, order, bits), indptr, indices,
+                                       reconfig._component_labels(indptr, indices))
             assert not is_hamiltonian(r) and not dfs_hamiltonian(r)
 
 
@@ -262,13 +274,13 @@ def test_is_hamiltonian_equals_a_path_search_on_drawn_graphs(g):
 
 def test_default_k_is_n():
     r = build(make_family("path", 4))
-    assert r.k == 4
+    assert r.nodes.k == 4
 
 
 def test_k_is_read_as_an_integer():
     p4 = make_family("path", 4)
     r = build(p4, np.uint8(3))
-    assert type(r.k) is int and np.array_equal(r.bits, build(p4, 3).bits)
+    assert type(r.nodes.k) is int and np.array_equal(r.nodes.bits, build(p4, 3).nodes.bits)
     with pytest.raises(ValueError, match="k=3.5 must satisfy"):
         build(p4, 3.5)
 
@@ -336,7 +348,7 @@ LEFTOVER_G = graph_from_edges(10, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 6), (1, 2
 def test_components_left_over_by_the_search_from_node_0():
     r = build(LEFTOVER_G, 3)
     assert r.order == 21
-    assert connected_components(r) == python_components(10, r.bits.tolist())
+    assert connected_components(r) == python_components(10, r.nodes.bits.tolist())
     assert connected_components(r)[0] == 5
     # edgeless: one component per node
     assert connected_components(build(make_family("complete", 4), 1)) == (4, (0, 1, 2, 3))
@@ -357,14 +369,15 @@ def test_distance_from_both_ends_equals_the_one_sided_search():
 def test_arrays_match_the_definitions_on_drawn_graphs(g, data):
     for k in range(1, g.n + 1):
         r = build(g, k)
-        bits = r.bits.tolist()
+        bits = r.nodes.bits.tolist()
         assert bits == [s.bits for s in enumerate_dominating(g, k).sets]
+        assert r.nodes.cards.tolist() == [b.bit_count() for b in bits]
         assert all(r.node_id(b) == i for i, b in enumerate(bits))
         if not bits:
-            assert r.empty and connected_components(r) == (0, ())
+            assert r.order == 0 and connected_components(r) == (0, ())
             continue
         # adjacent iff the sets differ in exactly one vertex
-        pairwise = np.bitwise_count(r.bits[:, None] ^ r.bits[None, :]) == 1
+        pairwise = np.bitwise_count(r.nodes.bits[:, None] ^ r.nodes.bits[None, :]) == 1
         for i in range(r.order):
             row = r.indices[r.indptr[i] : r.indptr[i + 1]]
             assert np.array_equal(row, np.flatnonzero(pairwise[i]))
@@ -395,7 +408,7 @@ def test_default_route_depends_on_n(monkeypatch):
     p22 = make_family("path", 22)
     tracemalloc.start()
     try:
-        assert build(p22, 6).empty  # gamma(P_22) = 8
+        assert build(p22, 6).order == 0  # gamma(P_22) = 8
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
