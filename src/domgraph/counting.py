@@ -24,7 +24,7 @@ import decimal
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache
 from typing import Callable, Iterator
 
 import numpy as np
@@ -63,10 +63,6 @@ class CountTable:
     def row_sum(self, n: int) -> int:
         return sum(self.rows[n])
 
-    @property
-    def row_sums(self) -> dict[int, int]:
-        return {n: sum(row) for n, row in self.rows.items()}
-
 
 def _roll_triangle(base_rows: dict[int, tuple[int, ...]], n_max: int) -> Iterator:
     """(n, row) for each n up to n_max: the base rows, then rows rolled from
@@ -84,6 +80,7 @@ def _roll_triangle(base_rows: dict[int, tuple[int, ...]], n_max: int) -> Iterato
 def triangle_rows(family: str, n_max: int) -> Iterator[tuple[int, tuple[int, ...]]]:
     """(n, d(G_n, .)) for each n of the family's triangle up to n_max, made one
     row at a time; the arguments are checked at the call."""
+    n_max = operator.index(n_max)
     base_rows = _base_rows(family)
     if n_max < min(base_rows):
         raise ValueError(_by_family(family, "n_max must be >= 1", "n_max must be >= 3 for cycles"))
@@ -111,6 +108,7 @@ def _by_family(family: str, path, cycle):
 def _order_terms(family: str, n_max: int, add=operator.add) -> Iterator:
     """Orders of D_n(G_n) for n = 1..n_max, tribonacci seeded by the base-row
     sums and summed by add; the arguments are checked at the call."""
+    n_max = operator.index(n_max)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     base_rows = _base_rows(family)
@@ -152,23 +150,19 @@ def order_texts(family: str, n_max: int) -> Iterator[str]:
 
 @dataclass(frozen=True)
 class RationalGF:
-    """numerator(x) / denominator(x) as ascending coefficient lists.
-
-    offset maps coefficient position to sequence index: the coefficient of
-    x^(n - offset) is the value at n.
-    """
+    """numerator(x) / denominator(x) as ascending coefficient lists; the
+    coefficient of x^(n - 1) is the value at n."""
 
     numerator: tuple[int, ...]
     denominator: tuple[int, ...]
-    offset: int = 1
 
 
-# Both order generating functions normalized to a unit constant term in the
-# denominator so the long division stays in integers:
-#   paths:  (1 + 2x + x^2) / (1 - x - x^2 - x^3)
-#   cycles: (1 + 2x + 3x^2) / (1 - x - x^2 - x^3)
-PATH_ORDER_GF = RationalGF((1, 2, 1), (1, -1, -1, -1))
-CYCLE_ORDER_GF = RationalGF((1, 2, 3), (1, -1, -1, -1))
+# 1 - x - x^2 - x^3, ascending: the denominator of both order generating
+# functions, with a unit constant term so the long division stays in
+# integers, and the cubic whose roots the closed forms sum over
+TRIBONACCI = (1, -1, -1, -1)
+PATH_ORDER_GF = RationalGF((1, 2, 1), TRIBONACCI)
+CYCLE_ORDER_GF = RationalGF((1, 2, 3), TRIBONACCI)
 
 
 def expand_gf(gf: RationalGF, terms: int):
@@ -193,16 +187,16 @@ def expand_gf(gf: RationalGF, terms: int):
 # Closed forms from the cubic x^3 + x^2 + x - 1
 # ---------------------------------------------------------------------------
 
-def _mul_mod(a, b, den: tuple[int, ...]) -> tuple[int, int, int]:
-    """a * b in Z[t]/(den) as 3 ascending coefficients; den = 1 - t - t^2 - t^3."""
+def _mul_mod(a, b) -> tuple[int, int, int]:
+    """a * b in Z[t]/(TRIBONACCI) as 3 ascending coefficients."""
     prod = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             prod[i + j] += x * y
-    while len(prod) > 3:  # den[3] = -1, so t^3 = den[0] + den[1] t + den[2] t^2
+    while len(prod) > 3:  # the t^3 coefficient is -1, so t^3 = 1 - t - t^2
         top = prod.pop()
         for i in range(3):
-            prod[len(prod) - 3 + i] += top * den[i]
+            prod[len(prod) - 3 + i] += top * TRIBONACCI[i]
     return tuple(prod + [0] * (3 - len(prod)))
 
 
@@ -215,45 +209,36 @@ class CubicClosedForm:
     tribonacci characteristic roots), with N the generating-function
     numerator.  The product is p'(tau_i), so by Euler's lemma the sum is the
     tau^2 coefficient of N(tau) tau^(-n) reduced mod p, and tau^(-1) =
-    tau^2 + tau + 1: evaluate needs only integers.  roots are the numeric
-    roots, kept for display.
+    tau^2 + tau + 1: evaluate needs only integers.  p is TRIBONACCI reversed.
     """
 
     numerator: tuple[int, ...]
-    denominator: tuple[int, ...]
-    roots: tuple[complex, complex, complex]
+
+    @property
+    def roots(self) -> tuple[complex, ...]:
+        """The sorted numeric roots, for display; found on each read, not at
+        import, where LAPACK's first call adds about 1.4 MB to every process."""
+        return tuple(complex(z) for z in np.sort_complex(np.roots(TRIBONACCI[::-1])))
 
     def evaluate(self, n: int) -> int:
-        den = self.denominator
-        # den[0] = 1, so 1/t = -(den[1] + den[2] t + den[3] t^2)
-        base = tuple(-d for d in den[1:]) if n >= 0 else (0, 1)
-        value, e = _mul_mod(self.numerator, (1,), den), abs(n)
+        # 1 = t + t^2 + t^3 at a root, so 1/t = 1 + t + t^2: TRIBONACCI[1:] negated
+        base = tuple(-d for d in TRIBONACCI[1:]) if n >= 0 else (0, 1)
+        value, e = _mul_mod(self.numerator, (1,)), abs(n)
         while e:
             if e & 1:
-                value = _mul_mod(value, base, den)
-            base = _mul_mod(base, base, den)
+                value = _mul_mod(value, base)
+            base = _mul_mod(base, base)
             e >>= 1
         return value[2]
 
 
-@lru_cache(maxsize=None)
-def _cubic_roots(denominator: tuple[int, ...]) -> tuple[complex, ...]:
-    return tuple(complex(z) for z in np.sort_complex(np.roots(denominator[::-1])))
-
-
 def cubic_closed_form(family: str, numerator: tuple[int, ...] | None = None) -> CubicClosedForm:
-    """The partial-fraction form of the family's order generating function.
-
-    The cubic is the GF's denominator, and the numerator is the GF's unless
-    one is given (verify passes the printed variant's, which does not
-    reproduce the order sequence; the verify suite records why).
+    """The partial-fraction form of the family's order generating function:
+    its numerator unless one is given (verify passes the printed variant's,
+    which does not reproduce the order sequence; the verify suite records why).
     """
     gf = _by_family(family, PATH_ORDER_GF, CYCLE_ORDER_GF)
-    return CubicClosedForm(
-        numerator=gf.numerator if numerator is None else numerator,
-        denominator=gf.denominator,
-        roots=_cubic_roots(gf.denominator),
-    )
+    return CubicClosedForm(gf.numerator if numerator is None else numerator)
 
 
 def closed_form_order(family: str, n: int) -> int:
@@ -287,10 +272,6 @@ class PathFormula:
     min_n: int
     target: Callable[[int], tuple[int, int | None]]
     value: Callable[[int], int]
-
-
-def _tribonacci_path(n: int) -> int:
-    return order_sequence("path", n)[-1]
 
 
 # The two quartic/quintic formulas count the (gamma+1)-sets of P_{3n+2}
@@ -335,7 +316,7 @@ PATH_FORMULAS: dict[str, PathFormula] = {
             "row sum: tribonacci with seeds 1, 3, 5",
             1,
             lambda n: (n, None),
-            _tribonacci_path,
+            lambda n: order_sequence("path", n)[-1],
         ),
         PathFormula(
             "d(Pn,n-1)",
@@ -363,24 +344,15 @@ PATH_FORMULAS: dict[str, PathFormula] = {
 }
 
 
-def _path_formula(case: str) -> PathFormula:
+def closed_d(case: str, n: int) -> int:
+    """Evaluate one of the registered path count formulas exactly."""
     formula = PATH_FORMULAS.get(case)
     if formula is None:
         raise ValueError(f"unknown case {case!r}; known: {sorted(PATH_FORMULAS)}")
-    return formula
-
-
-def closed_d(case: str, n: int) -> int:
-    """Evaluate one of the registered path count formulas exactly."""
-    formula = _path_formula(case)
+    n = operator.index(n)
     if n < formula.min_n:
         raise ValueError(f"case {case} needs n >= {formula.min_n}")
     return formula.value(n)
-
-
-def closed_d_target(case: str, n: int) -> tuple[int, int | None]:
-    """(path length, cardinality) the case predicts; None means row sum."""
-    return _path_formula(case).target(n)
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +365,7 @@ def join_order(p: int, q: int, d_g: int, d_h: int) -> int:
     Any set meeting both sides dominates via the cross edges; a one-sided
     set must dominate its own factor.
     """
+    p, q, d_g, d_h = map(operator.index, (p, q, d_g, d_h))
     return (2**p - 1) * (2**q - 1) + d_g + d_h
 
 
@@ -402,6 +375,7 @@ def corona_order(p: int, q: int, d_h: int) -> int:
     Each of the p units contributes independently: 2^q sets containing its
     hub plus d_h hub-free sets dominating its copy of H.
     """
+    p, q, d_h = map(operator.index, (p, q, d_h))
     return (2**q + d_h) ** p
 
 

@@ -265,7 +265,7 @@ def _gf_and_closed_form_records(family: str) -> list[CheckRecord]:
     records = [
         _pairs_record(
             f"{family}/gf", "1<=n<=40",
-            [(n, seq[n - 1], coeffs[n - gf.offset]) for n in range(1, 41)],
+            [(n, seq[n - 1], coeffs[n - 1]) for n in range(1, 41)],
             note="coefficient of x^(n-1) is the order at n",
         ),
         _pairs_record(

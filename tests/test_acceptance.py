@@ -41,8 +41,7 @@ from domgraph import (
     total_count,
     upper_domination_number,
 )
-from domgraph.counting import CYCLE_ORDER_GF, PATH_FORMULAS, PATH_ORDER_GF
-from domgraph.counting import closed_d, closed_d_target
+from domgraph.counting import CYCLE_ORDER_GF, PATH_FORMULAS, PATH_ORDER_GF, closed_d
 from domgraph.verify import (
     family_pool,
     labeled_graph_sweep,
@@ -103,7 +102,7 @@ def test_criterion_03_path_closed_forms():
     table = path_triangle(3 * 30 + 2)
     for case, formula in PATH_FORMULAS.items():
         for n in range(formula.min_n, 31):
-            length, card = closed_d_target(case, n)
+            length, card = formula.target(n)
             oracle = table.row_sum(length) if card is None else table.row(length)[card]
             if closed_d(case, n) != oracle:
                 failures.append((case, n))
@@ -117,7 +116,7 @@ def test_criterion_04_generating_functions_and_root_form():
         coeffs = expand_gf(gf, 40)
         form = cubic_closed_form(family)
         for n in range(1, 41):
-            if coeffs[n - gf.offset] != seq[n - 1]:
+            if coeffs[n - 1] != seq[n - 1]:
                 failures.append((family, "gf", n))
             if closed_form_order(family, n) != seq[n - 1]:
                 failures.append((family, "closed form", n))

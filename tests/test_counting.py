@@ -1,8 +1,11 @@
+import dataclasses
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from domgraph import (
+    CubicClosedForm,
     FormulaViolationError,
     InvalidSeriesError,
     RationalGF,
@@ -25,8 +28,8 @@ from domgraph.counting import (
     CYCLE_ORDER_GF,
     PATH_FORMULAS,
     PATH_ORDER_GF,
+    TRIBONACCI,
     _exact_div,
-    closed_d_target,
     order_texts,
     triangle_rows,
 )
@@ -107,14 +110,12 @@ def test_order_texts_checks_its_arguments_at_the_call():
 
 
 def test_row_sums_satisfy_tribonacci():
-    table = path_triangle(15)
-    sums = table.row_sums
+    sums = path_triangle(15).row_sum
     for n in range(4, 16):
-        assert sums[n] == sums[n - 1] + sums[n - 2] + sums[n - 3]
-    ctable = cycle_triangle(15)
-    csums = ctable.row_sums
+        assert sums(n) == sums(n - 1) + sums(n - 2) + sums(n - 3)
+    csums = cycle_triangle(15).row_sum
     for n in range(6, 16):
-        assert csums[n] == csums[n - 1] + csums[n - 2] + csums[n - 3]
+        assert csums(n) == csums(n - 1) + csums(n - 2) + csums(n - 3)
 
 
 def test_expand_gf_paths_and_cycles():
@@ -138,7 +139,7 @@ def test_gf_offset_matches_order_sequence():
         seq = order_sequence(family, 40)
         coeffs = expand_gf(gf, 40)
         for n in range(1, 41):
-            assert coeffs[n - gf.offset] == seq[n - 1]
+            assert coeffs[n - 1] == seq[n - 1]
 
 
 def test_closed_form_order_matches_recurrence():
@@ -191,6 +192,13 @@ def test_zero_numerator_is_given_not_defaulted():
     assert cubic_closed_form("path", None).evaluate(5) == closed_form_order("path", 5)
 
 
+def test_the_tribonacci_cubic_is_stated_once():
+    assert [f.name for f in dataclasses.fields(CubicClosedForm)] == ["numerator"]
+    assert [f.name for f in dataclasses.fields(RationalGF)] == ["numerator", "denominator"]
+    assert PATH_ORDER_GF.denominator == CYCLE_ORDER_GF.denominator == TRIBONACCI
+    assert cubic_closed_form("path").roots == cubic_closed_form("cycle", (1,)).roots
+
+
 def test_cubic_roots_residuals():
     for family in ("path", "cycle"):
         form = cubic_closed_form(family)
@@ -212,7 +220,7 @@ def test_closed_d_matches_triangle():
     table = path_triangle(3 * 12 + 2)
     for case, formula in PATH_FORMULAS.items():
         for n in range(formula.min_n, 13):
-            length, card = closed_d_target(case, n)
+            length, card = formula.target(n)
             oracle = table.row_sum(length) if card is None else table.row(length)[card]
             assert closed_d(case, n) == oracle, (case, n)
 
@@ -222,6 +230,25 @@ def test_closed_d_validation():
         closed_d("nope", 3)
     with pytest.raises(ValueError):
         closed_d("d(Pn,n-1)", 1)
+
+
+def test_numpy_integers_give_exact_int_counts():
+    for got, want in (
+        (join_order(np.int64(40), np.int64(40), np.int64(1), np.int64(1)), join_order(40, 40, 1, 1)),
+        (corona_order(np.int64(5), np.int64(40), np.int64(1)), corona_order(5, 40, 1)),
+        (closed_d("d(P3n+1,n+2)", np.int64(12175)), closed_d("d(P3n+1,n+2)", 12175)),
+        (closed_d("d(P3n+2,n+2)", np.int64(20000)), closed_d("d(P3n+2,n+2)", 20000)),
+    ):
+        assert type(got) is int and got == want
+    assert join_order(40, 40, 1, 1) == 1208925819612430151450627
+    assert closed_d("d(P3n+1,n+2)", 12175) == 2233854530056466360
+    for case in PATH_FORMULAS:
+        with pytest.raises(TypeError):
+            closed_d(case, 2.5)
+    with pytest.raises(TypeError):
+        join_order(2.0, 2, 3, 3)
+    with pytest.raises(TypeError):
+        corona_order(2, 1.0, 1)
 
 
 def test_exact_div_guards_formulas():
@@ -272,3 +299,11 @@ def test_triangle_rows_check_their_arguments_at_the_call():
         triangle_rows("cycle", 2)
     with pytest.raises(ValueError, match="unknown family"):
         triangle_rows("ladder", 5)
+
+
+def test_n_max_is_read_as_an_integer_at_the_call():
+    for make in (triangle_rows, order_texts):
+        with pytest.raises(TypeError):
+            make("path", 5.5)
+    assert list(triangle_rows("path", np.int64(4))) == list(triangle_rows("path", 4))
+    assert list(order_texts("cycle", np.int64(7))) == list(order_texts("cycle", 7))
