@@ -156,6 +156,11 @@ class RationalGF:
     numerator: tuple[int, ...]
     denominator: tuple[int, ...]
 
+    def __post_init__(self):
+        # Python ints, so NumPy coefficients cannot wrap in the long division
+        object.__setattr__(self, "numerator", tuple(map(operator.index, self.numerator)))
+        object.__setattr__(self, "denominator", tuple(map(operator.index, self.denominator)))
+
 
 # 1 - x - x^2 - x^3, ascending: the denominator of both order generating
 # functions, with a unit constant term so the long division stays in
@@ -213,6 +218,10 @@ class CubicClosedForm:
     """
 
     numerator: tuple[int, ...]
+
+    def __post_init__(self):
+        # Python ints, so NumPy coefficients cannot wrap in the powers
+        object.__setattr__(self, "numerator", tuple(map(operator.index, self.numerator)))
 
     @property
     def roots(self) -> tuple[complex, ...]:

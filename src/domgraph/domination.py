@@ -21,18 +21,23 @@ SCAN_LIMIT (20), prune above it (its docstring gives the measurements).
 An explicit ``method`` forces a route, so tests, demos and benchmarks can
 pit one against the other.
 
-The counting operations read the same table.  It builds the coverage of
-every subset by doubling (subsets of {0..v} are those of {0..v-1} with and
-without v), keeps only the boolean dominating mask, and fills popcounts and
-the minimal mask on first use.  The last graph's table is kept, so queries
-on one graph (or on equal graphs) build it once.  The last prune-route
-family is kept the same way: a prune-route call on an equal graph with no
-larger k returns the kept family's first sets, those with at most k
-members, so reconfig.build after enumerate_dominating searches once.  The
-table refuses graphs above ENUMERATION_CAP = 24 vertices with
-TooLargeError, whatever the query or route.  enumerate_dominating and
-reconfig.build also take a ``cap`` on n (default 24); only the prune route
-can use a larger one.
+The counting operations read the same table.  It keeps the dominating mask
+as a bitset, 64 subsets a word (2 MB at n = 24), and fills the minimal mask
+and the counts by cardinality on first use.  The coverage of every subset
+of the low 16 vertices is built once by doubling (subsets of {0..v} are
+those of {0..v-1} with and without v, 2^16 words); each subset of the
+higher vertices then fills one block of 2^16 subsets from it, so no array
+of 2^n entries is made.  The counts read each word through seven masks of
+in-word positions by popcount, and the scan masks each word the same way
+before it unpacks the words that hold a set.  The last graph's table is
+kept, so queries on one graph (or on equal graphs) build it once.  The
+last prune-route family is kept the same way: a prune-route call on an
+equal graph with no larger k returns the kept family's first sets, those
+with at most k members, so reconfig.build after enumerate_dominating
+searches once.  The table refuses graphs above ENUMERATION_CAP = 24
+vertices with TooLargeError, whatever the query or route.
+enumerate_dominating and reconfig.build also take a ``cap`` on n (default
+24); only the prune route can use a larger one.
 
 A DomFamily holds the bitmask array and makes VertexSubset objects only
 when ``sets`` is read.  Its JSON, and the labels of reconfig's exports, come
@@ -54,7 +59,7 @@ import numpy as np
 from .errors import TooLargeError
 from .graphs import Graph, VertexSubset, subset_bits
 
-# The subset table holds 2^n words; 24 keeps that around 16.7M.
+# The subset table covers 2^n subsets; 24 keeps that, and the scan's output, around 16.7M.
 ENUMERATION_CAP = 24
 # Up to this n enumerate_dominating's default route is the scan; above it, prune.
 SCAN_LIMIT = 20
@@ -135,8 +140,32 @@ def subset_texts(bits: np.ndarray, n: int, sep: str) -> list[str]:
     return [t[len(sep):] for t in texts.tolist()]
 
 
+# In-word masks over the 64 subsets of one word: _WITH_BIT[v] holds the positions with
+# bit v set, _AT_MOST[c + 1] those with at most c set bits (_AT_MOST[0] is empty)
+_WITH_BIT = np.array([sum(1 << p for p in range(64) if p >> v & 1) for v in range(6)],
+                     dtype=np.uint64)
+_AT_MOST = np.array([sum(1 << p for p in range(64) if p.bit_count() < c) for c in range(8)],
+                    dtype=np.uint64)
+# The low block: its coverage array holds 2^16 uint32 words (256 KB)
+_LOW_VERTICES = 16
+
+
+def _cover(nbhd) -> np.ndarray:
+    """The union of the closed neighborhoods of each subset of nbhd's vertices, by
+    doubling: subsets of {0..v} are those of {0..v-1} with and without v."""
+    cov = np.zeros(1 << len(nbhd), dtype=np.uint32)
+    for v, mask in enumerate(nbhd):
+        np.bitwise_or(cov[: 1 << v], np.uint32(mask), out=cov[1 << v : 2 << v])
+    return cov
+
+
 class SubsetTable:
-    """Dominating and minimal masks, and popcounts, over all 2^n subsets."""
+    """Dominating and minimal masks over all 2^n subsets, packed 64 a word.
+
+    Subset s is bit s & 63 of word s >> 6 (one word when n < 6), so word w
+    holds the subsets whose high part is w, and the popcount of a subset is
+    that of its position in the word plus that of w.
+    """
 
     @staticmethod
     def check_size(g: Graph) -> None:
@@ -147,39 +176,68 @@ class SubsetTable:
 
     def __init__(self, g: Graph):
         self.check_size(g)
-        cov = np.empty(1 << g.n, dtype=np.uint32)
-        cov[0] = 0
-        size = 1
-        for v in range(g.n):
-            np.bitwise_or(cov[:size], np.uint32(g.closed_nbhd[v]), out=cov[size : 2 * size])
-            size <<= 1
         self.n = g.n
-        self.dom = cov == np.uint32(g.full_mask)
+        # cover the low vertices once, then each subset c of the high ones fills the
+        # block of words whose high part is c
+        low = _cover(g.closed_nbhd[:_LOW_VERTICES])
+        high = _cover(g.closed_nbhd[_LOW_VERTICES:])
+        self.dom = np.zeros(max(1, (1 << g.n) >> 6), dtype="<u8")
+        blocks = self.dom.view(np.uint8).reshape(len(high), -1)
+        full = np.uint32(g.full_mask)
+        covered, dominated = np.empty_like(low), np.empty(len(low), dtype=bool)
+        for block, cov in zip(blocks, high):
+            np.equal(np.bitwise_or(low, cov, out=covered), full, out=dominated)
+            packed = np.packbits(dominated, bitorder="little")
+            block[: len(packed)] = packed
 
     @cached_property
-    def cards(self) -> np.ndarray:
-        return np.bitwise_count(np.arange(1 << self.n, dtype=np.uint32))
+    def _word_cards(self) -> np.ndarray:
+        return np.bitwise_count(np.arange(len(self.dom), dtype=np.uint32))
 
     @cached_property
     def minimal(self) -> np.ndarray:
-        # v in S is removable iff S - v dominates.  In blocks of 2 << v subsets the upper
-        # half is the lower half plus v; OR in words of up to 8 (short rows are slow)
+        # v in S is removable iff S - v dominates: for v < 6, S - v sits 2^v bits lower
+        # in S's word; above, in the lower half of each block of 2 << (v - 6) words
         removable = np.zeros_like(self.dom)
-        for v in range(self.n):
-            word = np.dtype(f"u{min(1 << v, 8)}")
-            step = (1 << v) // word.itemsize
-            with_v = removable.view(word).reshape(-1, 2, step)[:, 1, :]
-            with_v |= self.dom.view(word).reshape(-1, 2, step)[:, 0, :]
-        # a set with a removable vertex dominates, so minimal = dom xor removable
-        return np.logical_xor(self.dom, removable, out=removable)
+        for v in range(min(self.n, 6)):
+            removable |= (self.dom << np.uint64(1 << v)) & _WITH_BIT[v]
+        for v in range(6, self.n):
+            step = 1 << (v - 6)
+            removable.reshape(-1, 2, step)[:, 1, :] |= self.dom.reshape(-1, 2, step)[:, 0, :]
+        # a set with a removable vertex dominates, so minimal = dom and not removable
+        return np.bitwise_and(self.dom, np.invert(removable, out=removable), out=removable)
+
+    def _by_card(self, words: np.ndarray) -> tuple[int, ...]:
+        # the subsets at positions with c set bits in a word with j set bits have j + c
+        counts = np.zeros(self.n + 7, dtype=np.int64)
+        for c in range(7):
+            in_word = np.bitwise_count(words & (_AT_MOST[c + 1] ^ _AT_MOST[c]))
+            by_word = np.bincount(self._word_cards, weights=in_word)  # exact: sums < 2^53
+            counts[c : c + len(by_word)] += by_word.astype(np.int64)
+        return tuple(counts[: self.n + 1].tolist())
 
     @cached_property
     def dom_by_card(self) -> tuple[int, ...]:
-        return tuple(np.bincount(self.cards[self.dom], minlength=self.n + 1).tolist())
+        return self._by_card(self.dom)
 
     @cached_property
     def minimal_by_card(self) -> tuple[int, ...]:
-        return tuple(np.bincount(self.cards[self.minimal], minlength=self.n + 1).tolist())
+        return self._by_card(self.minimal)
+
+    def scan(self, k: int) -> np.ndarray:
+        """The bitmasks of the dominating sets with at most k members, sorted by value."""
+        words = self.dom
+        if k < self.n:
+            # in a word with j set bits, keep the positions with at most k - j set bits
+            allowed = _AT_MOST[np.clip(k + 1 - np.arange(self.n + 1), 0, 7)]
+            words = words & allowed[self._word_cards]
+        nonzero = np.flatnonzero(words)
+        members = np.flatnonzero(
+            np.unpackbits(words[nonzero].astype("<u8", copy=False).view(np.uint8),
+                          bitorder="little"))
+        bits = nonzero[members >> 6] << 6
+        bits |= members & 63
+        return bits.view(np.uint64)
 
 
 _last_table: tuple = (None, None)  # (graph, SubsetTable) of the last graph queried
@@ -301,22 +359,21 @@ def enumerate_dominating(
     """All dominating sets with cardinality at most k (default k = n).
 
     method is "scan" or "prune"; None picks scan while n <= SCAN_LIMIT and
-    prune above it.  At n <= 20 the subset table holds at most 6 MB and the
-    scan takes a few ms at any k, while the prune route's time follows the
-    output: the scan wins at k = n and the prune route near gamma (P_20,
-    enumerate_dominating in a fresh process, median of 5, table build
-    included: scan 10 ms against prune 0.24 s at k=20, scan 9 ms against
-    prune 0.3 ms at k=7).  Above 20 the table grows to about 100 MB more
-    peak RSS by n = 24, and at small k the scan loses by more.
-    reconfig.build in a fresh process (median of 5), 2 cores, Python 3.11,
-    NumPy 2.4:
+    prune above it.  At n <= 20 the subset table holds at most 128 KB a mask
+    and the scan takes a few ms at any k, while the prune route's time
+    follows the output: the scan wins at k = n and the prune route near
+    gamma (P_20, enumerate_dominating in a fresh process, median of 5, table
+    build included: scan 7 ms against prune 0.22 s at k=20, scan 1.5 ms
+    against prune 0.3 ms at k=7).  Above 20 the scan's time grows with 2^n
+    whatever k is, the prune route's with the output.  reconfig.build in a
+    fresh process (median of 5), 2 cores, Python 3.11, NumPy 2.4:
 
         case         prune              scan
-        P_22, k=22   1.34 s   / 137 MB  0.57 s   / 153 MB
-        P_24, k=12   0.40 s   /  53 MB  0.31 s   / 126 MB
-        P_24, k=9    0.0014 s /  31 MB  0.087 s  / 126 MB
-        C_24, k=10   0.018 s  /  32 MB  0.105 s  / 126 MB
-        P_20, k=7    0.0009 s /  31 MB  0.0073 s /  37 MB
+        P_22, k=22   1.01 s   / 137 MB  0.40 s   / 134 MB
+        P_24, k=12   0.35 s   /  53 MB  0.24 s   /  56 MB
+        P_24, k=9    0.0020 s /  31 MB  0.013 s  /  35 MB
+        C_24, k=10   0.021 s  /  32 MB  0.018 s  /  36 MB
+        P_20, k=7    0.0010 s /  31 MB  0.0014 s /  31 MB
     """
     try:
         k = g.n if k is None else operator.index(k)  # NumPy integers too
@@ -333,8 +390,7 @@ def enumerate_dominating(
         return _prune_family(g, k)
     if method != "scan":
         raise ValueError(f"unknown enumeration method {method!r}")
-    table = _table(g)
-    return _family(g.n, k, np.flatnonzero(table.dom & (table.cards <= k)).astype(np.uint64))
+    return _family(g.n, k, _table(g).scan(k))
 
 
 def count_by_cardinality(g: Graph) -> tuple[int, ...]:
@@ -344,7 +400,7 @@ def count_by_cardinality(g: Graph) -> tuple[int, ...]:
 
 def total_count(g: Graph) -> int:
     """Number of dominating sets of G (odd for every graph, see verify)."""
-    return int(np.count_nonzero(_table(g).dom))
+    return int(np.bitwise_count(_table(g).dom).sum())
 
 
 def domination_number(g: Graph) -> int:

@@ -192,6 +192,15 @@ def test_zero_numerator_is_given_not_defaulted():
     assert cubic_closed_form("path", None).evaluate(5) == closed_form_order("path", 5)
 
 
+def test_numpy_coefficients_are_read_as_python_ints():
+    numerator = tuple(np.array((1, 2, 1)))
+    assert cubic_closed_form("path", numerator).evaluate(100) == closed_form_order("path", 100)
+    assert expand_gf(RationalGF(numerator, tuple(np.array(TRIBONACCI))), 100)[99] == (
+        closed_form_order("path", 100))
+    with pytest.raises(TypeError):
+        RationalGF((1.0,), TRIBONACCI)
+
+
 def test_the_tribonacci_cubic_is_stated_once():
     assert [f.name for f in dataclasses.fields(CubicClosedForm)] == ["numerator"]
     assert [f.name for f in dataclasses.fields(RationalGF)] == ["numerator", "denominator"]

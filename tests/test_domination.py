@@ -364,12 +364,23 @@ def drawn_graphs(draw, max_n):
     return graph_from_edges(n, [p for p, on in zip(pairs, flags) if on])
 
 
+def packed_bit(words, bits):
+    """Subset bits's entry of a packed mask: bit bits & 63 of word bits >> 6."""
+    return bool(int(words[bits >> 6]) >> (bits & 63) & 1)
+
+
 def assert_table_matches_definitions(g):
     table = SubsetTable(g)
+    dom_by_card, minimal_by_card = [0] * (g.n + 1), [0] * (g.n + 1)
     for bits in range(1 << g.n):
-        assert table.dom[bits] == is_dominating(g, bits)
-        assert table.minimal[bits] == is_minimal_dominating(g, bits)
-        assert table.cards[bits] == bits.bit_count()
+        dominating, minimal = is_dominating(g, bits), is_minimal_dominating(g, bits)
+        assert packed_bit(table.dom, bits) == dominating
+        assert packed_bit(table.minimal, bits) == minimal
+        dom_by_card[bits.bit_count()] += dominating
+        minimal_by_card[bits.bit_count()] += minimal
+    # the histograms also see any bit set past subset 2^n - 1 of the last word
+    assert table.dom_by_card == tuple(dom_by_card)
+    assert table.minimal_by_card == tuple(minimal_by_card)
 
 
 def test_subset_table_on_every_labeled_graph_up_to_5():
@@ -423,6 +434,43 @@ def test_scan_equals_prune_near_gamma(g, data):
     gamma = domination_number(g)
     k = data.draw(st.integers(gamma, min(gamma + 2, g.n)))
     assert enumerate_dominating(g, k, method="scan") == enumerate_dominating(g, k, method="prune")
+
+
+def sparse_graph(rng, n):
+    """A random tree on n vertices plus n // 4 more edges."""
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(edges) < n - 1 + n // 4:
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    return graph_from_edges(n, sorted(edges))
+
+
+def test_blocked_table_matches_the_prune_route():
+    # above 16 vertices the table is built in 2^(n - 16) blocks of 2^16 subsets
+    rng = random.Random(17)
+    n17, n20 = sparse_graph(rng, 17), sparse_graph(rng, 20)
+    for g in (make_family("path", 18), make_family("cycle", 19), ladder(9), n17, n20):
+        assert count_by_cardinality(g) == enumerate_dominating(g, method="prune").by_card
+        for k in (g.n, domination_number(g) + 1):
+            assert enumerate_dominating(g, k, method="scan") == enumerate_dominating(
+                g, k, method="prune")
+    minimal_by_card = [0] * (n17.n + 1)
+    for bits in enumerate_dominating(n17, method="prune").bits.tolist():
+        minimal_by_card[bits.bit_count()] += is_minimal_dominating(n17, bits)
+    assert SubsetTable(n17).minimal_by_card == tuple(minimal_by_card)
+
+
+def test_table_queries_trace_less_than_a_byte_a_subset(monkeypatch):
+    # the packed masks take 2^n / 8 bytes each, and no 2^n-entry array is made
+    monkeypatch.setattr(domination, "_last_table", (None, None))
+    p22 = make_family("path", 22)
+    tracemalloc.start()
+    try:
+        assert count_by_cardinality(p22) == path_triangle(22).row(22)
+        assert upper_domination_number(p22) == 11
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 22
 
 
 def test_prune_route_above_the_table_matches_the_triangles():
