@@ -22,8 +22,20 @@ larger than the order x n neighbour matrix it fills (2^n <= order * n),
 the lookup is one gather from it; otherwise it is ``np.searchsorted`` in a
 value-sorted copy of ``nodes.bits``, so the lookup never needs more memory
 than the matrix.
-Analysis works on the arrays: breadth-first levels are masks over node
-ids, and the Hamiltonian search keeps its layers as uint32 arrays.
+Analysis works on the arrays and on the superset closure: every superset
+of a dominating set dominates, so a node S with |S| < k is adjacent to all
+n - |S| of its supersets S + v.
+* Components: two up-neighbours S + v and S + w of a node below layer
+  k - 1 share the up-neighbour S + v + w, so by downward induction every
+  lower node and all its up-neighbours climb into one component of layers
+  k - 1 and k.  Label propagation runs on those two layers alone, and each
+  lower node copies the label of a neighbour one layer up.
+* Distance: each edge toggles one vertex, so d(A, B) >= |A △ B|; when
+  |A ∪ B| <= k, adding B - A and then deleting A - B reaches that bound,
+  every set on the way being a superset of A or of B with at most
+  |A ∪ B| members.  Only the other pairs search, from both ends, with
+  breadth-first levels as masks over node ids.
+The Hamiltonian search keeps its layers as uint32 arrays.
 Export formats the node labels from ``nodes.bits`` through
 ``domination.subset_texts`` and the edges from the upper CSR entries, with
 no Python object per node; the family makes its VertexSubset objects only
@@ -91,13 +103,15 @@ def build(g: Graph, k: int | None = None, *, cap: int = ENUMERATION_CAP) -> Reco
     the results up, one gather each from a 2^n id map while 2^n <= order * n
     and a binary search otherwise, then sorts each row of n candidates:
     O(order * n log n) with the map and O(order * n log order) without it,
-    instead of the quadratic pairwise check.  Components take one
-    breadth-first search from node 0, which covers D_n(G), and label
-    propagation only for the nodes it leaves over.
+    instead of the quadratic pairwise check.  Components need no search:
+    two up-neighbours S + v and S + w of a node below layer k - 1 share the
+    up-neighbour S + v + w, so the components are those of layers k - 1 and
+    k, found by label propagation there, and each lower node copies the
+    label of a neighbour one layer up (_component_labels gives the proof).
     """
     nodes = enumerate_dominating(g, k, cap=cap)
     indptr, indices = _adjacency(nodes.bits, g.n)
-    component = _component_labels(indptr, indices)
+    component = _component_labels(indptr, indices, nodes.cards, nodes.k)
     for a in (indptr, indices, component):
         a.flags.writeable = False  # the graph is frozen; degrees are cached from these
     return ReconfigGraph(nodes, indptr, indices, component)
@@ -137,36 +151,58 @@ def _search_columns(bits: np.ndarray, nbr: np.ndarray) -> None:
         nbr[:, v] = np.where(values[pos] == toggled, by_value[pos], order)
 
 
-def _component_labels(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+def _component_labels(indptr: np.ndarray, indices: np.ndarray,
+                      cards: np.ndarray, k: int) -> np.ndarray:
     """Per-node component label, components numbered by their smallest node id.
 
-    One breadth-first search labels node 0's component 0; it reaches every
-    node of D_n(G), which is connected.  The nodes it leaves over take label
-    propagation: each takes the smallest label among itself and its
-    neighbours, then the label of its label (pointer jumping), until nothing
-    changes.  Labels only fall and stay node ids of the component, so the
-    fixed point labels every node with its component's smallest id.  One
-    search per component would be one per node on edgeless D_1(K_n).
+    Every superset of a dominating set dominates, so a node S with |S| < k
+    is adjacent to each of its n - |S| supersets S + v.  Lemma: the
+    components of D_k(G) are those of the subgraph on layers k - 1 and k,
+    each lower node joining the component its up-neighbours reach.  Proof:
+    two up-neighbours S + v and S + w of a node S with |S| <= k - 2 share
+    the up-neighbour S + v + w.  At |S| = k - 2 that puts them in one
+    component of the top two layers; below, downward induction on |S|
+    gives every up-neighbour of S the component of S + v + w.  So every
+    edge below layer k - 1 joins nodes whose climbs end in one component
+    of the top two layers, and every node is joined to where its climb ends.
+
+    The nodes of layers k - 1 and k take label propagation over the edges
+    between them: each takes the smallest label among itself and its
+    neighbours, then the label of its label (pointer jumping), until
+    nothing changes, which labels each with the smallest id of its
+    component there.  Then, layer by layer downward, each lower node copies
+    the label of its last CSR neighbour, which has the largest id and so
+    lies one layer up.  Last, components are numbered by their smallest
+    node id, which may lie below layer k - 1.
     """
-    order = len(indptr) - 1
-    seen = np.arange(order) == 0
-    for _ in _frontiers(indptr, indices, seen):
-        pass
+    order = len(cards)
+    # first[j]: the first id of layer >= j; the keys take the dtype of cards,
+    # which a mixed search would cast whole
+    first = np.searchsorted(cards, np.arange(k, dtype=cards.dtype))
+    # the rows of layers k - 1 and k are the tail of indices; the entries
+    # inside those layers are the edges between them, still grouped by row
+    top = int(first[k - 1])
+    rows = np.repeat(np.arange(top, order), np.diff(indptr[top:]))
+    nbrs = indices[indptr[top]:]
+    inside = nbrs >= top
+    rows, nbrs = rows[inside], nbrs[inside]
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    heads = rows[starts]
     labels = np.arange(order)
-    labels[seen] = 0
-    # gather the leftover rows alone: a reduceat segment runs to the next start
-    rest = np.flatnonzero(~seen & (np.diff(indptr) > 0))
-    nbrs, lengths = _rows(indptr, indices, rest)
-    starts = np.cumsum(lengths) - lengths
-    while rest.size:
+    while heads.size:
         low = labels.copy()
-        low[rest] = np.minimum(labels[rest], np.minimum.reduceat(labels[nbrs], starts))
+        low[heads] = np.minimum(labels[heads], np.minimum.reduceat(labels[nbrs], starts))
         low = low[low]
         if np.array_equal(low, labels):
             break
         labels = low
-    roots = labels == np.arange(order)
-    return (np.cumsum(roots) - 1)[labels]
+    for j in range(k - 2, -1, -1):
+        lo, hi = first[j], first[j + 1]
+        labels[lo:hi] = labels[indices[indptr[lo + 1:hi + 1] - 1]]
+    smallest = np.full(order, order)
+    np.minimum.at(smallest, labels, np.arange(order))
+    smallest = smallest[labels]
+    return (np.cumsum(smallest == np.arange(order)) - 1)[smallest]
 
 
 def bipartition(r: ReconfigGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -231,22 +267,33 @@ def _node_ids(r: ReconfigGraph, *ids) -> list[int]:
         ids = [operator.index(i) for i in ids]
     except TypeError:
         pass  # not all integers: refused below
+    if r.order == 0:
+        raise ValueError(f"D_{r.nodes.k}(G) has no nodes: k is below the domination number")
     if not all(isinstance(i, int) and 0 <= i < r.order for i in ids):
         raise ValueError(f"node ids must be in 0..{r.order - 1}")
     return ids
 
 
 def distance(r: ReconfigGraph, a: int, b: int) -> int | None:
-    """Breadth-first hop count between node ids; None when unreachable.
+    """Hop count between node ids; None when unreachable.
 
-    The search runs from both ends, each step growing the smaller frontier
-    by one level.  The balls of radii d_a and d_b were disjoint before the
-    step, so d(a, b) > d_a + d_b, and the first new level that meets the
-    other side's ball gives d(a, b) = d_a + d_b + 1 exactly.
+    Lemma: with sets A and B, d(A, B) = |A △ B| whenever |A ∪ B| <= k.
+    Proof: every edge toggles one vertex, so no walk is shorter than
+    |A △ B|.  Adding the members of B - A to A one at a time, then deleting
+    those of A - B, takes |A △ B| steps, and every set on the way is a
+    superset of A or of B, so it dominates, with at most |A ∪ B| <= k
+    members, so it is a node.
+
+    Otherwise a breadth-first search runs from both ends, each step growing
+    the smaller frontier by one level.  The balls of radii d_a and d_b were
+    disjoint before the step, so d(a, b) > d_a + d_b, and the first new
+    level that meets the other side's ball gives d(a, b) = d_a + d_b + 1
+    exactly.
     """
     a, b = _node_ids(r, a, b)
-    if a == b:
-        return 0
+    x, y = r.nodes.bits[[a, b]].tolist()
+    if (x | y).bit_count() <= r.nodes.k:
+        return (x ^ y).bit_count()
     seen = [np.arange(r.order) == a, np.arange(r.order) == b]
     searches = [_frontiers(r.indptr, r.indices, mask) for mask in seen]
     sizes = [1, 1]

@@ -217,6 +217,22 @@ def dfs_hamiltonian(r) -> bool:
     return r.order >= 3 and extend([0])
 
 
+def row_components(rows: list[list[int]]) -> np.ndarray:
+    """Component labels of the graph with these adjacency rows, numbered by smallest node."""
+    labels = [-1] * len(rows)
+    count = 0
+    for a in range(len(rows)):
+        if labels[a] < 0:
+            labels[a], stack = count, [a]
+            while stack:
+                for j in rows[stack.pop()]:
+                    if labels[j] < 0:
+                        labels[j] = count
+                        stack.append(j)
+            count += 1
+    return np.array(labels)
+
+
 def test_is_hamiltonian_search_finds_no_cycle_across_a_bridge():
     # parity parts of equal size and every edge crossing them, so only the
     # search can say no; m = 10 is at the order cap.  Two m-cycles joined by
@@ -240,8 +256,9 @@ def test_is_hamiltonian_search_finds_no_cycle_across_a_bridge():
             indices = np.array([j for row in rows for j in row], dtype=np.int32)
             # node i holds i vertices, so parity alternates by id; m is even: every edge crosses
             bits = (np.uint64(1) << np.arange(order, dtype=np.uint64)) - np.uint64(1)
+            # not a D_k(G), so its labels come from a search over its own rows
             r = reconfig.ReconfigGraph(DomFamily(order, order, bits), indptr, indices,
-                                       reconfig._component_labels(indptr, indices))
+                                       row_components(rows))
             assert not is_hamiltonian(r) and not dfs_hamiltonian(r)
 
 
@@ -362,6 +379,64 @@ def test_distance_from_both_ends_equals_the_one_sided_search():
             row = reconfig.distance_row(r, a)
             for b in range(r.order):
                 assert distance(r, a, b) == (int(row[b]) if row[b] >= 0 else None)
+
+
+def test_components_from_the_top_two_layers_equal_a_python_search_at_every_k():
+    graphs = [make_family("path", n) for n in range(1, 13)]
+    graphs += [make_family("cycle", n) for n in range(3, 13)] + [ladder(5)]
+    for g in graphs:
+        for k in range(1, g.n + 1):
+            r = build(g, k)
+            assert connected_components(r) == python_components(g.n, r.nodes.bits.tolist())
+    # D_5(P_9) has two components, and a smallest node below layer k - 1 = 4
+    r = build(make_family("path", 9), 5)
+    count, labels = connected_components(r)
+    smallest = [labels.index(c) for c in range(count)]
+    assert count == 2 and min(r.nodes.cards[smallest]) <= 3
+
+
+def test_build_and_distances_within_k_make_no_search(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("breadth-first search")
+
+    monkeypatch.setattr(reconfig, "_frontiers", no_search)
+    assert connected_components(build(make_family("path", 10), 10))[0] == 1
+    r = build(make_family("path", 8), 8)  # every |A ∪ B| <= 8 = k
+    bits = r.nodes.bits.tolist()
+    for a in range(r.order):
+        hops = python_bfs(8, bits, a)
+        assert [distance(r, a, b) for b in range(r.order)] == [hops[b] for b in range(r.order)]
+
+
+def test_distance_searches_only_when_the_union_exceeds_k(monkeypatch):
+    frontiers, searches = reconfig._frontiers, []
+
+    def counted(*args):
+        searches.append(args)
+        return frontiers(*args)
+
+    monkeypatch.setattr(reconfig, "_frontiers", counted)
+    for g, k in [(LEFTOVER_G, 3), (make_family("cycle", 6), 3)]:
+        r = build(g, k)
+        bits = r.nodes.bits.tolist()
+        beyond = 0
+        for a in range(r.order):
+            hops = python_bfs(g.n, bits, a)
+            for b in range(r.order):
+                searches.clear()
+                assert distance(r, a, b) == hops.get(b)
+                wide = (bits[a] | bits[b]).bit_count() > k
+                assert bool(searches) == wide
+                beyond += wide
+        assert beyond > 0
+
+
+def test_distance_on_an_empty_graph_says_it_has_no_nodes():
+    r = build(make_family("path", 9), 2)  # gamma(P_9) = 3
+    with pytest.raises(ValueError, match=r"D_2\(G\) has no nodes"):
+        distance(r, 0, 0)
+    with pytest.raises(ValueError, match=r"D_2\(G\) has no nodes"):
+        reconfig.distance_row(r, 0)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
