@@ -30,12 +30,14 @@ higher vertices then fills one block of 2^16 subsets from it, so no array
 of 2^n entries is made.  The counts read each word through seven masks of
 in-word positions by popcount, and the scan masks each word the same way
 before it unpacks the words that hold a set.  The last graph's table is
-kept, so queries on one graph (or on equal graphs) build it once.  The
-last prune-route family is kept the same way: a prune-route call on an
-equal graph with no larger k returns the kept family's first sets, those
-with at most k members, so reconfig.build after enumerate_dominating
-searches once.  The table refuses graphs above ENUMERATION_CAP = 24
-vertices with TooLargeError, whatever the query or route.
+kept (``lru_cache(maxsize=1)``), so queries on one graph (or on equal
+graphs) build it once.  The last prune-route family is kept too: a
+prune-route call on an equal graph with no larger k returns the kept
+family's first sets, those with at most k members, so reconfig.build after
+enumerate_dominating searches once.  Each is dropped only once its
+successor is made.  The table's constructor refuses graphs above
+ENUMERATION_CAP = 24 vertices with TooLargeError, whatever the query or
+route, so a refused graph keeps the cached table.
 enumerate_dominating and reconfig.build also take a ``cap`` on n (default
 24); only the prune route can use a larger one.
 
@@ -52,7 +54,7 @@ import math
 import operator
 from array import array
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -167,15 +169,11 @@ class SubsetTable:
     that of its position in the word plus that of w.
     """
 
-    @staticmethod
-    def check_size(g: Graph) -> None:
+    def __init__(self, g: Graph):
         if g.n > ENUMERATION_CAP:
             raise TooLargeError(
                 f"n={g.n} exceeds {ENUMERATION_CAP}, the limit of the 2^n subset table"
             )
-
-    def __init__(self, g: Graph):
-        self.check_size(g)
         self.n = g.n
         # cover the low vertices once, then each subset c of the high ones fills the
         # block of words whose high part is c
@@ -226,11 +224,9 @@ class SubsetTable:
 
     def scan(self, k: int) -> np.ndarray:
         """The bitmasks of the dominating sets with at most k members, sorted by value."""
-        words = self.dom
-        if k < self.n:
-            # in a word with j set bits, keep the positions with at most k - j set bits
-            allowed = _AT_MOST[np.clip(k + 1 - np.arange(self.n + 1), 0, 7)]
-            words = words & allowed[self._word_cards]
+        # in a word with j set bits, keep the positions with at most k - j set bits
+        allowed = _AT_MOST[np.clip(k + 1 - np.arange(self.n + 1), 0, 7)]
+        words = self.dom & allowed[self._word_cards]
         nonzero = np.flatnonzero(words)
         members = np.flatnonzero(
             np.unpackbits(words[nonzero].astype("<u8", copy=False).view(np.uint8),
@@ -240,18 +236,8 @@ class SubsetTable:
         return bits.view(np.uint64)
 
 
-_last_table: tuple = (None, None)  # (graph, SubsetTable) of the last graph queried
-
-
-def _table(g: Graph) -> SubsetTable:
-    global _last_table
-    graph, table = _last_table
-    if graph != g:
-        SubsetTable.check_size(g)  # a refused graph keeps the cached table
-        _last_table = (None, None)  # free the previous masks before building new ones
-        table = SubsetTable(g)
-        _last_table = (g, table)
-    return table
+# equal graphs share the table: a Graph hashes and compares by (n, edges)
+_table = lru_cache(maxsize=1)(SubsetTable)
 
 
 def _family(n: int, k: int, bits: np.ndarray) -> DomFamily:
@@ -266,7 +252,6 @@ def _prune_family(g: Graph, k: int) -> DomFamily:
     global _last_family
     graph, family = _last_family
     if graph != g or family.k < k:
-        _last_family = (None, None)  # free the previous family before searching again
         family = _family(g.n, k, np.sort(_prune_bits(g, k)))
         _last_family = (g, family)
     # sorted by cardinality, so the sets with at most k members come first

@@ -88,8 +88,10 @@ class ReconfigGraph:
         """Node id of the dominating set with this bitmask (KeyError if absent)."""
         bits = operator.index(bits)  # TypeError unless an integer, NumPy's too
         if 0 <= bits < 1 << self.nodes.graph_n:
-            # binary search inside the block of ids with this cardinality
-            lo, hi = np.searchsorted(self.nodes.cards, [bits.bit_count(), bits.bit_count() + 1])
+            # binary search inside the block of ids with this cardinality; the keys
+            # take the dtype of cards, which a mixed search would cast whole
+            card, cards = bits.bit_count(), self.nodes.cards
+            lo, hi = np.searchsorted(cards, np.arange(card, card + 2, dtype=cards.dtype))
             i = lo + int(np.searchsorted(self.nodes.bits[lo:hi], np.uint64(bits)))
             if i < hi and self.nodes.bits[i] == bits:
                 return int(i)
@@ -347,14 +349,16 @@ def is_hamiltonian(r: ReconfigGraph) -> bool:
     gives the next layer.  A cycle exists iff some end at the full set is
     adjacent to node 0, so pendant nodes and split graphs need no check.
     Exponential in the order, hence the cap.  Every edge changes the
-    cardinality parity, so parity classes of unequal size decide False first.
+    cardinality parity, so parity classes of unequal size decide False at
+    any order, before the cap: every D_n(G) among them, whose order (the
+    number of dominating sets) is odd.
     """
     n = r.order
+    if 2 * np.count_nonzero(r.nodes.cards % 2) != n:
+        return False
     if n > HAMILTONIAN_ORDER_CAP:
         raise TooLargeError(f"order {n} exceeds the Hamiltonian search cap {HAMILTONIAN_ORDER_CAP}")
     if n < 3:  # the search would take the 2-node path for a cycle
-        return False
-    if 2 * np.count_nonzero(r.nodes.cards % 2) != n:
         return False
     bit = np.uint32(1) << np.arange(n, dtype=np.uint32)
     adj = np.zeros(n, dtype=np.uint32)  # adj[w]: the bitmask of w's neighbours

@@ -175,6 +175,13 @@ def test_prune_route_collects_8_bytes_a_set():
     assert peak < 16 * len(bits)
 
 
+def table_is_cached(g) -> bool:
+    """True iff the cached subset table is g's: reading it through _table is a hit."""
+    misses = domination._table.cache_info().misses
+    domination._table(g)
+    return domination._table.cache_info().misses == misses
+
+
 def count_searches(monkeypatch) -> list:
     """Empty the kept prune family and record each (n, k) the prune search runs on."""
     calls = []
@@ -204,9 +211,9 @@ def test_prune_route_keeps_the_last_family(monkeypatch):
     enumerate_dominating(c9, 4, method="prune")
     assert calls == [(9, 5), (9, 6), (9, 4)]
     # the scan route reads the subset table, not the kept family, and keeps it
-    monkeypatch.setattr(domination, "_last_table", (None, None))
+    domination._table.cache_clear()
     assert enumerate_dominating(c9, 3, method="scan") == enumerate_dominating(c9, 3, method="prune")
-    assert domination._last_table[0] == c9 and len(calls) == 3
+    assert table_is_cached(c9) and len(calls) == 3
 
 
 def test_build_reads_the_kept_prune_family(monkeypatch):
@@ -222,11 +229,11 @@ def test_build_reads_the_kept_prune_family(monkeypatch):
 def test_refused_query_keeps_the_cached_table():
     p20 = make_family("path", 20)
     total_count(p20)
-    _, table = domination._last_table
+    assert table_is_cached(p20)
+    table = domination._table(p20)
     with pytest.raises(TooLargeError):
         total_count(make_family("path", 25))
-    graph, kept = domination._last_table
-    assert graph == p20 and kept is table
+    assert table_is_cached(p20) and domination._table(p20) is table
 
 
 def test_scan_and_prune_agree():
@@ -459,9 +466,9 @@ def test_blocked_table_matches_the_prune_route():
     assert SubsetTable(n17).minimal_by_card == tuple(minimal_by_card)
 
 
-def test_table_queries_trace_less_than_a_byte_a_subset(monkeypatch):
+def test_table_queries_trace_less_than_a_byte_a_subset():
     # the packed masks take 2^n / 8 bytes each, and no 2^n-entry array is made
-    monkeypatch.setattr(domination, "_last_table", (None, None))
+    domination._table.cache_clear()
     p22 = make_family("path", 22)
     tracemalloc.start()
     try:
@@ -500,6 +507,7 @@ def test_alternating_graphs_never_read_a_stale_table():
             assert (total_count(g), domination_number(g), count_minimum_sets(g)) == (
                 sum(row), gamma, row[gamma])
             assert upper_domination_number(g) == upper
+        assert table_is_cached(path)
         assert domination._table(path) is domination._table(path_again)
 
 

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from test_domination import drawn_graphs
 
 from domgraph import (
     DegenerateFamilyError,
@@ -195,6 +197,12 @@ def test_json_round_trip_and_format():
     assert json.loads(text) == {"n": 3, "edges": [[1, 2], [2, 3]]}
     back = from_json(text)
     assert back.n == g.n and back.edges == g.edges
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(drawn_graphs(16))
+def test_json_round_trip_on_drawn_graphs(g):
+    assert from_json(to_json(g)) == g
 
 
 def test_from_json_rejects_garbage():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_domination import drawn_graphs
+from test_domination import drawn_graphs, table_is_cached
 
 from domgraph import (
     DomFamily,
@@ -201,8 +201,14 @@ def test_is_hamiltonian():
 
 
 def test_is_hamiltonian_cap():
+    r = build(make_family("complete", 5), 4)
+    assert r.order == 30 and [len(part) for part in bipartition(r)] == [15, 15]
     with pytest.raises(TooLargeError):
-        is_hamiltonian(build(make_family("cycle", 5)))  # order 21
+        is_hamiltonian(r)
+    # parity decides before the cap: D_5(C_5) has order 21, parts 11 and 10
+    r = build(make_family("cycle", 5))
+    assert r.order == 21 and [len(part) for part in bipartition(r)] == [11, 10]
+    assert not is_hamiltonian(r)
 
 
 def dfs_hamiltonian(r) -> bool:
@@ -477,7 +483,7 @@ def test_id_map_adjacency_equals_searchsorted_adjacency(g):
 
 
 def test_default_route_depends_on_n(monkeypatch):
-    monkeypatch.setattr(domination, "_last_table", (None, None))
+    domination._table.cache_clear()
     monkeypatch.setattr(domination, "_last_family", (None, None))
     # above the limit, prune: its peak stays far below the 2^22-entry table
     p22 = make_family("path", 22)
@@ -490,9 +496,22 @@ def test_default_route_depends_on_n(monkeypatch):
     assert peak < 1 << 20
     # at the limit, scan: it leaves P_20's table in the cache
     p20 = make_family("path", 20)
-    assert domination._last_table[0] is None
+    assert domination._table.cache_info().currsize == 0
     build(p20, 20)
-    assert domination._last_table[0] == p20
+    assert table_is_cached(p20)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(drawn_graphs(9))
+def test_json_export_gives_back_the_bits_and_edges(g):
+    for k in range(1, g.n + 1):
+        r = build(g, k)
+        obj = json.loads(to_json(r))
+        assert (obj["base_n"], obj["k"]) == (g.n, k)
+        assert all(node == sorted(node) for node in obj["nodes"])
+        bits = [sum(1 << (v - 1) for v in node) for node in obj["nodes"]]
+        assert bits == r.nodes.bits.tolist()
+        assert [tuple(e) for e in obj["edges"]] == edge_list(r)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
