@@ -4,15 +4,23 @@ Two independent enumeration routes exist on purpose:
 
 * ``method="scan"``: a vectorized sweep over all 2^n subsets of the
   graph's SubsetTable.  This is the trusted oracle.
-* ``method="prune"``: branch on the lowest uncovered vertex, cut when
-  k - |S| members cannot cover the rest (each covers at most Delta + 1
-  vertices, so at k = n the cut never fires).  Already-tried candidates
-  are excluded on later branches, so each dominating set is generated
-  exactly once and work follows the output, far below 2^n for sparse
-  graphs at small k.  A parent decides each child: one that dominates
-  goes straight to the listing of its supersets, and only one that
-  passes the cut is searched.  It raises TooLargeError before it lists
-  more than 2^24 sets, the most the scan route returns.
+* ``method="prune"``: branch on the lowest uncovered vertex (Fomin,
+  Grandoni, Pyatkin, Stepanov, TALG 2008).  Two cuts drop a child whose
+  k - |S| members cannot finish it: the width cut, when it leaves more
+  vertices uncovered than they cover (each covers at most Delta + 1, so at
+  k = n it never fires), and the packing cut, when it leaves more vertices
+  of a 2-packing P uncovered than it has members left.  The closed
+  neighborhoods of P's vertices are disjoint, so no member covers two of
+  them and each needs its own.  A 2-packing is at most gamma, and on trees
+  the largest one equals it (Meir, Moon, Pacific J. Math. 1975); P is
+  taken greedily, smallest N[v] first.  Already-tried candidates are
+  excluded on later branches, so each dominating set is generated exactly
+  once and work follows the output, far below 2^n for sparse graphs at
+  small k.  A parent decides each child: one that dominates goes straight
+  to the listing of its supersets, only one that passes both cuts is
+  searched, and the k-th member is decided in its parent's loop, with no
+  call per set.  It raises TooLargeError once it lists more than 2^24
+  sets, the most the scan route returns.
 
 Both return the identical DomFamily, sorted by (cardinality, bitmask
 value); the test suite holds them to that.  ``enumerate_dominating`` is the
@@ -26,8 +34,9 @@ as a bitset, 64 subsets a word (2 MB at n = 24), and fills the minimal mask
 and the counts by cardinality on first use.  The coverage of every subset
 of the low 16 vertices is built once by doubling (subsets of {0..v} are
 those of {0..v-1} with and without v, 2^16 words); each subset of the
-higher vertices then fills one block of 2^16 subsets from it, so no array
-of 2^n entries is made.  The counts read each word through seven masks of
+higher vertices then fills one block of 2^16 subsets from it (at n <= 16
+the one block is packed straight from it), so no array of 2^n entries is
+made.  The counts read each word through seven masks of
 in-word positions by popcount, and the scan masks each word the same way
 before it unpacks the words that hold a set.  The last graph's table is
 kept (``lru_cache(maxsize=1)``), so queries on one graph (or on equal
@@ -182,6 +191,10 @@ class SubsetTable:
         self.dom = np.zeros(max(1, (1 << g.n) >> 6), dtype="<u8")
         blocks = self.dom.view(np.uint8).reshape(len(high), -1)
         full = np.uint32(g.full_mask)
+        if len(high) == 1:  # n <= 16: one block, packed straight from low
+            packed = np.packbits(low == full, bitorder="little")
+            blocks[0, : len(packed)] = packed
+            return
         covered, dominated = np.empty_like(low), np.empty(len(low), dtype=bool)
         for block, cov in zip(blocks, high):
             np.equal(np.bitwise_or(low, cov, out=covered), full, out=dominated)
@@ -291,13 +304,22 @@ def _prune_bits(g: Graph, k: int) -> np.ndarray:
     full = g.full_mask
     nbhd = g.closed_nbhd
     width = max(m.bit_count() for m in nbhd)  # the most vertices one member covers
+    # a 2-packing, greedily from the smallest N[v]: the N[v] of its vertices are
+    # disjoint, so no member covers two of them and each uncovered one needs its own
+    packing = union = 0
+    for v in sorted(range(g.n), key=lambda v: nbhd[v].bit_count()):
+        if not nbhd[v] & union:
+            packing |= 1 << v
+            union |= nbhd[v]
     budget = 1 << ENUMERATION_CAP  # sets; the scan route returns at most as many
+    refusal = (f"more than 2^{ENUMERATION_CAP} dominating sets with k={k}, "
+               "the output budget of the prune route (the most the scan route returns)")
     out = array("Q")  # 8 bytes a set, where a list of ints takes about 71
 
     def expand(base: int, card: int, banned: int) -> None:
         # every superset of a dominating set dominates; list those within budget
         free = []  # the bits of the vertices that may join base
-        m = full & ~(base | banned) if card < k else 0
+        m = full & ~(base | banned)
         while m:
             free.append(m & -m)
             m &= m - 1
@@ -306,31 +328,41 @@ def _prune_bits(g: Graph, k: int) -> np.ndarray:
         if len(out) + (1 << len(free)) > budget and len(out) + sum(
             math.comb(len(free), j) for j in range(extras + 1)
         ) > budget:
-            raise TooLargeError(
-                f"more than 2^{ENUMERATION_CAP} dominating sets with k={k}, "
-                "the output budget of the prune route (the most the scan route returns)"
-            )
+            raise TooLargeError(refusal)
         out.append(base)
         for extra in range(1, extras + 1):
             # distinct bits, so their sum is their union
             out.extend(base | sum(combo) for combo in itertools.combinations(free, extra))
 
     def branch(chosen: int, card: int, banned: int, miss: int) -> None:
-        # miss is not empty and card < k; a child that leaves more than reach
-        # uncovered is cut, as every root child is when k * width < n
+        # miss is not empty and card < k
         u = (miss & -miss).bit_length() - 1
-        reach = (k - card - 1) * width  # the most a child's remaining members cover
         # u must be covered by a not-yet-banned member of N[u]; trying the
         # candidates in order and banning earlier ones partitions the space
-        tried = 0
         m = nbhd[u] & ~banned
+        if card + 1 == k:
+            # the last member: a candidate that covers miss completes a set, and
+            # no other can; at most |N[u]| sets get past the budget before it raises
+            while m:
+                low = m & -m
+                m ^= low
+                if not miss & ~nbhd[low.bit_length() - 1]:
+                    out.append(chosen | low)
+            if len(out) > budget:
+                raise TooLargeError(refusal)
+            return
+        # a child that leaves more than reach uncovered, or more packing
+        # vertices than it has members left, is cut
+        rest = k - card - 1  # the members a child may still add
+        reach = rest * width  # the most they cover
+        tried = 0
         while m:
             low = m & -m
             m ^= low
             left = miss & ~nbhd[low.bit_length() - 1]
             if not left:
                 expand(chosen | low, card + 1, banned | tried)
-            elif left.bit_count() <= reach:
+            elif left.bit_count() <= reach and (left & packing).bit_count() <= rest:
                 branch(chosen | low, card + 1, banned | tried, left)
             tried |= low
 
@@ -348,17 +380,17 @@ def enumerate_dominating(
     and the scan takes a few ms at any k, while the prune route's time
     follows the output: the scan wins at k = n and the prune route near
     gamma (P_20, enumerate_dominating in a fresh process, median of 5, table
-    build included: scan 7 ms against prune 0.22 s at k=20, scan 1.5 ms
-    against prune 0.3 ms at k=7).  Above 20 the scan's time grows with 2^n
+    build included: scan 8.7 ms against prune 0.25 s at k=20, scan 1.4 ms
+    against prune 0.35 ms at k=7).  Above 20 the scan's time grows with 2^n
     whatever k is, the prune route's with the output.  reconfig.build in a
     fresh process (median of 5), 2 cores, Python 3.11, NumPy 2.4:
 
         case         prune              scan
-        P_22, k=22   1.01 s   / 137 MB  0.40 s   / 134 MB
-        P_24, k=12   0.35 s   /  53 MB  0.24 s   /  56 MB
-        P_24, k=9    0.0020 s /  31 MB  0.013 s  /  35 MB
-        C_24, k=10   0.021 s  /  32 MB  0.018 s  /  36 MB
-        P_20, k=7    0.0010 s /  31 MB  0.0014 s /  31 MB
+        P_22, k=22   1.46 s   / 137 MB  0.40 s   / 134 MB
+        P_24, k=12   0.34 s   /  59 MB  0.20 s   /  60 MB
+        P_24, k=9    0.0021 s /  32 MB  0.016 s  /  35 MB
+        C_24, k=10   0.017 s  /  32 MB  0.026 s  /  35 MB
+        P_20, k=7    0.0009 s /  31 MB  0.0018 s /  31 MB
     """
     try:
         k = g.n if k is None else operator.index(k)  # NumPy integers too

@@ -136,6 +136,18 @@ def test_prune_route_output_budget(monkeypatch):
         enumerate_dominating(k11, 4, method="prune")
 
 
+def test_prune_route_budget_at_the_last_member(monkeypatch):
+    # the k-th member is decided in its parent's loop, and the budget is checked
+    # after that loop: the sets of three disjoint edges at k = 3 (2^3) and of two
+    # disjoint triangles at k = 2 (3^2 = 2^3 + 1) are all listed there
+    monkeypatch.setattr(domination, "ENUMERATION_CAP", 3)
+    edges = graph_from_edges(6, [(0, 1), (2, 3), (4, 5)])
+    assert len(enumerate_dominating(edges, 3, method="prune")) == 8
+    triangles = graph_from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
+    with pytest.raises(TooLargeError, match="more than 2\\^3 dominating sets"):
+        enumerate_dominating(triangles, 2, method="prune")
+
+
 def ladder_counts(n):
     """d(L_n, j) for j = 0..2n by a transfer over the columns: each vertex of the
     last column is "in" S, "dom"inated, or "wait"s for the next column."""
@@ -438,6 +450,26 @@ def graphs_with_isolated_vertices(draw, max_n):
 def test_scan_equals_prune_near_gamma(g, data):
     # k near gamma, where the prune route cuts branches that k - |S| members
     # cannot finish
+    gamma = domination_number(g)
+    k = data.draw(st.integers(gamma, min(gamma + 2, g.n)))
+    assert enumerate_dominating(g, k, method="scan") == enumerate_dominating(g, k, method="prune")
+
+
+@st.composite
+def trees_with_chords(draw, max_n):
+    """A random tree (each vertex v > 0 joins one below it) plus at most n // 4 chords."""
+    n = draw(st.integers(1, max_n))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    vertex = st.integers(0, n - 1)
+    chords = draw(st.lists(st.tuples(vertex, vertex), max_size=n // 4))
+    return graph_from_edges(n, edges | {(min(c), max(c)) for c in chords if c[0] != c[1]})
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(trees_with_chords(16), st.data())
+def test_scan_equals_prune_near_gamma_on_sparse_graphs(g, data):
+    # a largest 2-packing of a tree has gamma vertices (Meir, Moon 1975), so near
+    # gamma the packing cut does most of the cutting on these graphs
     gamma = domination_number(g)
     k = data.draw(st.integers(gamma, min(gamma + 2, g.n)))
     assert enumerate_dominating(g, k, method="scan") == enumerate_dominating(g, k, method="prune")
