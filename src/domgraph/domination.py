@@ -31,19 +31,19 @@ pit one against the other.
 
 The counting operations read the same table.  It keeps the dominating mask
 as a bitset, 64 subsets a word (2 MB at n = 24), and fills the minimal mask
-and the counts by cardinality on first use.  The coverage of every subset
-of the low 16 vertices is built once by doubling (subsets of {0..v} are
-those of {0..v-1} with and without v, 2^16 words); each subset of the
-higher vertices then fills one block of 2^16 subsets from it (at n <= 16
-the one block is packed straight from it), so no array of 2^n entries is
-made.  The counts read each word through seven masks of
-in-word positions by popcount, and the scan masks each word the same way
-before it unpacks the words that hold a set.  The last graph's table is
-kept (``lru_cache(maxsize=1)``), so queries on one graph (or on equal
-graphs) build it once.  The last prune-route family is kept too: a
-prune-route call on an equal graph with no larger k returns the kept
-family's first sets, those with at most k members, so reconfig.build after
-enumerate_dominating searches once.  Each is dropped only once its
+and the counts by cardinality on first use.  S dominates iff it meets every
+N[u], so the mask is built in place: each u marks word ~h (h = N[u]'s high
+part) with the positions that meet N[u], then one spread pass per vertex
+v >= 6 ANDs each word into the word without v, leaving word w the AND of the
+marks at every word that contains it.  Right, since w is inside ~h exactly
+when w misses h, and where w meets h it meets N[u] already.  The counts read
+each word through seven masks of in-word positions by popcount, and the scan
+masks each word the same way before it unpacks the words that hold a set.
+The last graph's table is kept (``lru_cache(maxsize=1)``), so queries on one
+graph (or on equal graphs) build it once.  The last prune-route family is
+kept too: a prune-route call on an equal graph with no larger k returns the
+kept family's first sets, those with at most k members, so reconfig.build
+after enumerate_dominating searches once.  Each is dropped only once its
 successor is made.  The table's constructor refuses graphs above
 ENUMERATION_CAP = 24 vertices with TooLargeError, whatever the query or
 route, so a refused graph keeps the cached table.
@@ -151,23 +151,12 @@ def subset_texts(bits: np.ndarray, n: int, sep: str) -> list[str]:
     return [t[len(sep):] for t in texts.tolist()]
 
 
-# In-word masks over the 64 subsets of one word: _WITH_BIT[v] holds the positions with
-# bit v set, _AT_MOST[c + 1] those with at most c set bits (_AT_MOST[0] is empty)
-_WITH_BIT = np.array([sum(1 << p for p in range(64) if p >> v & 1) for v in range(6)],
-                     dtype=np.uint64)
+# In-word masks over the 64 subsets of one word: _MEETS[m] holds the positions whose
+# subset of vertices 0..5 meets m, _AT_MOST[c + 1] those with at most c set bits
+# (_AT_MOST[0] is empty)
+_MEETS = np.array([sum(1 << p for p in range(64) if p & m) for m in range(64)], dtype=np.uint64)
 _AT_MOST = np.array([sum(1 << p for p in range(64) if p.bit_count() < c) for c in range(8)],
                     dtype=np.uint64)
-# The low block: its coverage array holds 2^16 uint32 words (256 KB)
-_LOW_VERTICES = 16
-
-
-def _cover(nbhd) -> np.ndarray:
-    """The union of the closed neighborhoods of each subset of nbhd's vertices, by
-    doubling: subsets of {0..v} are those of {0..v-1} with and without v."""
-    cov = np.zeros(1 << len(nbhd), dtype=np.uint32)
-    for v, mask in enumerate(nbhd):
-        np.bitwise_or(cov[: 1 << v], np.uint32(mask), out=cov[1 << v : 2 << v])
-    return cov
 
 
 class SubsetTable:
@@ -184,22 +173,17 @@ class SubsetTable:
                 f"n={g.n} exceeds {ENUMERATION_CAP}, the limit of the 2^n subset table"
             )
         self.n = g.n
-        # cover the low vertices once, then each subset c of the high ones fills the
-        # block of words whose high part is c
-        low = _cover(g.closed_nbhd[:_LOW_VERTICES])
-        high = _cover(g.closed_nbhd[_LOW_VERTICES:])
-        self.dom = np.zeros(max(1, (1 << g.n) >> 6), dtype="<u8")
-        blocks = self.dom.view(np.uint8).reshape(len(high), -1)
-        full = np.uint32(g.full_mask)
-        if len(high) == 1:  # n <= 16: one block, packed straight from low
-            packed = np.packbits(low == full, bitorder="little")
-            blocks[0, : len(packed)] = packed
-            return
-        covered, dominated = np.empty_like(low), np.empty(len(low), dtype=bool)
-        for block, cov in zip(blocks, high):
-            np.equal(np.bitwise_or(low, cov, out=covered), full, out=dominated)
-            packed = np.packbits(dominated, bitorder="little")
-            block[: len(packed)] = packed
+        # mark: a word that misses the high part h of N[u] needs its low part to meet
+        # N[u], so u ANDs that into ~h, the largest such word
+        words = max(1, (1 << g.n) >> 6)
+        self.dom = np.full(words, (1 << (1 << min(g.n, 6))) - 1, dtype="<u8")
+        for nbhd in g.closed_nbhd:
+            self.dom[(words - 1) ^ (nbhd >> 6)] &= _MEETS[nbhd & 63]
+        # spread: AND each word into the one without bit v - 6, so that word w holds
+        # the AND of the marks at every word that contains w
+        for v in range(6, g.n):
+            half = self.dom.reshape(-1, 2, 1 << (v - 6))
+            half[:, 0, :] &= half[:, 1, :]
 
     @cached_property
     def _word_cards(self) -> np.ndarray:
@@ -211,7 +195,7 @@ class SubsetTable:
         # in S's word; above, in the lower half of each block of 2 << (v - 6) words
         removable = np.zeros_like(self.dom)
         for v in range(min(self.n, 6)):
-            removable |= (self.dom << np.uint64(1 << v)) & _WITH_BIT[v]
+            removable |= (self.dom << np.uint64(1 << v)) & _MEETS[1 << v]
         for v in range(6, self.n):
             step = 1 << (v - 6)
             removable.reshape(-1, 2, step)[:, 1, :] |= self.dom.reshape(-1, 2, step)[:, 0, :]

@@ -158,10 +158,11 @@ def suite_paths(max_n: int = 12) -> list[CheckRecord]:
             "dominating sets of P_6 (counts grow: 6, 9, 12, 16, ...)",
         ),
     ]
+    small_even = [n for n in (2, 4) if n in paths]  # the label names only the n paired
     records.append(_pairs_record(
-        "path/upper-gamma-set-count/small-even", "n in {2, 4}",
-        [(n, _upper_gamma_sets_by_prune(g), domination.count_maximal_minimal_sets(g))
-         for n, g in paths.items() if n in (2, 4)],
+        "path/upper-gamma-set-count/small-even", f"n in {{{', '.join(map(str, small_even))}}}",
+        [(n, _upper_gamma_sets_by_prune(paths[n]), domination.count_maximal_minimal_sets(paths[n]))
+         for n in small_even],
         note="no closed count claimed for P_4; brute-force values reported",
     ))
     records.append(_over_n(

@@ -484,7 +484,7 @@ def sparse_graph(rng, n):
 
 
 def test_blocked_table_matches_the_prune_route():
-    # above 16 vertices the table is built in 2^(n - 16) blocks of 2^16 subsets
+    # n = 17..20, where the table's spread makes 11 to 14 passes over the words
     rng = random.Random(17)
     n17, n20 = sparse_graph(rng, 17), sparse_graph(rng, 20)
     for g in (make_family("path", 18), make_family("cycle", 19), ladder(9), n17, n20):
@@ -496,6 +496,17 @@ def test_blocked_table_matches_the_prune_route():
     for bits in enumerate_dominating(n17, method="prune").bits.tolist():
         minimal_by_card[bits.bit_count()] += is_minimal_dominating(n17, bits)
     assert SubsetTable(n17).minimal_by_card == tuple(minimal_by_card)
+
+
+def test_table_at_23_and_24_vertices():
+    # the spread's passes for vertices 22 and 23 run only above 22 vertices
+    p24 = make_family("path", 24)
+    assert count_by_cardinality(p24) == path_triangle(24).row(24)
+    assert upper_domination_number(p24) == 12
+    assert count_by_cardinality(make_family("cycle", 23)) == cycle_triangle(23).row(23)
+    g = sparse_graph(random.Random(24), 24)
+    k = domination_number(g) + 1
+    assert count_by_cardinality(g)[: k + 1] == enumerate_dominating(g, k, method="prune").by_card
 
 
 def test_table_queries_trace_less_than_a_byte_a_subset():

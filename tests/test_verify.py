@@ -93,12 +93,21 @@ def test_records_always_carry_both_values():
 
 
 RANGE = re.compile(r"(?:(odd|even) n, )?(\d+)<=n<=(\d+)")
+LISTED = re.compile(r"n in \{(\d+(?:, \d+)*)\}|n=(\d+)")
 
 
 @pytest.mark.parametrize("max_n", [3, 4, 12])
 def test_records_check_only_the_n_their_range_names(max_n):
-    ranged = 0
+    ranged = listed = 0
     for r in verify_suite("all", max_n=max_n):
+        named = LISTED.fullmatch(r.range)
+        if named:
+            # the n listed are exactly the n checked
+            listed += 1
+            want = [int(n) for n in (named[1] or named[2]).split(", ")]
+            assert [label for label, _ in r.expected] == want, r.check
+            assert [label for label, _ in r.observed] == want, r.check
+            continue
         m = RANGE.fullmatch(r.range)
         if not m:
             continue
@@ -110,7 +119,7 @@ def test_records_check_only_the_n_their_range_names(max_n):
             assert labels == sorted(set(labels)), r.check
             if parity:
                 assert all(n % 2 == (parity == "odd") for n in labels), r.check
-    assert ranged >= 30
+    assert ranged >= 30 and listed >= 2
 
 
 def test_report_json_serializable():
