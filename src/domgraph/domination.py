@@ -24,10 +24,10 @@ Two independent enumeration routes exist on purpose:
 
 Both return the identical DomFamily, sorted by (cardinality, bitmask
 value); the test suite holds them to that.  ``enumerate_dominating`` is the
-one place that picks the route when none is given: scan while n <=
-SCAN_LIMIT (20), prune above it (its docstring gives the measurements).
-An explicit ``method`` forces a route, so tests, demos and benchmarks can
-pit one against the other.
+one place that picks the route when none is given: the scan whenever the
+graph fits the subset table, the prune route above it (its docstring gives
+the measurements).  An explicit ``method`` forces a route, so tests, demos
+and benchmarks can pit one against the other.
 
 The counting operations read the same table.  It keeps the dominating mask
 as a bitset, 64 subsets a word (2 MB at n = 24), and fills the minimal mask
@@ -72,8 +72,6 @@ from .graphs import Graph, VertexSubset, subset_bits
 
 # The subset table covers 2^n subsets; 24 keeps that, and the scan's output, around 16.7M.
 ENUMERATION_CAP = 24
-# Up to this n enumerate_dominating's default route is the scan; above it, prune.
-SCAN_LIMIT = 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -359,22 +357,19 @@ def enumerate_dominating(
 ) -> DomFamily:
     """All dominating sets with cardinality at most k (default k = n).
 
-    method is "scan" or "prune"; None picks scan while n <= SCAN_LIMIT and
-    prune above it.  At n <= 20 the subset table holds at most 128 KB a mask
-    and the scan takes a few ms at any k, while the prune route's time
-    follows the output: the scan wins at k = n and the prune route near
-    gamma (P_20, enumerate_dominating in a fresh process, median of 5, table
-    build included: scan 8.7 ms against prune 0.25 s at k=20, scan 1.4 ms
-    against prune 0.35 ms at k=7).  Above 20 the scan's time grows with 2^n
-    whatever k is, the prune route's with the output.  reconfig.build in a
-    fresh process (median of 5), 2 cores, Python 3.11, NumPy 2.4:
+    method is "scan" or "prune"; None picks the scan whenever the graph fits
+    the subset table (n <= ENUMERATION_CAP), and prune above it, which only a
+    raised cap reaches.  The scan's time grows with 2^n whatever k is, the
+    prune route's with the output: the scan wins at k = n, and the prune
+    route near gamma by about the table's build.  In a fresh process, table
+    build included, median of 5, time / peak RSS (2 cores, Python 3.11,
+    NumPy 2.4):
 
-        case         prune              scan
-        P_22, k=22   1.46 s   / 137 MB  0.40 s   / 134 MB
-        P_24, k=12   0.34 s   /  59 MB  0.20 s   /  60 MB
-        P_24, k=9    0.0021 s /  32 MB  0.016 s  /  35 MB
-        C_24, k=10   0.017 s  /  32 MB  0.026 s  /  35 MB
-        P_20, k=7    0.0009 s /  31 MB  0.0018 s /  31 MB
+        case          sets       scan               prune
+        P_24, k=24    1800281    0.073 s  /  76 MB  3.14 s   /  86 MB
+        P_24, k=8     1          0.0125 s /  33 MB  0.0002 s /  28 MB
+        L_12, k=24    4888173    0.18 s   / 148 MB  4.42 s   / 183 MB
+        L_12, k=7     28         0.0111 s /  33 MB  0.0004 s /  29 MB
     """
     try:
         k = g.n if k is None else operator.index(k)  # NumPy integers too
@@ -386,7 +381,7 @@ def enumerate_dominating(
         raise TooLargeError(f"n={g.n} exceeds the enumeration cap {cap}; "
                             "raise cap (--cap on the command line) to override")
     if method is None:
-        method = "scan" if g.n <= SCAN_LIMIT else "prune"
+        method = "scan" if g.n <= ENUMERATION_CAP else "prune"
     if method == "prune":
         return _prune_family(g, k)
     if method != "scan":

@@ -175,6 +175,8 @@ class VertexSubset:
     bits: int
 
     def __post_init__(self):
+        if type(self.bits) is not int:  # NumPy integers too; TypeError unless an integer
+            object.__setattr__(self, "bits", operator.index(self.bits))
         if self.bits < 0:
             raise InvalidSubsetError("subset bitmask must be nonnegative")
 

@@ -16,6 +16,7 @@ Status semantics:
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass, replace
 
@@ -545,7 +546,7 @@ def suite_parity(max_n: int = 12, seed: int = 0) -> list[CheckRecord]:
         ),
     ))
 
-    rng = random.Random(seed)
+    rng = random.Random(operator.index(seed))  # NumPy integers too
     even = 0
     sizes = []
     for _ in range(PARITY_SAMPLES):

@@ -230,12 +230,29 @@ def test_prune_route_keeps_the_last_family(monkeypatch):
 
 def test_build_reads_the_kept_prune_family(monkeypatch):
     calls = count_searches(monkeypatch)
-    p28 = make_family("path", 28)  # above SCAN_LIMIT, so build takes the prune route
+    p28 = make_family("path", 28)  # above the subset table, so build takes the prune route
     fam = enumerate_dominating(p28, 11, cap=63, method="prune")
     for k in (11, 10):
         want = fam.bits[: sum(fam.by_card[: k + 1])]
         assert np.array_equal(build(p28, k, cap=63).nodes.bits, want)
     assert calls == [(28, 11)]
+
+
+def test_default_route_scans_up_to_the_table_limit(monkeypatch):
+    # n = 21..24 near gamma, where the prune route is faster: the default call
+    # still reads the graph's subset table, and lists what the prune route does
+    g22 = random_graph(random.Random(22), 22)
+    cases = [(make_family("path", 21), 7), (make_family("cycle", 22), 8), (ladder(12), 7),
+             (g22, domination_number(g22))]
+    calls = count_searches(monkeypatch)
+    for g, gamma in cases:
+        assert count_by_cardinality(g)[gamma] and not count_by_cardinality(g)[gamma - 1]
+        for k in (gamma, gamma + 1):
+            domination._table.cache_clear()
+            searched = len(calls)
+            fam = enumerate_dominating(g, k)
+            assert len(calls) == searched and table_is_cached(g)
+            assert fam == enumerate_dominating(g, k, method="prune")
 
 
 def test_refused_query_keeps_the_cached_table():

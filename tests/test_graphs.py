@@ -233,6 +233,15 @@ def test_vertex_subset_round_trip():
     assert str(s) == "{1,3}"
 
 
+def test_vertex_subset_reads_numpy_bitmasks():
+    s = VertexSubset(np.uint64(5))
+    assert str(s) == "{1,3}" and s.vertices() == (1, 3)
+    assert s == VertexSubset(5) and hash(s) == hash(VertexSubset(5))
+    assert type(s.bits) is int
+    with pytest.raises(TypeError):
+        VertexSubset(2.5)
+
+
 def test_subset_bits_validation():
     g = make_family("path", 3)
     assert subset_bits(g, [2]) == 0b010

@@ -485,20 +485,20 @@ def test_id_map_adjacency_equals_searchsorted_adjacency(g):
 def test_default_route_depends_on_n(monkeypatch):
     domination._table.cache_clear()
     monkeypatch.setattr(domination, "_last_family", (None, None))
-    # above the limit, prune: its peak stays far below the 2^22-entry table
-    p22 = make_family("path", 22)
+    # above the subset table, prune: its peak stays far below a 2^25-subset table
+    p25 = make_family("path", 25)
     tracemalloc.start()
     try:
-        assert build(p22, 6).order == 0  # gamma(P_22) = 8
+        assert build(p25, 6, cap=63).order == 0  # gamma(P_25) = 9
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    # at the limit, scan: it leaves P_20's table in the cache
-    p20 = make_family("path", 20)
+    # at the table's limit, scan: it leaves P_24's table in the cache
+    p24 = make_family("path", 24)
     assert domination._table.cache_info().currsize == 0
-    build(p20, 20)
-    assert table_is_cached(p20)
+    build(p24, 9)
+    assert table_is_cached(p24)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

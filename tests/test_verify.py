@@ -86,6 +86,11 @@ def test_parity_suite_passes():
     assert all(r.status == "pass" for r in records)
 
 
+@pytest.mark.parametrize("suite", ["parity", "all"])
+def test_numpy_seed_gives_the_int_seed_records(suite):
+    assert verify_suite(suite, max_n=4, seed=np.int64(3)) == verify_suite(suite, max_n=4, seed=3)
+
+
 def test_records_always_carry_both_values():
     for r in verify_suite("all", max_n=5):
         assert r.expected is not None and r.observed is not None
