@@ -136,15 +136,15 @@ def _reconfig_stats(r: reconfig.ReconfigGraph) -> str:
             ("order", 0),
             ("warning", "k below the domination number; graph is empty"),
         ])
-    parts = reconfig.bipartition(r)
+    odd = int((r.nodes.cards & 1).sum())  # the part sizes of reconfig.bipartition
     lo, hi = reconfig.degree_extremes(r)
     return _table([
         ("order", r.order),
         ("size", r.size),
-        ("parts", f"{len(parts[0])}/{len(parts[1])}"),
+        ("parts", f"{odd}/{r.order - odd}"),
         ("min degree", lo),
         ("max degree", hi),
-        ("components", reconfig.connected_components(r)[0]),
+        ("components", reconfig._component_count(r)),
     ])
 
 

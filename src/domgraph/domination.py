@@ -128,10 +128,11 @@ class DomFamily:
 
 def _chunk_table(low: int, sep: str) -> np.ndarray:
     """For each byte value x, sep + label for each member of x << low, as one str."""
-    return np.array(
-        ["".join(f"{sep}{low + v + 1}" for v in range(8) if x >> v & 1) for x in range(256)],
-        dtype=object,
-    )
+    texts = [""]
+    for v in range(8):  # the values with bit v set follow those below 1 << v
+        label = f"{sep}{low + v + 1}"
+        texts += [t + label for t in texts]
+    return np.array(texts, dtype=object)
 
 
 def subset_texts(bits: np.ndarray, n: int, sep: str) -> list[str]:

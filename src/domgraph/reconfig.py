@@ -17,11 +17,13 @@ indexed by node id:
   smallest node id.
 
 Adjacency is found by toggling one vertex bit of every node at once and
-looking the results up.  While the dense id map of 2^n int32 entries is no
-larger than the order x n neighbour matrix it fills (2^n <= order * n),
-the lookup is one gather from it; otherwise it is ``np.searchsorted`` in a
-value-sorted copy of ``nodes.bits``, so the lookup never needs more memory
-than the matrix.
+looking the results up, each vertex filling one contiguous toggle row of
+an n x order candidate array.  While the dense id map of 2^n int32 entries
+is no larger than that array (2^n <= order * n), the lookup is one gather
+from it; otherwise it is ``np.searchsorted`` in a value-sorted copy of
+``nodes.bits``, so the lookup never needs more memory than the array.  The
+n candidates of each node, a row of the array's transposed view, are then
+sorted in place.
 Analysis works on the arrays and on the superset closure: every superset
 of a dominating set dominates, so a node S with |S| < k is adjacent to all
 n - |S| of its supersets S + v.
@@ -121,36 +123,41 @@ def build(g: Graph, k: int | None = None, *, cap: int = ENUMERATION_CAP) -> Reco
 
 def _adjacency(bits: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     order = len(bits)
+    # toggle row v: the id of bits ^ (1 << v), or the sentinel `order` when that set
+    # is not a node; sorting the n candidates of each node, a row of the transposed
+    # view, in place puts the ids in order and the sentinels last
+    rows = np.empty((n, order), dtype=np.int32)
+    (_map_rows if 1 << n <= order * n else _search_rows)(bits, rows)
+    rows = rows.T
+    rows.sort(axis=1)
+    present = rows < order
+    indices = rows[present]
+    del rows  # freed before indptr is made, which lowers the peak by indptr's size
     indptr = np.zeros(order + 1, dtype=np.int64)
-    # column v: the id of bits ^ (1 << v), or the sentinel `order` when that set is
-    # not a node; sorting each row puts the ids in order and the sentinels last
-    nbr = np.empty((order, n), dtype=np.int32)
-    (_map_columns if 1 << n <= order * n else _search_columns)(bits, nbr)
-    nbr.sort(axis=1)
-    present = nbr < order
     np.cumsum(np.count_nonzero(present, axis=1), out=indptr[1:])
-    return indptr, nbr[present]
+    return indptr, indices
 
 
-def _map_columns(bits: np.ndarray, nbr: np.ndarray) -> None:
-    """Fill the toggle columns from an id map over all 2^n bitmasks, one gather each."""
-    order, n = nbr.shape
+def _map_rows(bits: np.ndarray, rows: np.ndarray) -> None:
+    """Fill the toggle rows from an id map over all 2^n bitmasks, one gather each."""
+    n, order = rows.shape
     ids = np.full(1 << n, order, dtype=np.int32)
-    ids[bits] = np.arange(order, dtype=np.int32)
+    keys = bits.view(np.int64)  # n <= 63: the same values, which the gathers take uncast
+    ids[keys] = np.arange(order, dtype=np.int32)
     for v in range(n):
-        np.take(ids, bits ^ np.uint64(1 << v), out=nbr[:, v])
+        np.take(ids, keys ^ (1 << v), out=rows[v])
 
 
-def _search_columns(bits: np.ndarray, nbr: np.ndarray) -> None:
-    """Fill the toggle columns by binary search in a value-sorted copy of bits."""
-    order, n = nbr.shape
+def _search_rows(bits: np.ndarray, rows: np.ndarray) -> None:
+    """Fill the toggle rows by binary search in a value-sorted copy of bits."""
+    n, order = rows.shape
     by_value = np.argsort(bits)
     values = bits[by_value]
     for v in range(n):
         toggled = bits ^ np.uint64(1 << v)
         pos = np.searchsorted(values, toggled)
         np.minimum(pos, order - 1, out=pos)
-        nbr[:, v] = np.where(values[pos] == toggled, by_value[pos], order)
+        rows[v] = np.where(values[pos] == toggled, by_value[pos], order)
 
 
 def _component_labels(indptr: np.ndarray, indices: np.ndarray,

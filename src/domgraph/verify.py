@@ -443,9 +443,21 @@ def labeled_graph_sweep(n: int):
     subsets, edge pairs (u, v), u < v, in lexicographic order.
 
     Vertex 0's pairs come first, so the low n-1 bits of an edge index are
-    its neighbour set A (bit v-1 for vertex v) and the high bits index a
-    graph H on 1..n-1 in the order of the (n-1)-vertex sweep.  A dominating
-    set S of G is S' or S' + {0} with S' a set of H's vertices:
+    its neighbour set A and the high bits index a graph H on 1..n-1: the
+    transposes of _sweep's tables, raveled.  Raises TooLargeError above
+    PARITY_EXHAUSTIVE_MAX_N, before anything is allocated.
+    """
+    connected, counts = _sweep(n)
+    return connected.T.ravel(), counts.T.astype(np.int32, order="C").ravel()
+
+
+def _sweep(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(connected, counts) as bool and uint8 tables over (A, H): row A is
+    vertex 0's neighbour set (bit v-1 for vertex v), column H a graph on
+    1..n-1 in the order of the (n-1)-vertex sweep.
+
+    A dominating set S of G is S' or S' + {0} with S' a set of H's
+    vertices:
 
     * 0 in S: S' must cover the rest, ~A; hits[t] counts the S' with
       N_H[S'] containing t, by inclusion-exclusion over the S' that miss
@@ -455,9 +467,11 @@ def labeled_graph_sweep(n: int):
 
     Both tables are built over the 2^(n-1) sets and the 2^C(n-1,2) graphs H,
     never over the graphs G, and held in uint8, since every count is at
-    most 2^n <= 128.  G is connected iff every component of H meets A.
-    Raises TooLargeError above PARITY_EXHAUSTIVE_MAX_N, before anything is
-    allocated.
+    most 2^n <= 128.  Both are subset sums, hits of signed terms, so one
+    pass of subset sums takes them of the difference.  Every pass runs on
+    whole rows in place, so the sweep holds two tables of one byte an
+    entry: within and then connected take N_H's buffer, and counts is a
+    view of hits.  G is connected iff every component of H meets A.
     """
     if n < 1:
         raise ValueError(f"n={n} must be at least 1")
@@ -470,43 +484,59 @@ def labeled_graph_sweep(n: int):
     sets = 1 << r
     pairs = [(u, v) for u in range(r) for v in range(u + 1, r)]
     graphs = 1 << len(pairs)
-    edge_bits = np.arange(graphs, dtype=np.uint32)
-    nbhd = [np.full(graphs, 1 << v, dtype=np.uint8) for v in range(r)]
+    # singletons[v, h] = {v}, the start of N_H[v] and of v's component
+    singletons = np.repeat(np.uint8(1) << np.arange(r, dtype=np.uint8)[:, None], graphs, axis=1)
+    nbhd = singletons.copy()
     for idx, (u, v) in enumerate(pairs):
-        has = ((edge_bits >> idx) & 1).astype(np.uint8)
-        nbhd[u] |= has << v
-        nbhd[v] |= has << u
+        # the graphs H with edge idx are those whose bit idx is set
+        nbhd[u].reshape(-1, 2, 1 << idx)[:, 1] |= np.uint8(1 << v)
+        nbhd[v].reshape(-1, 2, 1 << idx)[:, 1] |= np.uint8(1 << u)
 
-    def unions(rows):
+    def unions(rows, out):
         # out[s, h] = the OR of rows[v][h] over v in s; the (sets, H) layout
         # keeps every pass on whole rows
-        out = np.zeros((sets, graphs), dtype=np.uint8)
+        out[0] = 0
         for v, row in enumerate(rows):
-            out[1 << v:2 << v] = out[:1 << v] | row
+            np.bitwise_or(out[:1 << v], row, out=out[1 << v:2 << v])
         return out
 
-    cov = unions(nbhd)  # N_H[s]
+    cov = unions(nbhd, np.empty((sets, graphs), dtype=np.uint8))  # N_H[s]
 
-    # Every final count is at most 2^n <= 128, so uint8 holds it; the
-    # subtractions of the transform wrap, and the wrap is exact mod 256.
-    hits = np.uint8(1) << (r - np.bitwise_count(cov))  # the S' that miss N_H[u]
-    within = (cov == sets - 1).astype(np.uint8)  # the S' that dominate H
+    # Every final count is at most 2^n <= 128, so uint8 holds it; the signs
+    # and subtractions wrap, and the wrap is exact mod 256.
+    hits = np.bitwise_count(cov)  # the S' that miss N_H[s]: 2^(r - |N_H[s]|)
+    np.subtract(r, hits, out=hits)
+    np.left_shift(1, hits, out=hits)
+    sign = 1 - 2 * (np.bitwise_count(np.arange(sets, dtype=np.uint8)) & 1)
+    hits *= sign[:, None]  # (-1)^|s|: inclusion-exclusion is a subset sum of signed terms
+    within = cov  # the S' that dominate H, in N_H's buffer
+    np.equal(cov, sets - 1, out=within.view(bool))
+    dominating = within.sum(axis=0, dtype=np.uint8)  # within[full], the dominating sets of H
+    # subset sums are linear, so one pass of them over the difference leaves
+    # hits[t] - within[t] in row t; the count at A is that plus within[full]
+    # at t = ~A = full - A, so counts is the reversed view
+    hits -= within
     for v in range(r):
         b = 1 << v
         h = hits.reshape(-1, 2 * b, graphs)
-        h[:, b:] = h[:, :b] - h[:, b:]  # signed subset (Moebius) transform
-        w = within.reshape(-1, 2 * b, graphs)
-        w[:, b:] += w[:, :b]  # subset sums
-    # row A: hits[~A] + within[full] - within[~A], and ~A = full - A
-    counts = hits[::-1] + within[-1] - within[::-1]
+        h[:, b:] += h[:, :b]
+    hits += dominating
+    counts = hits[::-1]
 
-    comps = [np.full(graphs, 1 << v, dtype=np.uint8) for v in range(r)]
-    for comp in comps:
-        for _ in range(r):  # r passes over the vertices cover every path in H
-            for u in range(r):
-                comp |= nbhd[u] * (comp >> u & 1)
-    connected = unions(comps) == sets - 1  # the components meeting A cover H
-    return connected.T.ravel(), counts.T.astype(np.int32, order="C").ravel()
+    # comps[v]: v's component in H; each pass over the vertices adds every
+    # neighbour of the component, and r - 1 passes reach every vertex of it.
+    # The passes reuse one buffer: in a new process every temporary of this
+    # size (192 KB at n = 7) is mapped afresh.
+    comps, joined = singletons, np.empty_like(singletons)
+    for _ in range(r - 1):
+        for u in range(r):
+            np.right_shift(comps, u, out=joined)
+            joined &= 1
+            joined *= nbhd[u]
+            comps |= joined
+    reach = unions(comps, within)  # within is spent: reach takes its buffer
+    connected = np.equal(reach, sets - 1, out=reach.view(bool))  # the components meeting A cover H
+    return connected, counts
 
 
 def random_connected_graph(rng: random.Random, n: int) -> Graph:
@@ -532,9 +562,10 @@ def suite_parity(max_n: int = 12, seed: int = 0) -> list[CheckRecord]:
     triples = []
     total_checked = 0
     for n in range(1, exhaustive_hi + 1):
-        connected, counts = labeled_graph_sweep(n)
-        even = int((counts[connected] % 2 == 0).sum())
-        total_checked += int(connected.sum())
+        connected, counts = _sweep(n)
+        total_checked += int(np.count_nonzero(connected))
+        np.bitwise_and(counts, 1, out=counts)  # 1 where the count is odd
+        even = int(np.count_nonzero(np.greater(connected, counts, out=connected)))
         triples.append((n, 0, even))
     records.append(_pairs_record(
         "parity/exhaustive", f"all labeled connected graphs, 1<=n<={exhaustive_hi}",

@@ -582,6 +582,13 @@ def test_family_makes_its_sets_on_first_use():
     assert not fam.bits.flags.writeable
 
 
+def test_chunk_tables_equal_the_member_comprehension():
+    for low in range(0, 64, 8):
+        for sep in (",", ", "):
+            assert domination._chunk_table(low, sep).tolist() == [
+                "".join(f"{sep}{low + v + 1}" for v in range(8) if x >> v & 1) for x in range(256)]
+
+
 def test_subset_texts_print_as_vertex_subsets():
     rng = random.Random(3)
     for n in (1, 7, 8, 9, 16, 17, 40, 63):

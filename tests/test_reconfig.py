@@ -476,9 +476,9 @@ def test_arrays_match_the_definitions_on_drawn_graphs(g, data):
 def test_id_map_adjacency_equals_searchsorted_adjacency(g):
     for k in range(1, g.n + 1):
         bits = enumerate_dominating(g, k, method="prune").bits
-        by_map, by_search = (np.empty((len(bits), g.n), dtype=np.int32) for _ in range(2))
-        reconfig._map_columns(bits, by_map)
-        reconfig._search_columns(bits, by_search)
+        by_map, by_search = (np.empty((g.n, len(bits)), dtype=np.int32) for _ in range(2))
+        reconfig._map_rows(bits, by_map)
+        reconfig._search_rows(bits, by_search)
         assert np.array_equal(by_map, by_search)
 
 

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 from dataclasses import asdict, is_dataclass, replace
 
 import numpy as np
@@ -220,6 +221,45 @@ def test_labeled_graph_sweep_splits_on_vertex_0():
         assert np.array_equal(counts[:, 0], labeled_graph_sweep(n - 1)[1])
         assert not connected[:, 0].any()
         assert counts[-1, -1] == 2**n - 1  # K_n
+
+
+def test_parity_tally_equals_the_sweep_counts():
+    # every count is odd, so each tally is 0
+    [record] = [r for r in suite_parity(max_n=7) if r.check == "parity/exhaustive"]
+    expected, checked = [], 0
+    for n in range(1, 8):
+        connected, counts = labeled_graph_sweep(n)
+        expected.append([n, int(((counts % 2 == 0) & connected).sum())])
+        checked += int(connected.sum())
+    assert record.observed == expected
+    assert record.note.startswith(f"{checked} connected graphs checked")
+
+
+def test_parity_tally_counts_connected_graphs_with_an_even_count(monkeypatch):
+    # flips the parity of every odd-numbered graph H, so the tally must find
+    # the even counts that the unpatched sweep never has
+    sweep, expected = verify._sweep, []
+
+    def flipped(n):
+        connected, counts = sweep(n)
+        counts += (np.arange(counts.shape[1]) & 1).astype(np.uint8)
+        expected.append([n, int(((counts % 2 == 0) & connected).sum())])
+        return connected, counts
+
+    monkeypatch.setattr(verify, "_sweep", flipped)
+    [record] = [r for r in suite_parity(max_n=7) if r.check == "parity/exhaustive"]
+    assert record.observed == expected and expected[-1][1] > 0
+
+
+def test_parity_suite_peak_memory():
+    # the sweep at n = 7 holds two (sets x graphs) uint8 tables, 2 MB each
+    tracemalloc.start()
+    try:
+        suite_parity(max_n=7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 << 20
 
 
 def test_labeled_graph_sweep_refuses_n_outside_1_to_7():
