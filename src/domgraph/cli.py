@@ -130,32 +130,31 @@ def _cmd_dominating(args) -> Iterable[str]:
     return [_table(rows)]
 
 
-def _reconfig_stats(r: reconfig.ReconfigGraph) -> str:
-    if not r.order:
+def _reconfig_stats(s: reconfig.Stats) -> str:
+    if not s.order:
         return _table([
             ("order", 0),
             ("warning", "k below the domination number; graph is empty"),
         ])
-    odd = int((r.nodes.cards & 1).sum())  # the part sizes of reconfig.bipartition
-    lo, hi = reconfig.degree_extremes(r)
     return _table([
-        ("order", r.order),
-        ("size", r.size),
-        ("parts", f"{odd}/{r.order - odd}"),
-        ("min degree", lo),
-        ("max degree", hi),
-        ("components", reconfig._component_count(r)),
+        ("order", s.order),
+        ("size", s.size),
+        ("parts", "/".join(map(str, s.parts))),
+        ("min degree", s.min_degree),
+        ("max degree", s.max_degree),
+        ("components", s.components),
     ])
 
 
 def _cmd_reconfig(args) -> Iterable[str]:
     g = _resolve_graph(args)
+    if args.format == "table":  # the statistics need no adjacency
+        nodes = domination.enumerate_dominating(g, args.k, cap=args.cap)
+        return [_reconfig_stats(reconfig.stats(g, nodes))]
     r = reconfig.build(g, args.k, cap=args.cap)
     if args.format == "json":
         return [reconfig.to_json(r) + "\n"]
-    if args.format == "dot":
-        return [reconfig.to_dot(r)]
-    return [_reconfig_stats(r)]
+    return [reconfig.to_dot(r)]
 
 
 def _cmd_count(args) -> Iterable[str]:

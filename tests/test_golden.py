@@ -34,6 +34,10 @@ INVOCATIONS = {
     "reconfig_path6_k1.json": ["reconfig", *P6, "--k", "1", "--format", "json"],
     "reconfig_path6_k1.dot": ["reconfig", *P6, "--k", "1", "--format", "dot"],
     "reconfig_path6_k1_stats.txt": ["reconfig", *P6, "--k", "1", "--stats"],
+    # gamma < k < n: the components of layers k - 1 and k, 7 of them on P_6 and 2 on P_7
+    "reconfig_path6_k3_stats.txt": ["reconfig", *P6, "--k", "3", "--stats"],
+    "reconfig_path7_k4_stats.txt": ["reconfig", "--family", "path", "--n", "7", "--k", "4",
+                                    "--stats"],
     "family_join_k2_k2.json": ["family", "--product", "join:complete:2,complete:2",
                                "--format", "json"],
 }

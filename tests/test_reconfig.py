@@ -524,3 +524,67 @@ def test_exports_equal_the_object_formatting(g, data):
     lines += [f'  s{i} [label="{s}"];' for i, s in enumerate(r.nodes.sets)]
     lines += [f"  s{i} -- s{j};" for i, j in edge_list(r)]
     assert to_dot(r) == "\n".join([*lines, "}"]) + "\n"
+
+
+def built_stats(r):
+    """The six numbers of reconfig.stats, read from the built graph."""
+    if not r.order:
+        return reconfig.Stats(0, 0, (0, 0), None, None, 0)
+    odd, even = bipartition(r)
+    return reconfig.Stats(r.order, r.size, (len(odd), len(even)), *degree_extremes(r),
+                          connected_components(r)[0])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(drawn_graphs(12))
+def test_stats_equal_the_built_graph_on_drawn_graphs(g):
+    # every k, the ones below gamma (no nodes) among them
+    for k in range(1, g.n + 1):
+        assert reconfig.stats(g, enumerate_dominating(g, k)) == built_stats(build(g, k))
+
+
+def test_stats_equal_the_built_graph_on_the_prune_route():
+    for g, k in [(make_family("path", 26), 9), (ladder(13), 8)]:
+        s = reconfig.stats(g, enumerate_dominating(g, k, cap=63))
+        assert s == built_stats(build(g, k, cap=63))
+        assert s.order > 0 and s.components > 1
+
+
+def test_stats_make_no_adjacency_at_k_equal_n_and_two_layers_below_it(monkeypatch):
+    adjacency, calls = reconfig._adjacency, []
+
+    def counted(bits, n):
+        calls.append(len(bits))
+        return adjacency(bits, n)
+
+    monkeypatch.setattr(reconfig, "_adjacency", counted)
+    for g in (make_family("path", 12), make_family("cycle", 9), ladder(5)):
+        assert reconfig.stats(g, enumerate_dominating(g)).components == 1
+        assert calls == []
+        for k in range(1, g.n):
+            nodes = enumerate_dominating(g, k)
+            reconfig.stats(g, nodes)
+            if len(nodes):
+                assert calls == [nodes.by_card[k - 1] + nodes.by_card[k]]
+            calls.clear()
+
+
+def test_stats_peak_is_a_fraction_of_builds():
+    # P_20 at k = 20, the subset table cached: build's peak was 26.4 MB, and
+    # stats', enumeration included, 3.9 MB
+    g = make_family("path", 20)
+    enumerate_dominating(g, 1)
+    peaks = []
+    for run in (lambda: build(g), lambda: reconfig.stats(g, enumerate_dominating(g))):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert 4 * peaks[1] < peaks[0]
+
+
+def test_stats_refuse_a_family_of_another_graph():
+    with pytest.raises(ValueError, match="graph on 5 vertices, not 6"):
+        reconfig.stats(make_family("path", 6), enumerate_dominating(make_family("path", 5)))
