@@ -121,7 +121,7 @@ def _cmd_dominating(args) -> Iterable[str]:
     g = _resolve_graph(args)
     family = domination.enumerate_dominating(g, args.k, cap=args.cap)
     if args.format == "json":
-        return [family.to_json() + "\n"]
+        return chain(family.json_chunks(), ["\n"])
     if args.format == "csv":
         rows = (f"{g.n},{j},{c}\n" for j, c in enumerate(family.by_card) if c)
         return chain(["n,j,count\n"], rows)
@@ -153,8 +153,8 @@ def _cmd_reconfig(args) -> Iterable[str]:
         return [_reconfig_stats(reconfig.stats(g, nodes))]
     r = reconfig.build(g, args.k, cap=args.cap)
     if args.format == "json":
-        return [reconfig.to_json(r) + "\n"]
-    return [reconfig.to_dot(r)]
+        return chain(reconfig.json_chunks(r), ["\n"])
+    return reconfig.dot_chunks(r)
 
 
 def _cmd_count(args) -> Iterable[str]:

@@ -32,7 +32,8 @@ n - |S| of its supersets S + v.
   lower node and all its up-neighbours climb into one component of layers
   k - 1 and k.  Label propagation runs on those two layers alone, and each
   lower node copies the label of a neighbour one layer up.  At k = n
-  every node climbs to V, so D_n(G) is connected.
+  every node climbs to V, so D_n(G) is connected: build reads that from
+  the lemma and labels every node 0 with no search.
 * Statistics: S - v dominates iff no vertex u has N[u] ∩ S = {v}, so a
   node S has degree down(S) + (n - |S| if |S| < k else 0), where down(S)
   is |S| less its members that are some vertex's only dominator.  stats
@@ -45,10 +46,15 @@ n - |S| of its supersets S + v.
   |A ∪ B| members.  Only the other pairs search, from both ends, with
   breadth-first levels as masks over node ids.
 The Hamiltonian search keeps its layers as uint32 arrays.
-Export formats the node labels from ``nodes.bits`` through
-``domination.subset_texts`` and the edges from the upper CSR entries, with
-no Python object per node; the family makes its VertexSubset objects only
-when a caller reads them.
+Export writes each node line and each edge as a fixed-width byte record
+(``domination._records``): node ids from one digit table per call, labels
+from ``nodes.bits`` through the 8-bit chunk tables of ``domination._labels``
+and edges from the upper CSR entries, with no Python object per node or
+edge.  json_chunks and dot_chunks make the text in blocks of _BLOCK // n
+node ids, one chunk each, whose CSR rows hold at most _BLOCK entries, so
+the CLI writes D_k(G) with memory bounded by the block; to_json and to_dot
+join the chunks.  The family makes its VertexSubset objects only when a
+caller reads them.
 """
 
 from __future__ import annotations
@@ -59,7 +65,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .domination import ENUMERATION_CAP, DomFamily, enumerate_dominating, subset_texts
+from .domination import (_BLOCK, ENUMERATION_CAP, DomFamily, _blocks, _labels, _records,
+                          enumerate_dominating)
 from .errors import EmptyGraphError, TooLargeError
 from .graphs import Graph
 
@@ -119,10 +126,15 @@ def build(g: Graph, k: int | None = None, *, cap: int = ENUMERATION_CAP) -> Reco
     up-neighbour S + v + w, so the components are those of layers k - 1 and
     k, found by label propagation there, and each lower node copies the
     label of a neighbour one layer up (_component_labels gives the proof).
+    At k = n every node climbs to V through its supersets, so D_n(G) is one
+    component and every label is 0.
     """
     nodes = enumerate_dominating(g, k, cap=cap)
     indptr, indices = _adjacency(nodes.bits, g.n)
-    component = _component_labels(indptr, indices, nodes.cards, nodes.k)
+    if nodes.k == g.n:  # every node climbs to V through its supersets
+        component = np.zeros(len(nodes), dtype=np.int64)
+    else:
+        component = _component_labels(indptr, indices, nodes.cards, nodes.k)
     for a in (indptr, indices, component):
         a.flags.writeable = False  # the graph is frozen; degrees are cached from these
     return ReconfigGraph(nodes, indptr, indices, component)
@@ -143,11 +155,6 @@ class Stats:
     min_degree: int | None
     max_degree: int | None
     components: int
-
-
-# nodes per pass of the private-neighbour count: its arrays stay in cache, which made
-# stats on L_12 three times faster than one pass over all 4.9M nodes
-_STATS_BLOCK = 1 << 16
 
 
 def stats(g: Graph, nodes: DomFamily) -> Stats:
@@ -182,13 +189,13 @@ def stats(g: Graph, nodes: DomFamily) -> Stats:
     # up-degree plus |S|, less the members that are some vertex's only dominator
     degrees = np.where(cards < k, n, cards)
     nbhds = np.array(g.closed_nbhd, dtype=np.uint64)
-    for lo in range(0, order, _STATS_BLOCK):
-        block = bits[lo:lo + _STATS_BLOCK]
+    for lo in range(0, order, _BLOCK):  # cache-sized passes
+        block = bits[lo:lo + _BLOCK]
         owned, hit = np.zeros_like(block), np.empty_like(block)
         for nbhd in nbhds:
             np.bitwise_and(block, nbhd, out=hit)
             np.bitwise_or(owned, hit, out=owned, where=np.bitwise_count(hit) == 1)
-        degrees[lo:lo + _STATS_BLOCK] -= np.bitwise_count(owned)
+        degrees[lo:lo + _BLOCK] -= np.bitwise_count(owned)
     size = sum((n - j) * d for j, d in enumerate(nodes.by_card[:k]))
     odd = int(np.count_nonzero(cards & 1))
     return Stats(order, size, (odd, order - odd), int(degrees.min()), int(degrees.max()),
@@ -462,30 +469,42 @@ def is_hamiltonian(r: ReconfigGraph) -> bool:
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _upper_edges(r: ReconfigGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Endpoint arrays (i, j) of the edges with i < j, sorted."""
+def _upper_edges(r: ReconfigGraph, block: slice) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoint arrays (i, j) of the edges with i < j and i in the block of
+    node ids, sorted."""
     # CSR rows are in id order with sorted neighbours, so the upper entries
     # come out sorted
-    rows = np.repeat(np.arange(r.order), r.degrees)
-    upper = r.indices > rows
-    return rows[upper], r.indices[upper]
+    lo, hi, _ = block.indices(r.order)
+    rows = np.repeat(np.arange(lo, hi, dtype=np.int32), np.diff(r.indptr[lo:hi + 1]))
+    cols = r.indices[r.indptr[lo]:r.indptr[hi]]
+    upper = cols > rows
+    return rows[upper], cols[upper]
 
 
 def edge_list(r: ReconfigGraph) -> list[tuple[int, int]]:
     """Edges as (i, j) with i < j, sorted."""
-    rows, cols = _upper_edges(r)
+    rows, cols = _upper_edges(r, slice(None))
     return list(zip(rows.tolist(), cols.tolist()))
 
 
-def _edges_text(r: ReconfigGraph, left: str, mid: str, right: str) -> str:
-    """left + i + mid + j + right for every edge i < j, sorted, concatenated."""
-    rows, cols = _upper_edges(r)
-    names = np.array([str(i) for i in range(r.order)], dtype=object)
-    # two shared strings per edge, so the join is the only per-edge work
-    pieces = np.empty((len(rows), 2), dtype=object)
-    pieces[:, 0] = (left + names + mid)[rows]
-    pieces[:, 1] = (names + right)[cols]
-    return "".join(pieces.ravel().tolist())
+def _digits(count: int) -> np.ndarray:
+    """The decimal text of each id below count, as fixed-width bytes with NUL
+    bytes for the leading zeros."""
+    ids = np.arange(count)
+    width = len(str(max(count - 1, 0)))
+    digits = np.zeros((count, width), dtype=np.uint8)
+    digits[:, -1] = ids % 10 + 48
+    for p in range(width - 1):
+        scale = 10 ** (width - 1 - p)  # the ids below it have a leading zero here
+        digits[scale:, p] = ids[scale:] // scale % 10 + 48
+    return digits.view(f"S{width}").ravel()
+
+
+def _edges(r: ReconfigGraph, digits: np.ndarray, block: slice,
+           left: bytes, mid: bytes, right: bytes) -> str:
+    """left + i + mid + j + right for every edge i < j with i in the block, sorted."""
+    rows, cols = _upper_edges(r, block)
+    return _records(left, digits[rows], mid, digits[cols], right)
 
 
 def to_json_obj(r: ReconfigGraph) -> dict:
@@ -497,15 +516,37 @@ def to_json_obj(r: ReconfigGraph) -> dict:
     }
 
 
+def json_chunks(r: ReconfigGraph):
+    """The chunks of to_json(r), one per block of node ids, made as they are read."""
+    yield f'{{"base_n": {r.nodes.graph_n}, "k": {r.nodes.k}, "nodes": '
+    yield from r.nodes.json_chunks()
+    yield ', "edges": ['
+    digits = _digits(r.order)
+    lead = 2  # the first edge's ", "
+    for block in _blocks(r.order, r.nodes.graph_n):
+        text = _edges(r, digits, block, b", [", b", ", b"]")
+        if text:
+            yield text[lead:]
+            lead = 0
+    yield "]}"
+
+
 def to_json(r: ReconfigGraph) -> str:
     """json.dumps(to_json_obj(r)), formatted from the arrays."""
-    edges = _edges_text(r, "[", ", ", "], ")[:-2]
-    return (f'{{"base_n": {r.nodes.graph_n}, "k": {r.nodes.k}, "nodes": {r.nodes.to_json()}, '
-            f'"edges": [{edges}]}}')
+    return "".join(json_chunks(r))
+
+
+def dot_chunks(r: ReconfigGraph):
+    """The chunks of to_dot(r), one per block of node ids, made as they are read."""
+    yield "graph D {\n"
+    n, digits = r.nodes.graph_n, _digits(r.order)
+    for block in _blocks(r.order, n):
+        yield _records(b"  s", digits[block], b' [label="{', *_labels(r.nodes.bits[block], n, ","),
+                       b'}"];\n')
+    for block in _blocks(r.order, n):
+        yield _edges(r, digits, block, b"  s", b" -- s", b";\n")
+    yield "}\n"
 
 
 def to_dot(r: ReconfigGraph) -> str:
-    labels = subset_texts(r.nodes.bits, r.nodes.graph_n, ",")
-    nodes = "".join(f'  s{i} [label="{{{s}}}"];\n' for i, s in enumerate(labels))
-    edges = _edges_text(r, "  s", " -- s", ";\n")
-    return f"graph D {{\n{nodes}{edges}}}\n"
+    return "".join(dot_chunks(r))

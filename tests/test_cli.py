@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from domgraph import closed_form_order
+from domgraph import closed_form_order, reconfig
 from domgraph.cli import _FAMILIES, main
 from domgraph.graphs import join, ladder, make_family, to_json_obj
 from domgraph.verify import SUITES
@@ -245,6 +245,30 @@ def test_count_streams_with_flat_memory(tmp_path, fmt):
         finally:
             tracemalloc.stop()
         assert code == 0 and peak < 1 << 20
+
+
+def test_reconfig_export_streams_in_blocks(tmp_path, monkeypatch):
+    # D_20(P_20): 157,305 nodes, 27 MB of JSON and 33 MB of DOT, written a block of
+    # node ids at a time; export's own peak is what it allocates past the built graph
+    built, held = reconfig.build, []
+
+    def build(*args, **kwargs):
+        r = built(*args, **kwargs)
+        held.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return r
+
+    monkeypatch.setattr(reconfig, "build", build)
+    for fmt in ("json", "dot"):
+        target = tmp_path / f"reconfig.{fmt}"
+        tracemalloc.start()
+        try:
+            code = main(["reconfig", "--family", "path", "--n", "20", "--format", fmt,
+                         "--output", str(target)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and peak - held.pop() < 8 << 20 < target.stat().st_size // 3
 
 
 def test_count_triangle_csv(capsys):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import tracemalloc
 
@@ -22,7 +23,7 @@ from domgraph import (
     upper_domination_number,
 )
 from domgraph import cycle_triangle, domination, path_triangle
-from domgraph.domination import DomFamily, SubsetTable, subset_texts
+from domgraph.domination import DomFamily, SubsetTable, _labels, _records
 from domgraph.graphs import VertexSubset, graph_from_edges, ladder
 from domgraph.reconfig import build
 from domgraph.verify import labeled_graph_sweep
@@ -585,15 +586,29 @@ def test_family_makes_its_sets_on_first_use():
 def test_chunk_tables_equal_the_member_comprehension():
     for low in range(0, 64, 8):
         for sep in (",", ", "):
-            assert domination._chunk_table(low, sep).tolist() == [
-                "".join(f"{sep}{low + v + 1}" for v in range(8) if x >> v & 1) for x in range(256)]
+            texts = ["".join(f"{sep}{low + v + 1}" for v in range(8) if x >> v & 1)
+                     for x in range(256)]
+            # the second half, for the chunk of a set's lowest member, drops the first sep
+            assert [t.decode() for t in domination._chunk_table(low, sep).tolist()] == [
+                *texts, *(t[len(sep):] for t in texts)]
 
 
-def test_subset_texts_print_as_vertex_subsets():
+def test_family_json_equals_the_object_formatting():
+    # P_40 at k = 14 by the prune route: labels up to 40, five 8-vertex chunks
+    families = [enumerate_dominating(make_family("path", 40), 14, cap=63)]
+    families.append(enumerate_dominating(make_family("path", 9), 2))  # k < gamma: empty
+    families.append(enumerate_dominating(make_family("complete", 1)))
+    assert [len(f) for f in families] == [118, 0, 1]
+    for family in families:
+        assert family.to_json() == json.dumps(family.to_json_obj())
+
+
+def test_labels_print_as_vertex_subsets():
     rng = random.Random(3)
     for n in (1, 7, 8, 9, 16, 17, 40, 63):
         masks = [0, (1 << n) - 1, *(rng.getrandbits(n) for _ in range(50))]
         bits = np.array(masks, dtype=np.uint64)
-        assert subset_texts(bits, n, ",") == [str(VertexSubset(b))[1:-1] for b in masks]
-        assert subset_texts(bits, n, ", ") == [str(list(VertexSubset(b).vertices()))[1:-1]
-                                                for b in masks]
+        assert _records(b"{", *_labels(bits, n, ","), b"}\n") == "".join(
+            f"{VertexSubset(b)}\n" for b in masks)
+        assert _records(b"[", *_labels(bits, n, ", "), b"]\n") == "".join(
+            f"{list(VertexSubset(b).vertices())}\n" for b in masks)

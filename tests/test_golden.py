@@ -66,6 +66,10 @@ for tag, (family, n) in FAMILIES.items():
     INVOCATIONS[f"reconfig_{tag}.json"] = [*spec, "--format", "json"]
     INVOCATIONS[f"reconfig_{tag}.dot"] = [*spec, "--format", "dot"]
     INVOCATIONS[f"reconfig_{tag}_stats.txt"] = [*spec, "--stats"]
+# D_10(P_10): 355 nodes and 1,298 edges, so ids of three digits and the label 10
+for fmt in ("json", "dot"):
+    INVOCATIONS[f"reconfig_path10.{fmt}"] = ["reconfig", "--family", "path", "--n", "10",
+                                             "--format", fmt]
 
 
 @pytest.mark.parametrize("name", sorted(INVOCATIONS))

@@ -514,16 +514,54 @@ def test_json_export_gives_back_the_bits_and_edges(g):
         assert [tuple(e) for e in obj["edges"]] == edge_list(r)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(drawn_graphs(10), st.data())
-def test_exports_equal_the_object_formatting(g, data):
-    r = build(g, data.draw(st.integers(1, g.n)))
+def assert_exports_equal_the_object_formatting(r):
     # to_json_obj(r) holds r.nodes.to_json_obj(), so this checks DomFamily.to_json too
     assert to_json(r) == json.dumps(to_json_obj(r))
     lines = ["graph D {"]
     lines += [f'  s{i} [label="{s}"];' for i, s in enumerate(r.nodes.sets)]
     lines += [f"  s{i} -- s{j};" for i, j in edge_list(r)]
     assert to_dot(r) == "\n".join([*lines, "}"]) + "\n"
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(drawn_graphs(10), st.data())
+def test_exports_equal_the_object_formatting(g, data):
+    assert_exports_equal_the_object_formatting(build(g, data.draw(st.integers(1, g.n))))
+
+
+def test_exports_equal_the_object_formatting_across_blocks():
+    # D_17(P_17): 25,281 nodes in seven blocks, ids of five digits and labels in the
+    # third 8-vertex chunk; D_14(L_7): 7,361 nodes in two blocks
+    for g in (make_family("path", 17), ladder(7)):
+        r = build(g)
+        assert r.order > domination._BLOCK // g.n
+        assert_exports_equal_the_object_formatting(r)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(drawn_graphs(10))
+def test_components_at_k_equal_n_are_read_from_the_lemma(g):
+    # every node climbs to V through its supersets: one component, with no search
+    r = build(g)
+    assert r.component.dtype == np.int64 and not r.component.any()
+    assert np.array_equal(r.component, reconfig._component_labels(r.indptr, r.indices,
+                                                                   r.nodes.cards, g.n))
+
+
+def test_build_labels_components_below_n(monkeypatch):
+    labels, calls = reconfig._component_labels, []
+
+    def counted(*args):
+        calls.append(args)
+        return labels(*args)
+
+    monkeypatch.setattr(reconfig, "_component_labels", counted)
+    g = make_family("path", 7)
+    build(g)
+    assert calls == []
+    for k in (6, 4, 3):  # k = n - 1 too: the lemma holds at k = n alone
+        build(g, k)
+    assert len(calls) == 3
 
 
 def built_stats(r):
