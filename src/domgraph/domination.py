@@ -123,7 +123,9 @@ class DomFamily:
 
     @cached_property
     def by_card(self) -> tuple[int, ...]:
-        return tuple(np.bincount(self.cards, minlength=self.k + 1).tolist())
+        # cards is sorted: one search per cardinality, where bincount casts it to int64
+        ends = np.searchsorted(self.cards, np.arange(self.k + 2, dtype=self.cards.dtype))
+        return tuple(np.diff(ends).tolist())
 
     def to_json_obj(self) -> list[list[int]]:
         return [list(s.vertices()) for s in self.sets]

@@ -16,14 +16,19 @@ indexed by node id:
 * ``component``: the component label, components numbered by their
   smallest node id.
 
-Adjacency is found by toggling one vertex bit of every node at once and
-looking the results up, each vertex filling one contiguous toggle row of
-an n x order candidate array.  While the dense id map of 2^n int32 entries
-is no larger than that array (2^n <= order * n), the lookup is one gather
-from it; otherwise it is ``np.searchsorted`` in a value-sorted copy of
-``nodes.bits``, so the lookup never needs more memory than the array.  The
-n candidates of each node, a row of the array's transposed view, are then
-sorted in place.
+Adjacency has its exact size before it is made: by the superset closure
+below, each edge is one of the n - j up-edges of a node of cardinality
+j < k, so the CSR holds 2 * sum over j < k of (n - j) d_j entries, d_j
+nodes of cardinality j.  More than ENUMERATION_CAP *
+2^ENUMERATION_CAP of them (D_24(K_24) has 402,653,136) raise TooLargeError
+before anything is allocated.  Otherwise indptr and indices are made once
+and filled in blocks of _BLOCK // n node ids: a block toggles each vertex
+bit of its nodes and looks the results up, one gather from a 2^n int32 id
+map while 2^n <= order * n, so that filling the map costs no more than the
+order * n lookups it serves, and ``np.searchsorted`` in a value-sorted copy
+of ``nodes.bits`` otherwise; sorting each node's n candidates, in a
+contiguous copy, puts its neighbours in order and the sentinels of absent
+sets last.
 Analysis works on the arrays and on the superset closure: every superset
 of a dominating set dominates, so a node S with |S| < k is adjacent to all
 n - |S| of its supersets S + v.
@@ -117,11 +122,13 @@ class ReconfigGraph:
 def build(g: Graph, k: int | None = None, *, cap: int = ENUMERATION_CAP) -> ReconfigGraph:
     """Construct D_k(G) on the sets enumerate_dominating returns; k defaults to n.
 
-    Adjacency toggles each of the n bits of every node at once and looks
-    the results up, one gather each from a 2^n id map while 2^n <= order * n
-    and a binary search otherwise, then sorts each row of n candidates:
-    O(order * n log n) with the map and O(order * n log order) without it,
-    instead of the quadratic pairwise check.  Components need no search:
+    Adjacency toggles each of the n bits of every node, a block of nodes at
+    a time, and looks the results up, one gather each from a 2^n id map
+    while 2^n <= order * n and a binary search otherwise, then sorts each
+    row of n candidates: O(order * n log n) with the map and
+    O(order * n log order) without it, instead of the quadratic pairwise
+    check.  TooLargeError when the CSR would hold more than
+    ENUMERATION_CAP * 2^ENUMERATION_CAP entries.  Components need no search:
     two up-neighbours S + v and S + w of a node below layer k - 1 share the
     up-neighbour S + v + w, so the components are those of layers k - 1 and
     k, found by label propagation there, and each lower node copies the
@@ -130,7 +137,7 @@ def build(g: Graph, k: int | None = None, *, cap: int = ENUMERATION_CAP) -> Reco
     component and every label is 0.
     """
     nodes = enumerate_dominating(g, k, cap=cap)
-    indptr, indices = _adjacency(nodes.bits, g.n)
+    indptr, indices = _adjacency(nodes.bits, g.n, nodes.by_card, nodes.k)
     if nodes.k == g.n:  # every node climbs to V through its supersets
         component = np.zeros(len(nodes), dtype=np.int64)
     else:
@@ -173,7 +180,9 @@ def stats(g: Graph, nodes: DomFamily) -> Stats:
 
     Components: at k = n every node climbs to V through its supersets, so
     D_n(G) is connected.  Below n they are the components of layers k - 1
-    and k (the lemma of _component_labels), labelled on those layers' bits.
+    and k (the lemma of _component_labels), labelled on those layers' bits;
+    their CSR is made under build's budget, so stats raises TooLargeError
+    when those two layers have more adjacency entries than it admits.
     """
     if nodes.graph_n != g.n:
         raise ValueError(f"the family is of a graph on {nodes.graph_n} vertices, not {g.n}")
@@ -185,7 +194,8 @@ def stats(g: Graph, nodes: DomFamily) -> Stats:
         components = 1
     else:  # labelled first, so their arrays are freed before the degrees are made
         top = int(np.searchsorted(cards, np.uint8(k - 1)))  # the first node of layer k - 1
-        components = int(_component_labels(*_adjacency(bits[top:], n), cards[top:], k).max()) + 1
+        csr = _adjacency(bits[top:], n, nodes.by_card, k)
+        components = int(_component_labels(*csr, cards[top:], k).max()) + 1
     # up-degree plus |S|, less the members that are some vertex's only dominator
     degrees = np.where(cards < k, n, cards)
     nbhds = np.array(g.closed_nbhd, dtype=np.uint64)
@@ -196,49 +206,86 @@ def stats(g: Graph, nodes: DomFamily) -> Stats:
             np.bitwise_and(block, nbhd, out=hit)
             np.bitwise_or(owned, hit, out=owned, where=np.bitwise_count(hit) == 1)
         degrees[lo:lo + _BLOCK] -= np.bitwise_count(owned)
-    size = sum((n - j) * d for j, d in enumerate(nodes.by_card[:k]))
+    size = _size(n, nodes.by_card, k)
     odd = int(np.count_nonzero(cards & 1))
     return Stats(order, size, (odd, order - odd), int(degrees.min()), int(degrees.max()),
                  components)
 
 
-def _adjacency(bits: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _size(n: int, by_card: tuple[int, ...], k: int, low: int = 0) -> int:
+    """The edges of D_k(G) whose lower end lies in layers low..k - 1, with
+    by_card[j] nodes in layer j: every edge is the up-edge of its lower end,
+    and a node S with |S| < k has all n - |S| of its supersets S + v."""
+    return sum((n - j) * by_card[j] for j in range(low, k))
+
+
+def _adjacency(bits: np.ndarray, n: int, by_card: tuple[int, ...],
+               k: int) -> tuple[np.ndarray, np.ndarray]:
+    """indptr and indices of D_k(G) on the nodes bits: the family's layers from
+    the lowest in bits up to k, by_card[j] sets in layer j.  Their size is
+    exact (_size), and checked against the budget before anything is
+    allocated; then they are filled in blocks of _BLOCK // n node ids.  The
+    2^n id map is within the budget too: a family has at most
+    2^ENUMERATION_CAP sets, so 2^n <= order * n only for n <= 28, and
+    2^28 is below ENUMERATION_CAP * 2^ENUMERATION_CAP."""
     order = len(bits)
-    # toggle row v: the id of bits ^ (1 << v), or the sentinel `order` when that set
-    # is not a node; sorting the n candidates of each node, a row of the transposed
-    # view, in place puts the ids in order and the sentinels last
-    rows = np.empty((n, order), dtype=np.int32)
-    (_map_rows if 1 << n <= order * n else _search_rows)(bits, rows)
-    rows = rows.T
-    rows.sort(axis=1)
-    present = rows < order
-    indices = rows[present]
-    del rows  # freed before indptr is made, which lowers the peak by indptr's size
-    indptr = np.zeros(order + 1, dtype=np.int64)
-    np.cumsum(np.count_nonzero(present, axis=1), out=indptr[1:])
+    low = int(bits[0]).bit_count() if order else k
+    entries = 2 * _size(n, by_card, k, low)
+    if entries > ENUMERATION_CAP << ENUMERATION_CAP:
+        raise TooLargeError(f"layers {low}..{k} of D_{k}(G) have {entries} adjacency entries, "
+                            f"more than {ENUMERATION_CAP} * 2^{ENUMERATION_CAP}")
+    indptr = np.empty(order + 1, dtype=np.int64)
+    indices = np.empty(entries, dtype=np.int32)
+    indptr[0] = end = 0
+    for span, rows in (_map_rows if 1 << n <= order * n else _search_rows)(bits, n):
+        # n <= 63 present candidates a node: its row length fits a uint8 sum
+        lengths = np.add.reduce((rows < order).view(np.uint8), axis=0, dtype=np.uint8)
+        ends = indptr[span.start + 1:span.stop + 1]
+        np.cumsum(lengths, dtype=np.int64, out=ends)
+        ends += end
+        nbrs = rows.T.copy()
+        nbrs.sort(axis=1)
+        indices[end:ends[-1]] = nbrs[nbrs < order]
+        end = ends[-1]
+    assert end == entries  # the count of the superset lemma
     return indptr, indices
 
 
-def _map_rows(bits: np.ndarray, rows: np.ndarray) -> None:
-    """Fill the toggle rows from an id map over all 2^n bitmasks, one gather each."""
-    n, order = rows.shape
+def _map_rows(bits: np.ndarray, n: int):
+    """Each block of _BLOCK // n node ids with its toggle rows, in one buffer
+    that each block rewrites: row v holds the id of every node's set with
+    bit v toggled, or the sentinel order when that set is not a node.  They
+    are gathered from an id map over all 2^n bitmasks."""
+    order = len(bits)
     ids = np.full(1 << n, order, dtype=np.int32)
     keys = bits.view(np.int64)  # n <= 63: the same values, which the gathers take uncast
-    ids[keys] = np.arange(order, dtype=np.int32)
-    for v in range(n):
-        np.take(ids, keys ^ (1 << v), out=rows[v])
+    for span in _blocks(order, n):
+        ids[keys[span]] = np.arange(*span.indices(order), dtype=np.int32)
+    rows = np.empty((n, min(order, _BLOCK // n)), dtype=np.int32)
+    for span in _blocks(order, n):
+        block = keys[span]
+        m = len(block)
+        for v in range(n):
+            np.take(ids, block ^ (1 << v), out=rows[v, :m], mode="clip")  # all below 2^n
+        yield span, rows[:, :m]
 
 
-def _search_rows(bits: np.ndarray, rows: np.ndarray) -> None:
-    """Fill the toggle rows by binary search in a value-sorted copy of bits."""
-    n, order = rows.shape
+def _search_rows(bits: np.ndarray, n: int):
+    """The blocks and toggle rows of _map_rows, found by binary search in a
+    value-sorted copy of bits, one vertex at a time."""
+    order = len(bits)
     by_value = np.argsort(bits)
     values = bits[by_value]
-    for v in range(n):
-        toggled = bits ^ np.uint64(1 << v)
-        pos = np.searchsorted(values, toggled)
-        np.minimum(pos, order - 1, out=pos)
-        rows[v] = np.where(values[pos] == toggled, by_value[pos], order)
+    rows = np.empty((n, min(order, _BLOCK // n)), dtype=np.int32)
+    for span in _blocks(order, n):
+        block = bits[span]
+        m = len(block)
+        for v in range(n):
+            toggled = block ^ np.uint64(1 << v)
+            pos = np.searchsorted(values, toggled)
+            np.minimum(pos, order - 1, out=pos)
+            rows[v, :m] = np.where(values[pos] == toggled, by_value[pos], order)
+        yield span, rows[:, :m]
 
 
 def _component_labels(indptr: np.ndarray, indices: np.ndarray,

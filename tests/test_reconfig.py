@@ -6,7 +6,7 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_domination import drawn_graphs, table_is_cached
 
@@ -463,6 +463,16 @@ def test_arrays_match_the_definitions_on_drawn_graphs(g, data):
             row = r.indices[r.indptr[i] : r.indptr[i + 1]]
             assert np.array_equal(row, np.flatnonzero(pairwise[i]))
         assert (pairwise == pairwise.T).all() and r.size == pairwise.sum() // 2
+        # the exact size of the superset lemma, on the family and on the slice of
+        # layers k - 1 and k that stats passes
+        d = r.nodes.by_card
+        assert len(r.indices) == 2 * sum((g.n - j) * d[j] for j in range(k))
+        top = sum(d[:k - 1])
+        indptr, indices = reconfig._adjacency(r.nodes.bits[top:], g.n, d, k)
+        assert len(indices) == 2 * (g.n - k + 1) * d[k - 1]
+        within = pairwise[top:, top:]
+        assert np.array_equal(indptr, np.r_[0, np.cumsum(within.sum(axis=1))])
+        assert np.array_equal(indices, np.nonzero(within)[1])
         # components and distances against a breadth-first search in Python
         assert connected_components(r) == python_components(g.n, bits)
         for _ in range(3):
@@ -473,13 +483,65 @@ def test_arrays_match_the_definitions_on_drawn_graphs(g, data):
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(drawn_graphs(12))
+# across blocks too: D_17(P_17) has 25,281 nodes in seven, D_14(L_7) 7,361 in two
+@example(make_family("path", 17))
+@example(ladder(7))
 def test_id_map_adjacency_equals_searchsorted_adjacency(g):
+    # the blocks and toggle rows, looked up in the id map and by binary search
     for k in range(1, g.n + 1):
         bits = enumerate_dominating(g, k, method="prune").bits
-        by_map, by_search = (np.empty((g.n, len(bits)), dtype=np.int32) for _ in range(2))
-        reconfig._map_rows(bits, by_map)
-        reconfig._search_rows(bits, by_search)
-        assert np.array_equal(by_map, by_search)
+        blocks = itertools.zip_longest(reconfig._map_rows(bits, g.n),
+                                       reconfig._search_rows(bits, g.n), fillvalue=(None, None))
+        assert all(a == b and np.array_equal(x, y) for (a, x), (b, y) in blocks)
+
+
+def test_adjacency_across_blocks_is_exact_within_the_csr_its_lookup_and_a_few_blocks():
+    # P_20: 157,305 nodes in 49 blocks, 15.7 MB in all, and K_16: 65,535 in 16,
+    # 5.8 MB, by the id map; D_12(P_28): 40,312 in 18, 2.2 MB, by binary search;
+    # the temporaries measured 3.2-3.3 blocks of int32 candidates
+    block = 4 * domination._BLOCK
+    for g, k in ((make_family("path", 20), 20), (make_family("complete", 16), 16),
+                 (make_family("path", 28), 12)):
+        nodes = enumerate_dominating(g, k, cap=63)
+        bits, n = nodes.bits, g.n
+        nodes.by_card
+        tracemalloc.start()
+        try:
+            indptr, indices = reconfig._adjacency(bits, n, nodes.by_card, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the id map, or the search's value-sorted copy of bits and its order
+        lookup = 4 << n if 1 << n <= len(bits) * n else 2 * bits.nbytes
+        assert peak < indptr.nbytes + indices.nbytes + lookup + 4 * block
+        # every entry a one-vertex toggle, each row increasing, and the lemma's count
+        # in all: so each row holds exactly its node's neighbours, in order
+        rows = np.repeat(np.arange(len(bits)), np.diff(indptr))
+        assert (np.bitwise_count(bits[rows] ^ bits[indices]) == 1).all()
+        assert ((np.diff(indices) > 0) | (np.diff(rows) > 0)).all()
+        assert len(indices) == 2 * sum((n - j) * d for j, d in enumerate(nodes.by_card[:k]))
+
+
+def test_build_refuses_a_csr_beyond_the_budget_before_allocating_it(monkeypatch):
+    # D_12(P_28) on the prune route's kept family: 40,312 nodes, 322 kB of bits and
+    # 100,632 entries, whose toggle candidates would take 28 * 40,312 * 4 bytes
+    g = make_family("path", 28)
+    nodes = enumerate_dominating(g, 12, cap=63)
+    monkeypatch.setattr(reconfig, "ENUMERATION_CAP", 12)  # 12 * 2^12 = 49,152 entries
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLargeError, match=r"layers 10\.\.12 of D_12\(G\) have 100632 adjacency "
+                                                r"entries, more than 12 \* 2\^12"):
+            build(g, 12, cap=63)
+        # stats' slice of layers 11 and 12 alone has 2 * 17 * 2,892 entries
+        with pytest.raises(TooLargeError, match=r"layers 11\.\.12 of D_12\(G\) have 98328 "):
+            reconfig.stats(g, nodes)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < nodes.bits.nbytes
+    monkeypatch.undo()
+    assert len(build(g, 12, cap=63).indices) == 100632
 
 
 def test_default_route_depends_on_n(monkeypatch):
@@ -591,9 +653,9 @@ def test_stats_equal_the_built_graph_on_the_prune_route():
 def test_stats_make_no_adjacency_at_k_equal_n_and_two_layers_below_it(monkeypatch):
     adjacency, calls = reconfig._adjacency, []
 
-    def counted(bits, n):
+    def counted(bits, n, *layers):
         calls.append(len(bits))
-        return adjacency(bits, n)
+        return adjacency(bits, n, *layers)
 
     monkeypatch.setattr(reconfig, "_adjacency", counted)
     for g in (make_family("path", 12), make_family("cycle", 9), ladder(5)):
