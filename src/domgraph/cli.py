@@ -130,28 +130,31 @@ def _cmd_dominating(args) -> Iterable[str]:
     return [_table(rows)]
 
 
-def _reconfig_stats(s: reconfig.Stats) -> str:
-    if not s.order:
+def _reconfig_stats(r: reconfig.ReconfigGraph) -> str:
+    if not r.order:
         return _table([
             ("order", 0),
             ("warning", "k below the domination number; graph is empty"),
         ])
+    odd = int((r.nodes.cards & 1).sum())
+    low, high = reconfig.degree_extremes(r)
     return _table([
-        ("order", s.order),
-        ("size", s.size),
-        ("parts", "/".join(map(str, s.parts))),
-        ("min degree", s.min_degree),
-        ("max degree", s.max_degree),
-        ("components", s.components),
+        ("order", r.order),
+        ("size", r.size),
+        ("parts", f"{odd}/{r.order - odd}"),
+        ("min degree", low),
+        ("max degree", high),
+        ("components", r.component_count),
     ])
 
 
 def _cmd_reconfig(args) -> Iterable[str]:
-    g = _resolve_graph(args)
-    if args.format == "table":  # the statistics need no adjacency
-        nodes = domination.enumerate_dominating(g, args.k, cap=args.cap)
-        return [_reconfig_stats(reconfig.stats(g, nodes))]
-    r = reconfig.build(g, args.k, cap=args.cap)
+    if getattr(args, "stats", False) and args.format != "table":  # export has no --stats
+        raise UsageError(f"--stats prints the table, not --format {args.format}")
+    r = reconfig.build(_resolve_graph(args), args.k, cap=args.cap)
+    if args.format == "table":
+        return [_reconfig_stats(r)]
+    r.indices  # the CSR, or its TooLargeError, before main opens --output
     if args.format == "json":
         return chain(reconfig.json_chunks(r), ["\n"])
     return reconfig.dot_chunks(r)

@@ -143,9 +143,9 @@ class DomFamily:
         return "".join(self.json_chunks())
 
 
-# records per block of the streamed text exports, and nodes per pass of reconfig.stats:
-# a block's arrays stay in cache, which made stats on L_12 three times faster than one
-# pass over all 4.9M nodes
+# records per block of the streamed text exports, and nodes per pass of ReconfigGraph.degrees:
+# a block's arrays stay in cache, which made the degrees of D_24(L_12) three times faster than
+# one pass over all 4.9M nodes
 _BLOCK = 1 << 16
 
 

@@ -5,23 +5,43 @@ are adjacent iff the sets differ by adding or deleting a single vertex.
 Node ids are positions in the DomFamily sort order (cardinality, then
 bitmask), so exports are deterministic.
 
-A ReconfigGraph is the DomFamily it was built on and NumPy arrays, all
-indexed by node id:
+A ReconfigGraph is G and the DomFamily of its nodes, whose ``bits`` and
+``cards`` give each node's set and cardinality, each cardinality one block
+of ids sorted by bitmask.  The rest is made from them on first read and
+cached, indexed by node id:
 
-* ``nodes``: the family, whose ``bits`` and ``cards`` give each node's set
-  and cardinality, each cardinality one block of ids sorted by bitmask;
 * ``indptr`` (int64) and ``indices`` (int32): the adjacency in CSR form,
   the neighbours of node i being ``indices[indptr[i]:indptr[i + 1]]`` in
   increasing order;
+* ``degrees`` (uint8: no degree exceeds n <= 63);
 * ``component``: the component label, components numbered by their
   smallest node id.
 
-Adjacency has its exact size before it is made: by the superset closure
-below, each edge is one of the n - j up-edges of a node of cardinality
-j < k, so the CSR holds 2 * sum over j < k of (n - j) d_j entries, d_j
-nodes of cardinality j.  More than ENUMERATION_CAP *
-2^ENUMERATION_CAP of them (D_24(K_24) has 402,653,136) raise TooLargeError
-before anything is allocated.  Otherwise indptr and indices are made once
+Every superset of a dominating set dominates, so a node S with |S| < k is
+adjacent to all n - |S| of its supersets S + v.  From this closure alone,
+with no adjacency:
+* Size: each edge is the up-edge of its lower end, so D_k(G) has the sum
+  over j < k of (n - j) d_j edges, d_j nodes of cardinality j.
+* Degrees: S - v dominates iff no vertex u has N[u] ∩ S = {v}, so a node
+  S has degree down(S) + (n - |S| if |S| < k else 0), where down(S) is |S|
+  less its members that are some vertex's only dominator.
+* Components: those of layers k - 1 and k (the lemma of
+  ReconfigGraph.component), labelled by propagation over their own CSR;
+  each lower node S takes the label of S plus its lowest missing vertex.
+  At k = n every node climbs to V, so D_n(G) is connected.
+* Distance: each edge toggles one vertex, so d(A, B) >= |A △ B|; when
+  |A ∪ B| <= k, adding B - A and then deleting A - B reaches that bound,
+  every set on the way being a superset of A or of B with at most
+  |A ∪ B| members.  Only the other pairs search, from both ends, with
+  breadth-first levels as masks over node ids.
+So ``reconfig --stats`` and D_n(G)'s degrees, components and distances
+make no CSR, and a D_k(G) below n makes only that of layers k - 1 and k.
+
+The CSR has its exact size before it is made, twice the size above.  More
+than ENUMERATION_CAP * 2^ENUMERATION_CAP entries (D_24(K_24) has
+402,653,136) raise TooLargeError on the first read of indptr or indices,
+before anything is allocated, and so do the components below n when
+layers k - 1 and k alone have that many.  Otherwise indptr and indices are made once
 and filled in blocks of _BLOCK // n node ids: a block toggles each vertex
 bit of its nodes and looks the results up, one gather from a 2^n int32 id
 map while 2^n <= order * n, so that filling the map costs no more than the
@@ -29,27 +49,6 @@ order * n lookups it serves, and ``np.searchsorted`` in a value-sorted copy
 of ``nodes.bits`` otherwise; sorting each node's n candidates, in a
 contiguous copy, puts its neighbours in order and the sentinels of absent
 sets last.
-Analysis works on the arrays and on the superset closure: every superset
-of a dominating set dominates, so a node S with |S| < k is adjacent to all
-n - |S| of its supersets S + v.
-* Components: two up-neighbours S + v and S + w of a node below layer
-  k - 1 share the up-neighbour S + v + w, so by downward induction every
-  lower node and all its up-neighbours climb into one component of layers
-  k - 1 and k.  Label propagation runs on those two layers alone, and each
-  lower node copies the label of a neighbour one layer up.  At k = n
-  every node climbs to V, so D_n(G) is connected: build reads that from
-  the lemma and labels every node 0 with no search.
-* Statistics: S - v dominates iff no vertex u has N[u] ∩ S = {v}, so a
-  node S has degree down(S) + (n - |S| if |S| < k else 0), where down(S)
-  is |S| less its members that are some vertex's only dominator.  stats
-  reads the order, size, parts, degree range and components from the
-  family and this count, building adjacency only on layers k - 1 and k,
-  and only when k < n.
-* Distance: each edge toggles one vertex, so d(A, B) >= |A △ B|; when
-  |A ∪ B| <= k, adding B - A and then deleting A - B reaches that bound,
-  every set on the way being a superset of A or of B with at most
-  |A ∪ B| members.  Only the other pairs search, from both ends, with
-  breadth-first levels as masks over node ids.
 The Hamiltonian search keeps its layers as uint32 arrays.
 Export writes each node line and each edge as a fixed-width byte record
 (``domination._records``): node ids from one digit table per call, labels
@@ -80,16 +79,20 @@ HAMILTONIAN_ORDER_CAP = 20
 
 @dataclass(frozen=True, eq=False)
 class ReconfigGraph:
-    """D_k(G) as its node family plus CSR adjacency and component arrays.
+    """D_k(G) as G and nodes = enumerate_dominating(G, k); its CSR, degrees
+    and component labels are made on first read.
 
     k < gamma(G) gives a valid graph with no nodes (order 0) rather than an
     error, so callers can probe k ranges.
     """
 
+    graph: Graph
     nodes: DomFamily
-    indptr: np.ndarray
-    indices: np.ndarray
-    component: np.ndarray
+
+    def __post_init__(self):
+        if self.nodes.graph_n != self.graph.n:
+            raise ValueError(f"the family is of a graph on {self.nodes.graph_n} vertices, "
+                             f"not {self.graph.n}")
 
     @property
     def order(self) -> int:
@@ -97,13 +100,115 @@ class ReconfigGraph:
 
     @property
     def size(self) -> int:
-        return len(self.indices) // 2
+        return _size(self.graph.n, self.nodes.by_card, self.nodes.k)
+
+    @property
+    def indptr(self) -> np.ndarray:
+        return self._csr[0]
+
+    @property
+    def indices(self) -> np.ndarray:
+        return self._csr[1]
+
+    @cached_property
+    def _csr(self) -> tuple[np.ndarray, np.ndarray]:
+        csr = _adjacency(self.nodes.bits, self.graph.n, self.nodes.by_card, self.nodes.k)
+        for a in csr:
+            a.flags.writeable = False  # the graph is frozen
+        return csr
 
     @cached_property
     def degrees(self) -> np.ndarray:
-        degrees = np.diff(self.indptr)
+        """Each node's degree, down(S) + (n - |S| if |S| < k else 0).
+
+        Each of the n - |S| sets S + v is a node while |S| < k.  S - v
+        dominates iff v is no vertex's only dominator, that is, no u has
+        N[u] ∩ S = {v}, so down(S) = |S| - #{v in S : v is the only member
+        of S in some N[u]}.  One pass over the vertices u ORs each node's
+        hits S ∩ N[u] that hold a single member.
+        """
+        n, k, bits, cards = self.graph.n, self.nodes.k, self.nodes.bits, self.nodes.cards
+        # up-degree plus |S|, less the members that are some vertex's only dominator
+        degrees = np.where(cards < k, n, cards)
+        nbhds = np.array(self.graph.closed_nbhd, dtype=np.uint64)
+        for lo in range(0, self.order, _BLOCK):  # cache-sized passes
+            block = bits[lo:lo + _BLOCK]
+            owned, hit = np.zeros_like(block), np.empty_like(block)
+            for nbhd in nbhds:
+                np.bitwise_and(block, nbhd, out=hit)
+                np.bitwise_or(owned, hit, out=owned, where=np.bitwise_count(hit) == 1)
+            degrees[lo:lo + _BLOCK] -= np.bitwise_count(owned)
         degrees.flags.writeable = False
         return degrees
+
+    @property
+    def component_count(self) -> int:
+        """1 at k = n, where every node climbs to V; below n, the components of
+        layers k - 1 and k, with no label for the nodes below them."""
+        if self.nodes.k == self.graph.n:
+            return 1
+        return int(np.count_nonzero(self._top == np.arange(len(self._top))))
+
+    @cached_property
+    def component(self) -> np.ndarray:
+        """Per-node component label, components numbered by their smallest node id.
+
+        Lemma: the components of D_k(G) are those of the subgraph on layers
+        k - 1 and k, each lower node joining the component its up-neighbours
+        reach.  Proof: two up-neighbours S + v and S + w of a node S with
+        |S| <= k - 2 share the up-neighbour S + v + w.  At |S| = k - 2 that
+        puts them in one component of the top two layers; below, downward
+        induction on |S| gives every up-neighbour of S the component of
+        S + v + w.  So every edge below layer k - 1 joins nodes whose climbs
+        end in one component of the top two layers, and every node is joined
+        to where its climb ends.
+
+        Layers k - 1 and k take the labels of _top.  Then, layer by layer
+        downward, each node S copies the label of S | (S + 1), S plus its
+        lowest missing vertex, found by binary search in the layer above.
+        Last, components are numbered by their smallest node id, which may
+        lie below layer k - 1.
+        """
+        order, k, bits = self.order, self.nodes.k, self.nodes.bits
+        if k == self.graph.n:  # every node climbs to V through its supersets
+            labels = np.zeros(order, dtype=np.int64)
+        else:
+            top = self._top  # before any per-node array: its CSR may be refused
+            first = np.cumsum((0, *self.nodes.by_card))  # first[j]: the first id of layer j
+            labels = np.empty(order, dtype=np.int64)
+            labels[first[k - 1]:] = first[k - 1] + top
+            for j in range(k - 2, -1, -1):
+                lo, mid, hi = first[j:j + 3]
+                up = bits[lo:mid] | (bits[lo:mid] + np.uint64(1))
+                labels[lo:mid] = labels[mid + np.searchsorted(bits[mid:hi], up)]
+            smallest = np.full(order, order)
+            np.minimum.at(smallest, labels, np.arange(order))
+            smallest = smallest[labels]
+            labels = (np.cumsum(smallest == np.arange(order)) - 1)[smallest]
+        labels.flags.writeable = False
+        return labels
+
+    @cached_property
+    def _top(self) -> np.ndarray:
+        """Each node of layers k - 1 and k labelled with the smallest position,
+        among those layers, of its component there, by label propagation over
+        their own CSR: each node takes the smallest label among itself and its
+        neighbours, then the label of its label (pointer jumping), until
+        nothing changes.  TooLargeError when that CSR exceeds the budget."""
+        nodes = self.nodes
+        top = sum(nodes.by_card[:nodes.k - 1])
+        indptr, indices = _adjacency(nodes.bits[top:], self.graph.n, nodes.by_card, nodes.k)
+        heads = np.flatnonzero(np.diff(indptr))  # the nodes with a neighbour
+        starts = indptr[heads]
+        labels = np.arange(len(indptr) - 1)
+        while heads.size:
+            low = labels.copy()
+            low[heads] = np.minimum(labels[heads], np.minimum.reduceat(labels[indices], starts))
+            low = low[low]
+            if np.array_equal(low, labels):
+                break
+            labels = low
+        return labels
 
     def node_id(self, bits: int) -> int:
         """Node id of the dominating set with this bitmask (KeyError if absent)."""
@@ -120,96 +225,10 @@ class ReconfigGraph:
 
 
 def build(g: Graph, k: int | None = None, *, cap: int = ENUMERATION_CAP) -> ReconfigGraph:
-    """Construct D_k(G) on the sets enumerate_dominating returns; k defaults to n.
-
-    Adjacency toggles each of the n bits of every node, a block of nodes at
-    a time, and looks the results up, one gather each from a 2^n id map
-    while 2^n <= order * n and a binary search otherwise, then sorts each
-    row of n candidates: O(order * n log n) with the map and
-    O(order * n log order) without it, instead of the quadratic pairwise
-    check.  TooLargeError when the CSR would hold more than
-    ENUMERATION_CAP * 2^ENUMERATION_CAP entries.  Components need no search:
-    two up-neighbours S + v and S + w of a node below layer k - 1 share the
-    up-neighbour S + v + w, so the components are those of layers k - 1 and
-    k, found by label propagation there, and each lower node copies the
-    label of a neighbour one layer up (_component_labels gives the proof).
-    At k = n every node climbs to V through its supersets, so D_n(G) is one
-    component and every label is 0.
-    """
-    nodes = enumerate_dominating(g, k, cap=cap)
-    indptr, indices = _adjacency(nodes.bits, g.n, nodes.by_card, nodes.k)
-    if nodes.k == g.n:  # every node climbs to V through its supersets
-        component = np.zeros(len(nodes), dtype=np.int64)
-    else:
-        component = _component_labels(indptr, indices, nodes.cards, nodes.k)
-    for a in (indptr, indices, component):
-        a.flags.writeable = False  # the graph is frozen; degrees are cached from these
-    return ReconfigGraph(nodes, indptr, indices, component)
-
-
-@dataclass(frozen=True)
-class Stats:
-    """The summary of D_k(G) that ``reconfig --stats`` prints.
-
-    parts is (odd, even): the node counts of the two cardinality parities,
-    the part sizes of bipartition.  The degrees are None when D_k(G) has no
-    nodes.
-    """
-
-    order: int
-    size: int
-    parts: tuple[int, int]
-    min_degree: int | None
-    max_degree: int | None
-    components: int
-
-
-def stats(g: Graph, nodes: DomFamily) -> Stats:
-    """Order, size, parts, degree range and component count of D_k(G), with
-    nodes = enumerate_dominating(g, k), from the family alone: no adjacency
-    is built unless k < n, and then only on layers k - 1 and k.
-
-    Degrees: a node S has degree down(S) + (n - |S| if |S| < k else 0).
-    Every superset of a dominating set dominates, so each of the n - |S|
-    sets S + v is a node while |S| < k.  S - v dominates iff v is no
-    vertex's only dominator, that is, no u has N[u] ∩ S = {v}, so
-    down(S) = |S| - #{v in S : v is the only member of S in some N[u]}.
-    One pass over the vertices u ORs each node's hits S ∩ N[u] that hold a
-    single member.  Every edge is the up-edge of its lower end, so the size
-    is the sum over j < k of (n - j) d_j, with d_j nodes of cardinality j.
-
-    Components: at k = n every node climbs to V through its supersets, so
-    D_n(G) is connected.  Below n they are the components of layers k - 1
-    and k (the lemma of _component_labels), labelled on those layers' bits;
-    their CSR is made under build's budget, so stats raises TooLargeError
-    when those two layers have more adjacency entries than it admits.
-    """
-    if nodes.graph_n != g.n:
-        raise ValueError(f"the family is of a graph on {nodes.graph_n} vertices, not {g.n}")
-    order = len(nodes)
-    if not order:
-        return Stats(0, 0, (0, 0), None, None, 0)
-    n, k, bits, cards = g.n, nodes.k, nodes.bits, nodes.cards
-    if k == n:
-        components = 1
-    else:  # labelled first, so their arrays are freed before the degrees are made
-        top = int(np.searchsorted(cards, np.uint8(k - 1)))  # the first node of layer k - 1
-        csr = _adjacency(bits[top:], n, nodes.by_card, k)
-        components = int(_component_labels(*csr, cards[top:], k).max()) + 1
-    # up-degree plus |S|, less the members that are some vertex's only dominator
-    degrees = np.where(cards < k, n, cards)
-    nbhds = np.array(g.closed_nbhd, dtype=np.uint64)
-    for lo in range(0, order, _BLOCK):  # cache-sized passes
-        block = bits[lo:lo + _BLOCK]
-        owned, hit = np.zeros_like(block), np.empty_like(block)
-        for nbhd in nbhds:
-            np.bitwise_and(block, nbhd, out=hit)
-            np.bitwise_or(owned, hit, out=owned, where=np.bitwise_count(hit) == 1)
-        degrees[lo:lo + _BLOCK] -= np.bitwise_count(owned)
-    size = _size(n, nodes.by_card, k)
-    odd = int(np.count_nonzero(cards & 1))
-    return Stats(order, size, (odd, order - odd), int(degrees.min()), int(degrees.max()),
-                 components)
+    """D_k(G) on the sets enumerate_dominating returns; k defaults to n.  Its
+    size, degrees and components come from the family, and its CSR is made
+    on first read."""
+    return ReconfigGraph(g, enumerate_dominating(g, k, cap=cap))
 
 
 def _size(n: int, by_card: tuple[int, ...], k: int, low: int = 0) -> int:
@@ -224,10 +243,12 @@ def _adjacency(bits: np.ndarray, n: int, by_card: tuple[int, ...],
     """indptr and indices of D_k(G) on the nodes bits: the family's layers from
     the lowest in bits up to k, by_card[j] sets in layer j.  Their size is
     exact (_size), and checked against the budget before anything is
-    allocated; then they are filled in blocks of _BLOCK // n node ids.  The
-    2^n id map is within the budget too: a family has at most
-    2^ENUMERATION_CAP sets, so 2^n <= order * n only for n <= 28, and
-    2^28 is below ENUMERATION_CAP * 2^ENUMERATION_CAP."""
+    allocated; then they are filled in blocks of _BLOCK // n node ids, in
+    O(order * n log n) with the id map and O(order * n log order) with the
+    binary search, instead of the quadratic pairwise check.  The 2^n id map
+    is within the budget too: a family has at most 2^ENUMERATION_CAP sets,
+    so 2^n <= order * n only for n <= 28, and 2^28 is below
+    ENUMERATION_CAP * 2^ENUMERATION_CAP."""
     order = len(bits)
     low = int(bits[0]).bit_count() if order else k
     entries = 2 * _size(n, by_card, k, low)
@@ -237,7 +258,7 @@ def _adjacency(bits: np.ndarray, n: int, by_card: tuple[int, ...],
     indptr = np.empty(order + 1, dtype=np.int64)
     indices = np.empty(entries, dtype=np.int32)
     indptr[0] = end = 0
-    for span, rows in (_map_rows if 1 << n <= order * n else _search_rows)(bits, n):
+    for span, rows in _toggle_rows(bits, n, 1 << n <= order * n):
         # n <= 63 present candidates a node: its row length fits a uint8 sum
         lengths = np.add.reduce((rows < order).view(np.uint8), axis=0, dtype=np.uint8)
         ends = indptr[span.start + 1:span.stop + 1]
@@ -251,95 +272,33 @@ def _adjacency(bits: np.ndarray, n: int, by_card: tuple[int, ...],
     return indptr, indices
 
 
-def _map_rows(bits: np.ndarray, n: int):
+def _toggle_rows(bits: np.ndarray, n: int, by_map: bool):
     """Each block of _BLOCK // n node ids with its toggle rows, in one buffer
     that each block rewrites: row v holds the id of every node's set with
     bit v toggled, or the sentinel order when that set is not a node.  They
-    are gathered from an id map over all 2^n bitmasks."""
+    are gathered from an id map over all 2^n bitmasks when by_map, and
+    found by binary search in a value-sorted copy of bits otherwise."""
     order = len(bits)
-    ids = np.full(1 << n, order, dtype=np.int32)
-    keys = bits.view(np.int64)  # n <= 63: the same values, which the gathers take uncast
-    for span in _blocks(order, n):
-        ids[keys[span]] = np.arange(*span.indices(order), dtype=np.int32)
-    rows = np.empty((n, min(order, _BLOCK // n)), dtype=np.int32)
-    for span in _blocks(order, n):
-        block = keys[span]
-        m = len(block)
-        for v in range(n):
-            np.take(ids, block ^ (1 << v), out=rows[v, :m], mode="clip")  # all below 2^n
-        yield span, rows[:, :m]
-
-
-def _search_rows(bits: np.ndarray, n: int):
-    """The blocks and toggle rows of _map_rows, found by binary search in a
-    value-sorted copy of bits, one vertex at a time."""
-    order = len(bits)
-    by_value = np.argsort(bits)
-    values = bits[by_value]
+    if by_map:
+        ids = np.full(1 << n, order, dtype=np.int32)
+        for span in _blocks(order, n):
+            ids[bits[span].view(np.int64)] = np.arange(*span.indices(order), dtype=np.int32)
+    else:
+        by_value = np.argsort(bits)
+        values = bits[by_value]
     rows = np.empty((n, min(order, _BLOCK // n)), dtype=np.int32)
     for span in _blocks(order, n):
         block = bits[span]
         m = len(block)
         for v in range(n):
             toggled = block ^ np.uint64(1 << v)
-            pos = np.searchsorted(values, toggled)
-            np.minimum(pos, order - 1, out=pos)
-            rows[v, :m] = np.where(values[pos] == toggled, by_value[pos], order)
+            if by_map:  # n <= 63: the int64 view has the same values, all below 2^n
+                np.take(ids, toggled.view(np.int64), out=rows[v, :m], mode="clip")
+            else:
+                pos = np.searchsorted(values, toggled)
+                np.minimum(pos, order - 1, out=pos)
+                rows[v, :m] = np.where(values[pos] == toggled, by_value[pos], order)
         yield span, rows[:, :m]
-
-
-def _component_labels(indptr: np.ndarray, indices: np.ndarray,
-                      cards: np.ndarray, k: int) -> np.ndarray:
-    """Per-node component label, components numbered by their smallest node id.
-
-    Every superset of a dominating set dominates, so a node S with |S| < k
-    is adjacent to each of its n - |S| supersets S + v.  Lemma: the
-    components of D_k(G) are those of the subgraph on layers k - 1 and k,
-    each lower node joining the component its up-neighbours reach.  Proof:
-    two up-neighbours S + v and S + w of a node S with |S| <= k - 2 share
-    the up-neighbour S + v + w.  At |S| = k - 2 that puts them in one
-    component of the top two layers; below, downward induction on |S|
-    gives every up-neighbour of S the component of S + v + w.  So every
-    edge below layer k - 1 joins nodes whose climbs end in one component
-    of the top two layers, and every node is joined to where its climb ends.
-
-    The nodes of layers k - 1 and k take label propagation over the edges
-    between them: each takes the smallest label among itself and its
-    neighbours, then the label of its label (pointer jumping), until
-    nothing changes, which labels each with the smallest id of its
-    component there.  Then, layer by layer downward, each lower node copies
-    the label of its last CSR neighbour, which has the largest id and so
-    lies one layer up.  Last, components are numbered by their smallest
-    node id, which may lie below layer k - 1.
-    """
-    order = len(cards)
-    # first[j]: the first id of layer >= j; the keys take the dtype of cards,
-    # which a mixed search would cast whole
-    first = np.searchsorted(cards, np.arange(k, dtype=cards.dtype))
-    # the rows of layers k - 1 and k are the tail of indices; the entries
-    # inside those layers are the edges between them, still grouped by row
-    top = int(first[k - 1])
-    rows = np.repeat(np.arange(top, order), np.diff(indptr[top:]))
-    nbrs = indices[indptr[top]:]
-    inside = nbrs >= top
-    rows, nbrs = rows[inside], nbrs[inside]
-    starts = np.flatnonzero(np.diff(rows, prepend=-1))
-    heads = rows[starts]
-    labels = np.arange(order)
-    while heads.size:
-        low = labels.copy()
-        low[heads] = np.minimum(labels[heads], np.minimum.reduceat(labels[nbrs], starts))
-        low = low[low]
-        if np.array_equal(low, labels):
-            break
-        labels = low
-    for j in range(k - 2, -1, -1):
-        lo, hi = first[j], first[j + 1]
-        labels[lo:hi] = labels[indices[indptr[lo + 1:hi + 1] - 1]]
-    smallest = np.full(order, order)
-    np.minimum.at(smallest, labels, np.arange(order))
-    smallest = smallest[labels]
-    return (np.cumsum(smallest == np.arange(order)) - 1)[smallest]
 
 
 def bipartition(r: ReconfigGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -366,11 +325,7 @@ def is_regular(r: ReconfigGraph) -> bool:
 
 def connected_components(r: ReconfigGraph) -> tuple[int, tuple[int, ...]]:
     """(component count, per-node component label); 0 components when empty."""
-    return _component_count(r), tuple(r.component.tolist())
-
-
-def _component_count(r: ReconfigGraph) -> int:
-    return int(r.component.max()) + 1 if r.order else 0
+    return r.component_count, tuple(r.component.tolist())
 
 
 def _rows(indptr: np.ndarray, indices: np.ndarray,
@@ -463,7 +418,7 @@ def euler_status(r: ReconfigGraph) -> str:
     closed tour, exactly 2 an open trail, and a disconnected graph neither.
     A single node and an empty D_k(G) (no odd degree) are vacuously eulerian.
     """
-    if _component_count(r) > 1:
+    if r.component_count > 1:
         return "neither"
     odd = np.count_nonzero(r.degrees % 2)
     if odd == 0:
@@ -474,15 +429,8 @@ def euler_status(r: ReconfigGraph) -> str:
 
 
 def is_hamiltonian(r: ReconfigGraph) -> bool:
-    """Exact Hamiltonian-cycle decision by subset dynamic programming.
+    """Exact Hamiltonian-cycle decision: the layer search of _hamiltonian.
 
-    Layer j holds the vertex set S of each simple path of j + 1 nodes from
-    node 0 (``sets``) and the bitmask of the nodes where such a path can end
-    (``ends``), as uint32 arrays, so only reachable sets are stored.  One
-    broadcast lists every extension (S, w) by an end's neighbour w outside
-    S; sorting the grown sets and OR-ing w's bit over each run of equal sets
-    gives the next layer.  A cycle exists iff some end at the full set is
-    adjacent to node 0, so pendant nodes and split graphs need no check.
     Exponential in the order, hence the cap.  Every edge changes the
     cardinality parity, so parity classes of unequal size decide False at
     any order, before the cap: every D_n(G) among them, whose order (the
@@ -493,11 +441,27 @@ def is_hamiltonian(r: ReconfigGraph) -> bool:
         return False
     if n > HAMILTONIAN_ORDER_CAP:
         raise TooLargeError(f"order {n} exceeds the Hamiltonian search cap {HAMILTONIAN_ORDER_CAP}")
+    return _hamiltonian(r.indptr, r.indices)
+
+
+def _hamiltonian(indptr: np.ndarray, indices: np.ndarray) -> bool:
+    """Whether the graph with this CSR, of at most 32 nodes, has a Hamiltonian
+    cycle, by subset dynamic programming.
+
+    Layer j holds the vertex set S of each simple path of j + 1 nodes from
+    node 0 (``sets``) and the bitmask of the nodes where such a path can end
+    (``ends``), as uint32 arrays, so only reachable sets are stored.  One
+    broadcast lists every extension (S, w) by an end's neighbour w outside
+    S; sorting the grown sets and OR-ing w's bit over each run of equal sets
+    gives the next layer.  A cycle exists iff some end at the full set is
+    adjacent to node 0, so pendant nodes and split graphs need no check.
+    """
+    n = len(indptr) - 1
     if n < 3:  # the search would take the 2-node path for a cycle
         return False
     bit = np.uint32(1) << np.arange(n, dtype=np.uint32)
     adj = np.zeros(n, dtype=np.uint32)  # adj[w]: the bitmask of w's neighbours
-    np.bitwise_or.at(adj, np.repeat(np.arange(n), r.degrees), bit[r.indices])
+    np.bitwise_or.at(adj, np.repeat(np.arange(n), np.diff(indptr)), bit[indices])
     sets = ends = bit[:1]
     for _ in range(n - 1):
         si, w = np.nonzero(((ends[:, None] & adj) != 0) & ((sets[:, None] & bit) == 0))

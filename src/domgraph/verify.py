@@ -75,7 +75,8 @@ def suite_complete(max_n: int = 12) -> list[CheckRecord]:
     built = {n: reconfig.build(make_family("complete", n)) for n in range(1, hi + 1)}
     records = [
         _over_n("complete/order", built, 1, hi, lambda n: 2**n - 1, lambda r: r.order),
-        _over_n("complete/size", built, 1, hi, lambda n: n * (2 ** (n - 1) - 1), lambda r: r.size),
+        _over_n("complete/size", built, 1, hi, lambda n: n * (2 ** (n - 1) - 1),
+                lambda r: len(r.indices) // 2),
         _over_n("complete/bipartition", built, 1, hi, lambda n: [2 ** (n - 1), 2 ** (n - 1) - 1],
                 lambda r: [len(p) for p in reconfig.bipartition(r)],
                 note="parts are the odd- and even-cardinality dominating sets"),
@@ -108,7 +109,7 @@ def suite_complete(max_n: int = 12) -> list[CheckRecord]:
 
 def parity_violations(r: reconfig.ReconfigGraph) -> int:
     """Edges of D_k(G) joining two sets whose cardinalities have equal parity."""
-    rows = np.repeat(r.nodes.cards, r.degrees)
+    rows = np.repeat(r.nodes.cards, np.diff(r.indptr))
     # every edge appears in both endpoints' rows
     return int(np.count_nonzero((rows ^ r.nodes.cards[r.indices]) % 2 == 0)) // 2
 
@@ -216,7 +217,7 @@ def _distance_two_marks(r: reconfig.ReconfigGraph) -> np.ndarray:
     """The order x order mask of the node pairs at distance 2 in r: the ends
     a != b of some walk a-m-b of two edges that are not adjacent themselves,
     all walks listed at once from the CSR arrays."""
-    src = np.repeat(np.arange(r.order), r.degrees)  # the near end of each CSR entry
+    src = np.repeat(np.arange(r.order), np.diff(r.indptr))  # the near end of each CSR entry
     # the rows of each entry's far end
     far, lengths = reconfig._rows(r.indptr, r.indices, r.indices)
     marks = np.zeros((r.order, r.order), dtype=bool)

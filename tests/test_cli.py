@@ -222,6 +222,9 @@ def test_count_triangle_error_leaves_the_output_file_untouched(tmp_path, capsys,
     (["reconfig", "--family", "path", "--n", "3", "--k", "0"], 1, "k=0 must satisfy"),
     (["family", "--product", "join:path:3"], 2, "needs exactly two factors"),
     (["verify", "--max-n", "2"], 1, "outside the valid range 3..24"),
+    # --stats prints the table: it never writes D_22(P_22)'s 104 MB of JSON
+    (["reconfig", "--family", "path", "--n", "22", "--stats", "--format", "json"], 2,
+     "--stats prints the table, not --format json"),
 ])
 def test_error_leaves_the_output_file_untouched(tmp_path, capsys, argv, status, message):
     # a handler raises before main opens --output
@@ -247,18 +250,29 @@ def test_count_streams_with_flat_memory(tmp_path, fmt):
         assert code == 0 and peak < 1 << 20
 
 
+def test_reconfig_over_the_csr_budget_is_refused_before_the_output_is_opened(tmp_path,
+                                                                             monkeypatch, capsys):
+    monkeypatch.setattr(reconfig, "ENUMERATION_CAP", 8)  # 8 * 2^8 = 2,048 entries
+    target = tmp_path / "reconfig.json"
+    target.write_bytes(b"kept\n")
+    code, out, err = run(capsys, "reconfig", "--family", "path", "--n", "10", "--format", "json",
+                         "--output", str(target))
+    assert (code, out) == (1, "") and "adjacency entries, more than 8 * 2^8" in err
+    assert target.read_bytes() == b"kept\n"
+
+
 def test_reconfig_export_streams_in_blocks(tmp_path, monkeypatch):
     # D_20(P_20): 157,305 nodes, 27 MB of JSON and 33 MB of DOT, written a block of
-    # node ids at a time; export's own peak is what it allocates past the built graph
-    built, held = reconfig.build, []
+    # node ids at a time; export's own peak is what it allocates past the graph and its CSR
+    adjacency, held = reconfig._adjacency, []
 
-    def build(*args, **kwargs):
-        r = built(*args, **kwargs)
+    def made(*args):
+        csr = adjacency(*args)
         held.append(tracemalloc.get_traced_memory()[0])
         tracemalloc.reset_peak()
-        return r
+        return csr
 
-    monkeypatch.setattr(reconfig, "build", build)
+    monkeypatch.setattr(reconfig, "_adjacency", made)
     for fmt in ("json", "dot"):
         target = tmp_path / f"reconfig.{fmt}"
         tracemalloc.start()

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from test_domination import drawn_graphs, table_is_cached
 
 from domgraph import (
-    DomFamily,
     EmptyGraphError,
     TooLargeError,
     bipartition,
@@ -211,16 +210,21 @@ def test_is_hamiltonian_cap():
     assert not is_hamiltonian(r)
 
 
-def dfs_hamiltonian(r) -> bool:
-    """Depth-first search over the simple paths from node 0."""
-    nbrs = [r.indices[r.indptr[i] : r.indptr[i + 1]].tolist() for i in range(r.order)]
+def csr_rows(indptr, indices) -> list[list[int]]:
+    """The adjacency rows of a CSR as lists."""
+    return [indices[indptr[i] : indptr[i + 1]].tolist() for i in range(len(indptr) - 1)]
+
+
+def dfs_hamiltonian(indptr, indices) -> bool:
+    """Depth-first search over the simple paths from node 0 of the graph with this CSR."""
+    nbrs = csr_rows(indptr, indices)
 
     def extend(path: list[int]) -> bool:
-        if len(path) == r.order:
+        if len(path) == len(nbrs):
             return path[0] in nbrs[path[-1]]
         return any(extend([*path, w]) for w in nbrs[path[-1]] if w not in path)
 
-    return r.order >= 3 and extend([0])
+    return len(nbrs) >= 3 and extend([0])
 
 
 def row_components(rows: list[list[int]]) -> np.ndarray:
@@ -240,8 +244,8 @@ def row_components(rows: list[list[int]]) -> np.ndarray:
 
 
 def test_is_hamiltonian_search_finds_no_cycle_across_a_bridge():
-    # parity parts of equal size and every edge crossing them, so only the
-    # search can say no; m = 10 is at the order cap.  Two m-cycles joined by
+    # graphs on which only the search can say no, given to the search kernel as
+    # a CSR, since none is a D_k(G); m = 10 is at the order cap.  Two m-cycles joined by
     # one edge have minimum degree 2 and one component (small D_k(G) like
     # that all turn out Hamiltonian): across a bridge at node 0 no path
     # covers both cycles; across one far from node 0 paths do, and only the
@@ -260,12 +264,8 @@ def test_is_hamiltonian_search_finds_no_cycle_across_a_bridge():
                     for i in range(order)]
             indptr = np.cumsum([0] + [len(row) for row in rows])
             indices = np.array([j for row in rows for j in row], dtype=np.int32)
-            # node i holds i vertices, so parity alternates by id; m is even: every edge crosses
-            bits = (np.uint64(1) << np.arange(order, dtype=np.uint64)) - np.uint64(1)
-            # not a D_k(G), so its labels come from a search over its own rows
-            r = reconfig.ReconfigGraph(DomFamily(order, order, bits), indptr, indices,
-                                       row_components(rows))
-            assert not is_hamiltonian(r) and not dfs_hamiltonian(r)
+            assert not reconfig._hamiltonian(indptr, indices)
+            assert not dfs_hamiltonian(indptr, indices)
 
 
 def test_is_hamiltonian_dp_on_every_graph_up_to_4_vertices():
@@ -292,7 +292,7 @@ def test_is_hamiltonian_equals_a_path_search_on_drawn_graphs(g):
     for k in range(1, g.n + 1):
         r = build(g, k)
         if r.order <= 12:
-            assert is_hamiltonian(r) == dfs_hamiltonian(r)
+            assert is_hamiltonian(r) == dfs_hamiltonian(r.indptr, r.indices)
 
 
 def test_default_k_is_n():
@@ -490,8 +490,9 @@ def test_id_map_adjacency_equals_searchsorted_adjacency(g):
     # the blocks and toggle rows, looked up in the id map and by binary search
     for k in range(1, g.n + 1):
         bits = enumerate_dominating(g, k, method="prune").bits
-        blocks = itertools.zip_longest(reconfig._map_rows(bits, g.n),
-                                       reconfig._search_rows(bits, g.n), fillvalue=(None, None))
+        blocks = itertools.zip_longest(reconfig._toggle_rows(bits, g.n, True),
+                                       reconfig._toggle_rows(bits, g.n, False),
+                                       fillvalue=(None, None))
         assert all(a == b and np.array_equal(x, y) for (a, x), (b, y) in blocks)
 
 
@@ -522,26 +523,29 @@ def test_adjacency_across_blocks_is_exact_within_the_csr_its_lookup_and_a_few_bl
         assert len(indices) == 2 * sum((n - j) * d for j, d in enumerate(nodes.by_card[:k]))
 
 
-def test_build_refuses_a_csr_beyond_the_budget_before_allocating_it(monkeypatch):
+def test_first_csr_read_refuses_a_csr_beyond_the_budget_before_allocating_it(monkeypatch):
     # D_12(P_28) on the prune route's kept family: 40,312 nodes, 322 kB of bits and
     # 100,632 entries, whose toggle candidates would take 28 * 40,312 * 4 bytes
     g = make_family("path", 28)
-    nodes = enumerate_dominating(g, 12, cap=63)
+    r = build(g, 12, cap=63)
+    r.nodes.by_card
     monkeypatch.setattr(reconfig, "ENUMERATION_CAP", 12)  # 12 * 2^12 = 49,152 entries
     tracemalloc.start()
     try:
-        with pytest.raises(TooLargeError, match=r"layers 10\.\.12 of D_12\(G\) have 100632 adjacency "
-                                                r"entries, more than 12 \* 2\^12"):
-            build(g, 12, cap=63)
-        # stats' slice of layers 11 and 12 alone has 2 * 17 * 2,892 entries
-        with pytest.raises(TooLargeError, match=r"layers 11\.\.12 of D_12\(G\) have 98328 "):
-            reconfig.stats(g, nodes)
+        for _ in range(2):  # a refusal is not cached
+            with pytest.raises(TooLargeError, match=r"layers 10\.\.12 of D_12\(G\) have 100632 "
+                                                    r"adjacency entries, more than 12 \* 2\^12"):
+                r.indices
+        # the components' slice of layers 11 and 12 alone has 2 * 17 * 2,892 entries
+        for read in (lambda: r.component_count, lambda: r.component):
+            with pytest.raises(TooLargeError, match=r"layers 11\.\.12 of D_12\(G\) have 98328 "):
+                read()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < nodes.bits.nbytes
+    assert peak < r.nodes.bits.nbytes
     monkeypatch.undo()
-    assert len(build(g, 12, cap=63).indices) == 100632
+    assert len(r.indices) == 100632 and r.component_count > 1
 
 
 def test_default_route_depends_on_n(monkeypatch):
@@ -605,34 +609,18 @@ def test_exports_equal_the_object_formatting_across_blocks():
 def test_components_at_k_equal_n_are_read_from_the_lemma(g):
     # every node climbs to V through its supersets: one component, with no search
     r = build(g)
-    assert r.component.dtype == np.int64 and not r.component.any()
-    assert np.array_equal(r.component, reconfig._component_labels(r.indptr, r.indices,
-                                                                   r.nodes.cards, g.n))
+    assert r.component.dtype == np.int64 and not r.component.any() and r.component_count == 1
+    assert np.array_equal(r.component, row_components(csr_rows(r.indptr, r.indices)))
 
 
-def test_build_labels_components_below_n(monkeypatch):
-    labels, calls = reconfig._component_labels, []
-
-    def counted(*args):
-        calls.append(args)
-        return labels(*args)
-
-    monkeypatch.setattr(reconfig, "_component_labels", counted)
-    g = make_family("path", 7)
-    build(g)
-    assert calls == []
-    for k in (6, 4, 3):  # k = n - 1 too: the lemma holds at k = n alone
-        build(g, k)
-    assert len(calls) == 3
-
-
-def built_stats(r):
-    """The six numbers of reconfig.stats, read from the built graph."""
-    if not r.order:
-        return reconfig.Stats(0, 0, (0, 0), None, None, 0)
-    odd, even = bipartition(r)
-    return reconfig.Stats(r.order, r.size, (len(odd), len(even)), *degree_extremes(r),
-                          connected_components(r)[0])
+def assert_the_numbers_equal_the_csr(r):
+    """The size, degrees and components that r reads from its family, against
+    those of its CSR: entries, row lengths, and a search over its rows."""
+    labels = row_components(csr_rows(r.indptr, r.indices))
+    assert r.size == len(r.indices) // 2
+    assert np.array_equal(r.degrees, np.diff(r.indptr))
+    assert np.array_equal(r.component, labels)
+    assert r.component_count == (labels.max() + 1 if r.order else 0)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -640,17 +628,19 @@ def built_stats(r):
 def test_stats_equal_the_built_graph_on_drawn_graphs(g):
     # every k, the ones below gamma (no nodes) among them
     for k in range(1, g.n + 1):
-        assert reconfig.stats(g, enumerate_dominating(g, k)) == built_stats(build(g, k))
+        assert_the_numbers_equal_the_csr(build(g, k))
 
 
 def test_stats_equal_the_built_graph_on_the_prune_route():
     for g, k in [(make_family("path", 26), 9), (ladder(13), 8)]:
-        s = reconfig.stats(g, enumerate_dominating(g, k, cap=63))
-        assert s == built_stats(build(g, k, cap=63))
-        assert s.order > 0 and s.components > 1
+        r = build(g, k, cap=63)
+        assert_the_numbers_equal_the_csr(r)
+        assert r.order > 0 and r.component_count > 1
 
 
 def test_stats_make_no_adjacency_at_k_equal_n_and_two_layers_below_it(monkeypatch):
+    # build makes no CSR; the numbers of reconfig --stats make none at k = n, and
+    # below it only that of layers k - 1 and k, which the labels reuse
     adjacency, calls = reconfig._adjacency, []
 
     def counted(bits, n, *layers):
@@ -659,32 +649,31 @@ def test_stats_make_no_adjacency_at_k_equal_n_and_two_layers_below_it(monkeypatc
 
     monkeypatch.setattr(reconfig, "_adjacency", counted)
     for g in (make_family("path", 12), make_family("cycle", 9), ladder(5)):
-        assert reconfig.stats(g, enumerate_dominating(g)).components == 1
-        assert calls == []
-        for k in range(1, g.n):
-            nodes = enumerate_dominating(g, k)
-            reconfig.stats(g, nodes)
-            if len(nodes):
-                assert calls == [nodes.by_card[k - 1] + nodes.by_card[k]]
+        for k in range(1, g.n + 1):
+            r = build(g, k)
+            assert calls == []
+            r.order, r.size, r.degrees, r.component_count, r.component  # read, made once
+            d = r.nodes.by_card
+            assert calls == ([] if k == g.n else [d[k - 1] + d[k]])
             calls.clear()
 
 
 def test_stats_peak_is_a_fraction_of_builds():
-    # P_20 at k = 20, the subset table cached: build's peak was 26.4 MB, and
-    # stats', enumeration included, 3.9 MB
+    # P_20 at k = 20, the subset table cached, enumeration included: the CSR's peak
+    # was 17.1 MB, and that of the numbers of reconfig --stats 3.9 MB
     g = make_family("path", 20)
     enumerate_dominating(g, 1)
     peaks = []
-    for run in (lambda: build(g), lambda: reconfig.stats(g, enumerate_dominating(g))):
+    for read in (lambda r: r.indices, lambda r: (r.size, degree_extremes(r), r.component_count)):
         tracemalloc.start()
         try:
-            run()
+            read(build(g))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
     assert 4 * peaks[1] < peaks[0]
 
 
-def test_stats_refuse_a_family_of_another_graph():
+def test_reconfig_graph_refuses_a_family_of_another_graph():
     with pytest.raises(ValueError, match="graph on 5 vertices, not 6"):
-        reconfig.stats(make_family("path", 6), enumerate_dominating(make_family("path", 5)))
+        reconfig.ReconfigGraph(make_family("path", 6), enumerate_dominating(make_family("path", 5)))

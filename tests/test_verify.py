@@ -1,7 +1,7 @@
 import json
 import re
 import tracemalloc
-from dataclasses import asdict, is_dataclass, replace
+from dataclasses import asdict, is_dataclass
 
 import numpy as np
 import pytest
@@ -346,25 +346,30 @@ def test_two_walk_marks_equal_the_distances_below_k_equals_n(g, data):
 
 
 def test_distance_two_law_fails_when_an_edge_is_dropped(monkeypatch):
-    def distance_two_record():
-        # the record checks the D_n(P_n) that suite_paths built for the structure records
-        return next(r for r in verify.suite_paths(6) if r.check == "path/distance-2-law")
+    def record(suite, check):
+        # the distance-2 record checks the D_n(P_n) that suite_paths built for the
+        # structure records
+        return next(r for r in suite(6) if r.check == check)
 
-    assert distance_two_record().status == "pass"
-    build = reconfig.build
+    cases = [(verify.suite_paths, "path/distance-2-law"), (verify.suite_complete, "complete/size")]
+    assert all(record(*case).status == "pass" for case in cases)
+    adjacency = reconfig._adjacency
 
-    def without_first_edge(g, *args, **kwargs):
-        r = build(g, *args, **kwargs)
-        if not r.size:  # D_1(P_1) is a single node
-            return r
-        a, b = 0, int(r.indices[0])  # node 0 and its first neighbour
-        src = np.repeat(np.arange(r.order), r.degrees)
-        keep = ~(((src == a) & (r.indices == b)) | ((src == b) & (r.indices == a)))
-        indptr = np.zeros_like(r.indptr)
-        np.cumsum(np.bincount(src[keep], minlength=r.order), out=indptr[1:])
-        return replace(r, indptr=indptr, indices=r.indices[keep])
+    def without_first_edge(*args):
+        indptr, indices = adjacency(*args)
+        if not len(indices):  # D_1(P_1) is a single node
+            return indptr, indices
+        a, b = 0, int(indices[0])  # node 0 and its first neighbour
+        order = len(indptr) - 1
+        src = np.repeat(np.arange(order), np.diff(indptr))
+        keep = ~(((src == a) & (indices == b)) | ((src == b) & (indices == a)))
+        indptr = np.zeros_like(indptr)
+        np.cumsum(np.bincount(src[keep], minlength=order), out=indptr[1:])
+        return indptr, indices[keep]
 
-    monkeypatch.setattr(reconfig, "build", without_first_edge)
-    record = distance_two_record()
-    assert record.status == "fail"
-    assert any(violations for _, violations in record.observed)
+    monkeypatch.setattr(reconfig, "_adjacency", without_first_edge)
+    distance_two, size = (record(*case) for case in cases)
+    assert distance_two.status == "fail"
+    assert any(violations for _, violations in distance_two.observed)
+    # the size that the superset lemma claims, against the CSR's entries
+    assert size.status == "fail"
