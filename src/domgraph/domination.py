@@ -32,13 +32,17 @@ and benchmarks can pit one against the other.
 The counting operations read the same table.  It keeps the dominating mask
 as a bitset, 64 subsets a word (2 MB at n = 24), and fills the minimal mask
 and the counts by cardinality on first use.  S dominates iff it meets every
-N[u], so the mask is built in place: each u marks word ~h (h = N[u]'s high
-part) with the positions that meet N[u], then one spread pass per vertex
-v >= 6 ANDs each word into the word without v, leaving word w the AND of the
-marks at every word that contains it.  Right, since w is inside ~h exactly
-when w misses h, and where w meets h it meets N[u] already.  The counts read
-each word through seven masks of in-word positions by popcount, and the scan
-masks each word the same way before it unpacks the words that hold a set.
+N[u], so the mask is built in place.  Word w holds the subsets whose part
+from vertex 6 up is w, and a row is 64 words that differ in vertices 6..11
+alone.  Each u ANDs the positions that meet N[u] into every word of ~h's row
+that lies inside ~h (h = N[u]'s high part), all vertices in one unbuffered
+AND, then one spread pass per vertex v >= 12 ANDs each word into the word
+without v, over runs of at least 64 words.  Word w ends as the AND of the
+marks of every u with w inside ~h.  Right, since w is inside ~h exactly when
+w misses h, and where w meets h it meets N[u] already.  The counts read each
+word through seven masks of in-word positions by popcount, and sum each over
+the words grouped by their own popcount; the scan masks each word the same
+way before it unpacks the words that hold a set.
 The last graph's table is kept (``lru_cache(maxsize=1)``), so queries on one
 graph (or on equal graphs) build it once.  The last prune-route family is
 kept too: a prune-route call on an equal graph with no larger k returns the
@@ -207,10 +211,16 @@ def _labels(bits: np.ndarray, n: int, sep: str) -> list[np.ndarray]:
 
 # In-word masks over the 64 subsets of one word: _MEETS[m] holds the positions whose
 # subset of vertices 0..5 meets m, _AT_MOST[c + 1] those with at most c set bits
-# (_AT_MOST[0] is empty)
+# (_AT_MOST[0] is empty) and _EXACTLY[c] those with c; for each in-word vertex v,
+# _IN_WORD_VERTICES[v] is the shift from S - v up to S and the positions that hold v
 _MEETS = np.array([sum(1 << p for p in range(64) if p & m) for m in range(64)], dtype=np.uint64)
 _AT_MOST = np.array([sum(1 << p for p in range(64) if p.bit_count() < c) for c in range(8)],
                     dtype=np.uint64)
+_EXACTLY = list(_AT_MOST[1:] ^ _AT_MOST[:-1])
+_IN_WORD_VERTICES = [(np.uint64(1 << v), _MEETS[1 << v]) for v in range(6)]
+# _OUTSIDE[c, x] is all ones where word x of a row, as a subset of vertices 6..11, does
+# not lie inside c, and 0 where it does: ORed into a mark, it keeps the mark to those words
+_OUTSIDE = np.where(np.arange(64) & ~np.arange(64)[:, None], ~np.uint64(0), np.uint64(0))
 
 
 class SubsetTable:
@@ -218,7 +228,8 @@ class SubsetTable:
 
     Subset s is bit s & 63 of word s >> 6 (one word when n < 6), so word w
     holds the subsets whose high part is w, and the popcount of a subset is
-    that of its position in the word plus that of w.
+    that of its position in the word plus that of w.  Word w is word w & 63
+    of row w >> 6 (one row of 2^(n - 6) words when n < 12).
     """
 
     def __init__(self, g: Graph):
@@ -228,14 +239,18 @@ class SubsetTable:
             )
         self.n = g.n
         # mark: a word that misses the high part h of N[u] needs its low part to meet
-        # N[u], so u ANDs that into ~h, the largest such word
+        # N[u]; u ANDs that into each word of ~h's row that lies inside ~h, all vertices
+        # in one unbuffered AND, so two marks on one row both hold
         words = max(1, (1 << g.n) >> 6)
+        row = min(words, 64)
         self.dom = np.full(words, (1 << (1 << min(g.n, 6))) - 1, dtype="<u8")
-        for nbhd in g.closed_nbhd:
-            self.dom[(words - 1) ^ (nbhd >> 6)] &= _MEETS[nbhd & 63]
+        nbhd = np.array(g.closed_nbhd)
+        top = (words - 1) ^ (nbhd >> 6)
+        marks = _OUTSIDE[top & 63, :row] | _MEETS[nbhd & 63][:, None]
+        np.bitwise_and.at(self.dom.reshape(-1, row), top >> 6, marks)
         # spread: AND each word into the one without bit v - 6, so that word w holds
-        # the AND of the marks at every word that contains w
-        for v in range(6, g.n):
+        # the AND of the marks at every word that contains w at its place in a row
+        for v in range(12, g.n):
             half = self.dom.reshape(-1, 2, 1 << (v - 6))
             half[:, 0, :] &= half[:, 1, :]
 
@@ -244,26 +259,45 @@ class SubsetTable:
         return np.bitwise_count(np.arange(len(self.dom), dtype=np.uint32))
 
     @cached_property
+    def _words_by_card(self) -> tuple[np.ndarray, np.ndarray]:
+        """The word ids grouped by popcount, each group in increasing order, and the
+        start of each group: C(m, j) ids of m = max(0, n - 6) bits have j set."""
+        m = max(0, self.n - 6)
+        sizes = (math.comb(m, j) for j in range(m))
+        starts = np.array(list(itertools.accumulate(sizes, initial=0)))
+        return np.argsort(self._word_cards, kind="stable"), starts
+
+    @cached_property
     def minimal(self) -> np.ndarray:
         # v in S is removable iff S - v dominates: for v < 6, S - v sits 2^v bits lower
         # in S's word; above, in the lower half of each block of 2 << (v - 6) words
         removable = np.zeros_like(self.dom)
-        for v in range(min(self.n, 6)):
-            removable |= (self.dom << np.uint64(1 << v)) & _MEETS[1 << v]
+        shifted = np.empty_like(self.dom)
+        for shift, holds_v in _IN_WORD_VERTICES[: self.n]:
+            np.left_shift(self.dom, shift, shifted)
+            shifted &= holds_v
+            removable |= shifted
         for v in range(6, self.n):
             step = 1 << (v - 6)
-            removable.reshape(-1, 2, step)[:, 1, :] |= self.dom.reshape(-1, 2, step)[:, 0, :]
+            into = removable.reshape(-1, 2, step)[:, 1, :]
+            # half-rows shorter than a cache line (8 words) are run down their columns
+            np.bitwise_or(into, self.dom.reshape(-1, 2, step)[:, 0, :], out=into,
+                          order="F" if step < 8 else "K")
         # a set with a removable vertex dominates, so minimal = dom and not removable
         return np.bitwise_and(self.dom, np.invert(removable, out=removable), out=removable)
 
     def _by_card(self, words: np.ndarray) -> tuple[int, ...]:
-        # the subsets at positions with c set bits in a word with j set bits have j + c
-        counts = np.zeros(self.n + 7, dtype=np.int64)
-        for c in range(7):
-            in_word = np.bitwise_count(words & (_AT_MOST[c + 1] ^ _AT_MOST[c]))
-            by_word = np.bincount(self._word_cards, weights=in_word)  # exact: sums < 2^53
-            counts[c : c + len(by_word)] += by_word.astype(np.int64)
-        return tuple(counts[: self.n + 1].tolist())
+        # the subsets at positions with c set bits in a word with j set bits have j + c:
+        # each in-word class is summed over the words of each popcount j
+        order, starts = self._words_by_card
+        grouped = words[order]
+        counts = [0] * (self.n + 7)
+        for c, in_class in enumerate(_EXACTLY):
+            in_word = np.bitwise_count(grouped & in_class)
+            # exact: a group's sum is at most 64 * C(18, 9) < 2^32
+            for j, total in enumerate(np.add.reduceat(in_word, starts, dtype=np.uint32).tolist()):
+                counts[j + c] += total
+        return tuple(counts[: self.n + 1])
 
     @cached_property
     def dom_by_card(self) -> tuple[int, ...]:

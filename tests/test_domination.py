@@ -394,8 +394,8 @@ def test_total_count_parity_on_random_connected():
 # ---------------------------------------------------------------------------
 
 @st.composite
-def drawn_graphs(draw, max_n):
-    n = draw(st.integers(1, max_n))
+def drawn_graphs(draw, max_n, min_n=1):
+    n = draw(st.integers(min_n, max_n))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     flags = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return graph_from_edges(n, [p for p, on in zip(pairs, flags) if on])
@@ -435,6 +435,52 @@ def test_subset_table_on_every_labeled_graph_up_to_5():
 @given(drawn_graphs(12))
 def test_subset_table_on_drawn_graphs(g):
     assert_table_matches_definitions(g)
+
+
+def test_subset_table_across_64_word_rows():
+    # n = 13 and 14 hold two and four rows of 64 words: each vertex marks words of one
+    # row, and the spread runs from vertex 12 up
+    rng = random.Random(13)
+
+    def halves(n):
+        # random graphs on 0..5 and on 6..n-1, joined by the edge 5-6: N[0..4] lie in
+        # 0..5, so their marks fill a row, and N[7..] lie at or above vertex 6
+        low = [(u, v) for u in range(6) for v in range(u + 1, 6) if rng.random() < 0.5]
+        high = [(u, v) for u in range(6, n) for v in range(u + 1, n) if rng.random() < 0.4]
+        return graph_from_edges(n, low + high + [(5, 6)])
+
+    # the star's leaves 0..11 all mark the row without vertex 13
+    star = graph_from_edges(14, [(u, 13) for u in range(13)])
+    for g in (halves(13), halves(14), star, make_family("cycle", 13), random_graph(rng, 14)):
+        assert_table_matches_definitions(g)
+
+
+def unpacked(words, n):
+    """A packed mask as one bool per subset, subset s at index s."""
+    return np.unpackbits(words.view(np.uint8), bitorder="little")[: 1 << n].astype(bool)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(drawn_graphs(18, min_n=13))
+def test_unpacked_masks_keep_the_domination_laws(g):
+    table = SubsetTable(g)
+    subsets = np.arange(1 << g.n)
+    dom, minimal = unpacked(table.dom, g.n), unpacked(table.minimal, g.n)
+    meets_every_nbhd = np.ones_like(dom)
+    for nbhd in g.closed_nbhd:
+        meets_every_nbhd &= (subsets & nbhd) != 0
+    assert np.array_equal(dom, meets_every_nbhd)
+    dominating_deletion = np.zeros_like(dom)
+    for v in range(g.n):
+        without_v = subsets[(subsets >> v & 1) == 0]
+        # adding v to a dominating set keeps it dominating
+        assert not (dom[without_v] & ~dom[without_v | 1 << v]).any()
+        dominating_deletion[without_v | 1 << v] |= dom[without_v]
+    assert np.array_equal(minimal, dom & ~dominating_deletion)
+    cards = np.bitwise_count(subsets)
+    assert table.dom_by_card == tuple(np.bincount(cards[dom], minlength=g.n + 1).tolist())
+    assert table.minimal_by_card == tuple(
+        np.bincount(cards[minimal], minlength=g.n + 1).tolist())
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -502,7 +548,7 @@ def sparse_graph(rng, n):
 
 
 def test_blocked_table_matches_the_prune_route():
-    # n = 17..20, where the table's spread makes 11 to 14 passes over the words
+    # n = 17..20, where the table's spread makes 5 to 8 passes, over runs of 64 words or more
     rng = random.Random(17)
     n17, n20 = sparse_graph(rng, 17), sparse_graph(rng, 20)
     for g in (make_family("path", 18), make_family("cycle", 19), ladder(9), n17, n20):
@@ -517,10 +563,19 @@ def test_blocked_table_matches_the_prune_route():
 
 
 def test_table_at_23_and_24_vertices():
-    # the spread's passes for vertices 22 and 23 run only above 22 vertices
+    # the spread's passes for vertices 22 and 23 run only above 22 vertices; at the
+    # table's limit the queries trace less than a byte a subset: the masks, the word
+    # order grouped by popcount and the buffers of the minimal mask and the counts
+    domination._table.cache_clear()
     p24 = make_family("path", 24)
-    assert count_by_cardinality(p24) == path_triangle(24).row(24)
-    assert upper_domination_number(p24) == 12
+    tracemalloc.start()
+    try:
+        assert count_by_cardinality(p24) == path_triangle(24).row(24)
+        assert upper_domination_number(p24) == 12
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 24
     assert count_by_cardinality(make_family("cycle", 23)) == cycle_triangle(23).row(23)
     g = sparse_graph(random.Random(24), 24)
     k = domination_number(g) + 1
