@@ -136,7 +136,7 @@ def _reconfig_stats(r: reconfig.ReconfigGraph) -> str:
             ("order", 0),
             ("warning", "k below the domination number; graph is empty"),
         ])
-    odd = int((r.nodes.cards & 1).sum())
+    odd = sum(r.by_card[1::2])  # the parts from the layer counts: no node is listed
     low, high = reconfig.degree_extremes(r)
     return _table([
         ("order", r.order),

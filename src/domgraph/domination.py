@@ -41,8 +41,11 @@ without v, over runs of at least 64 words.  Word w ends as the AND of the
 marks of every u with w inside ~h.  Right, since w is inside ~h exactly when
 w misses h, and where w meets h it meets N[u] already.  The counts read each
 word through seven masks of in-word positions by popcount, and sum each over
-the words grouped by their own popcount; the scan masks each word the same
-way before it unpacks the words that hold a set.
+the words grouped by their own popcount: one stable order of the ids of a
+block of 2^b words (b = min(n - 6, 16)) by popcount, made once per b and
+shared by every table, groups every block, and block hi adds popcount(hi).
+The scan masks each word the same way before it unpacks the words that
+hold a set.
 The last graph's table is kept (``lru_cache(maxsize=1)``), so queries on one
 graph (or on equal graphs) build it once.  The last prune-route family is
 kept too: a prune-route call on an equal graph with no larger k returns the
@@ -258,14 +261,6 @@ class SubsetTable:
     def _word_cards(self) -> np.ndarray:
         return np.bitwise_count(np.arange(len(self.dom), dtype=np.uint32))
 
-    @cached_property
-    def _words_by_card(self) -> tuple[np.ndarray, np.ndarray]:
-        """The word ids grouped by popcount, each group in increasing order, and the
-        start of each group: C(m, j) ids of m = max(0, n - 6) bits have j set."""
-        m = max(0, self.n - 6)
-        sizes = (math.comb(m, j) for j in range(m))
-        starts = np.array(list(itertools.accumulate(sizes, initial=0)))
-        return np.argsort(self._word_cards, kind="stable"), starts
 
     @cached_property
     def minimal(self) -> np.ndarray:
@@ -288,15 +283,20 @@ class SubsetTable:
 
     def _by_card(self, words: np.ndarray) -> tuple[int, ...]:
         # the subsets at positions with c set bits in a word with j set bits have j + c:
-        # each in-word class is summed over the words of each popcount j
-        order, starts = self._words_by_card
-        grouped = words[order]
+        # each in-word class c is summed over the words of each popcount j.  Word w is
+        # (hi << b) | lo, so the words of block hi are grouped by the popcount of lo,
+        # and hi adds its own popcount to j
+        order, starts = _low_words_by_card(min(max(0, self.n - 6), 16))
+        grouped = words.reshape(-1, len(order))[:, order]
+        highs = [hi.bit_count() for hi in range(len(grouped))]
         counts = [0] * (self.n + 7)
         for c, in_class in enumerate(_EXACTLY):
             in_word = np.bitwise_count(grouped & in_class)
-            # exact: a group's sum is at most 64 * C(18, 9) < 2^32
-            for j, total in enumerate(np.add.reduceat(in_word, starts, dtype=np.uint32).tolist()):
-                counts[j + c] += total
+            # exact: a group's sum is at most 64 * C(16, 8) < 2^32
+            sums = np.add.reduceat(in_word, starts, axis=1, dtype=np.uint32).tolist()
+            for high, row in zip(highs, sums):
+                for j, total in enumerate(row, high + c):
+                    counts[j] += total
         return tuple(counts[: self.n + 1])
 
     @cached_property
@@ -319,6 +319,17 @@ class SubsetTable:
         bits = nonzero[members >> 6] << 6
         bits |= members & 63
         return bits.view(np.uint64)
+
+
+@lru_cache(maxsize=None)  # b <= 16: at most 17 entries, 128 kB at b = 16
+def _low_words_by_card(b: int) -> tuple[np.ndarray, np.ndarray]:
+    """The word ids 0..2^b - 1 grouped by popcount, each group in increasing
+    order (uint16), and the start of each group: C(b, j) ids have j set bits."""
+    order = np.argsort(np.bitwise_count(np.arange(1 << b, dtype=np.uint16)), kind="stable")
+    starts = np.array(list(itertools.accumulate((math.comb(b, j) for j in range(b)), initial=0)))
+    order = order.astype(np.uint16)
+    order.flags.writeable = False
+    return order, starts
 
 
 # equal graphs share the table: a Graph hashes and compares by (n, edges)
@@ -442,6 +453,21 @@ def _prune_bits(g: Graph, k: int) -> np.ndarray:
     return np.frombuffer(out, dtype=np.uint64)
 
 
+def _checked_bound(g: Graph, k, cap: int) -> int:
+    """k as an int, n when None: ValueError unless an integer (NumPy's too) in
+    1..n, then TooLargeError when n exceeds cap."""
+    try:
+        k = g.n if k is None else operator.index(k)
+    except TypeError:
+        pass  # not an integer: refused below
+    if not (isinstance(k, int) and 1 <= k <= g.n):
+        raise ValueError(f"cardinality bound k={k!r} must satisfy 1 <= k <= {g.n}")
+    if g.n > cap:
+        raise TooLargeError(f"n={g.n} exceeds the enumeration cap {cap}; "
+                            "raise cap (--cap on the command line) to override")
+    return k
+
+
 def enumerate_dominating(
     g: Graph, k: int | None = None, *, cap: int = ENUMERATION_CAP, method: str | None = None
 ) -> DomFamily:
@@ -461,15 +487,7 @@ def enumerate_dominating(
         L_12, k=24    4888173    0.18 s   / 148 MB  4.42 s   / 183 MB
         L_12, k=7     28         0.0111 s /  33 MB  0.0004 s /  29 MB
     """
-    try:
-        k = g.n if k is None else operator.index(k)  # NumPy integers too
-    except TypeError:
-        pass  # not an integer: refused below
-    if not (isinstance(k, int) and 1 <= k <= g.n):
-        raise ValueError(f"cardinality bound k={k!r} must satisfy 1 <= k <= {g.n}")
-    if g.n > cap:
-        raise TooLargeError(f"n={g.n} exceeds the enumeration cap {cap}; "
-                            "raise cap (--cap on the command line) to override")
+    k = _checked_bound(g, k, cap)
     if method is None:
         method = "scan" if g.n <= ENUMERATION_CAP else "prune"
     if method == "prune":

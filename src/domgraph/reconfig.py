@@ -5,10 +5,15 @@ are adjacent iff the sets differ by adding or deleting a single vertex.
 Node ids are positions in the DomFamily sort order (cardinality, then
 bitmask), so exports are deterministic.
 
-A ReconfigGraph is G and the DomFamily of its nodes, whose ``bits`` and
+A ReconfigGraph is G and k.  Its one eager value is ``by_card``, the node
+count of each layer j = 0..k: while G fits the subset table it is the
+table's ``dom_by_card[:k + 1]``, the layer counts of the scan's family, and
+above the table build lists the family by the prune route and reads its
+counts.  The order, the size and the parts come from by_card alone.
+``nodes``, the DomFamily enumerate_dominating(G, k) returns (``bits`` and
 ``cards`` give each node's set and cardinality, each cardinality one block
-of ids sorted by bitmask.  The rest is made from them on first read and
-cached, indexed by node id:
+of ids sorted by bitmask), is listed on the first read of a per-node value.
+The rest is made from it on first read and cached, indexed by node id:
 
 * ``indptr`` (int64) and ``indices`` (int32): the adjacency in CSR form,
   the neighbours of node i being ``indices[indptr[i]:indptr[i + 1]]`` in
@@ -18,13 +23,30 @@ cached, indexed by node id:
   smallest node id.
 
 Every superset of a dominating set dominates, so a node S with |S| < k is
-adjacent to all n - |S| of its supersets S + v.  From this closure alone,
-with no adjacency:
+adjacent to all n - |S| of its supersets S + v (Haas, Seyffarth, "The
+k-dominating graph", Graphs Combin. 2014).  From this closure alone, with
+no adjacency:
 * Size: each edge is the up-edge of its lower end, so D_k(G) has the sum
   over j < k of (n - j) d_j edges, d_j nodes of cardinality j.
 * Degrees: S - v dominates iff no vertex u has N[u] ∩ S = {v}, so a node
-  S has degree down(S) + (n - |S| if |S| < k else 0), where down(S) is |S|
-  less its members that are some vertex's only dominator.
+  S has degree down(S) + (n - |S| if |S| < k else 0), where down(S) is
+  |S| - |P(S)|, P(S) the members of S that are some vertex's only
+  dominator (a private neighbour of the member; Haynes, Hedetniemi,
+  Slater, Fundamentals of Domination in Graphs, 1998).  At k = n that is
+  n - |P(S)|, and two lemmas give the degree range from G and the table:
+  - Lemma A: the minimum degree of D_n(G) is n - Gamma(G).  Proof:
+    deleting a member outside P(S) keeps S dominating, and keeps every
+    member of P(S) some vertex's only dominator, since each N[u] ∩ S only
+    shrinks and never loses that member.  Deleting such members one at a
+    time ends at a minimal dominating set M with P(S) ⊆ M ⊆ S, so
+    |P(S)| <= |M| <= Gamma.  In a minimal dominating set every member is
+    in P(S), so a Gamma-set attains n - Gamma.  (P(S) is irredundant and
+    IR can exceed Gamma: the lemma needs S to dominate.)
+  - Lemma B: the maximum degree of D_n(G) is n - i(G), i(G) the number of
+    isolated vertices.  Proof: an isolated vertex is in every dominating
+    set, its own only dominator, so |P(S)| >= i(G).  At S = V, N[u] ∩ V =
+    N[u] is a single vertex only when u is isolated, so |P(V)| = i(G).
+  Gamma(G) is the top nonempty layer of the table's ``minimal_by_card``.
 * Components: those of layers k - 1 and k (the lemma of
   ReconfigGraph.component), labelled by propagation over their own CSR;
   each lower node S takes the label of S plus its lowest missing vertex.
@@ -34,8 +56,9 @@ with no adjacency:
   every set on the way being a superset of A or of B with at most
   |A ∪ B| members.  Only the other pairs search, from both ends, with
   breadth-first levels as masks over node ids.
-So ``reconfig --stats`` and D_n(G)'s degrees, components and distances
-make no CSR, and a D_k(G) below n makes only that of layers k - 1 and k.
+So ``reconfig --stats`` at k = n reads the table's two count rows and G,
+and lists no node; below n it lists the family and makes only the CSR of
+layers k - 1 and k.
 
 The CSR has its exact size before it is made, twice the size above.  More
 than ENUMERATION_CAP * 2^ENUMERATION_CAP entries (D_24(K_24) has
@@ -69,8 +92,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .domination import (_BLOCK, ENUMERATION_CAP, DomFamily, _blocks, _labels, _records,
-                          enumerate_dominating)
+from .domination import (_BLOCK, ENUMERATION_CAP, DomFamily, _blocks, _checked_bound, _labels,
+                         _records, _table, enumerate_dominating, upper_domination_number)
 from .errors import EmptyGraphError, TooLargeError
 from .graphs import Graph
 
@@ -79,7 +102,8 @@ HAMILTONIAN_ORDER_CAP = 20
 
 @dataclass(frozen=True, eq=False)
 class ReconfigGraph:
-    """D_k(G) as G and nodes = enumerate_dominating(G, k); its CSR, degrees
+    """D_k(G) as G and k, 1 <= k <= n; ``nodes`` is enumerate_dominating(G, k),
+    listed on first read unless given as ``listed``, and its CSR, degrees
     and component labels are made on first read.
 
     k < gamma(G) gives a valid graph with no nodes (order 0) rather than an
@@ -87,20 +111,39 @@ class ReconfigGraph:
     """
 
     graph: Graph
-    nodes: DomFamily
+    k: int
+    listed: DomFamily | None = None  # the nodes, when already listed: build's above the table
 
     def __post_init__(self):
-        if self.nodes.graph_n != self.graph.n:
-            raise ValueError(f"the family is of a graph on {self.nodes.graph_n} vertices, "
-                             f"not {self.graph.n}")
+        # k as enumerate_dominating reads it; the cap is build's, on what it lists
+        object.__setattr__(self, "k", _checked_bound(self.graph, self.k, self.graph.n))
+        listed = self.listed
+        if listed is not None and (listed.graph_n, listed.k) != (self.graph.n, self.k):
+            raise ValueError(f"the family is of D_{listed.k}(G) of a graph on {listed.graph_n} "
+                             f"vertices, not D_{self.k}(G) on {self.graph.n}")
+
+    @cached_property
+    def by_card(self) -> tuple[int, ...]:
+        """The node count of each layer j = 0..k: the table's dominating sets of
+        each cardinality, or the listed family's counts above the table."""
+        if self.listed is not None:
+            return self.listed.by_card
+        return _table(self.graph).dom_by_card[: self.k + 1]
+
+    @cached_property
+    def nodes(self) -> DomFamily:
+        """enumerate_dominating(G, k), listed on the first read of a per-node value."""
+        if self.listed is not None:
+            return self.listed
+        return enumerate_dominating(self.graph, self.k)
 
     @property
     def order(self) -> int:
-        return len(self.nodes)
+        return sum(self.by_card)
 
     @property
     def size(self) -> int:
-        return _size(self.graph.n, self.nodes.by_card, self.nodes.k)
+        return _size(self.graph.n, self.by_card, self.k)
 
     @property
     def indptr(self) -> np.ndarray:
@@ -112,7 +155,7 @@ class ReconfigGraph:
 
     @cached_property
     def _csr(self) -> tuple[np.ndarray, np.ndarray]:
-        csr = _adjacency(self.nodes.bits, self.graph.n, self.nodes.by_card, self.nodes.k)
+        csr = _adjacency(self.nodes.bits, self.graph.n, self.by_card, self.k)
         for a in csr:
             a.flags.writeable = False  # the graph is frozen
         return csr
@@ -127,7 +170,7 @@ class ReconfigGraph:
         of S in some N[u]}.  One pass over the vertices u ORs each node's
         hits S ∩ N[u] that hold a single member.
         """
-        n, k, bits, cards = self.graph.n, self.nodes.k, self.nodes.bits, self.nodes.cards
+        n, k, bits, cards = self.graph.n, self.k, self.nodes.bits, self.nodes.cards
         # up-degree plus |S|, less the members that are some vertex's only dominator
         degrees = np.where(cards < k, n, cards)
         nbhds = np.array(self.graph.closed_nbhd, dtype=np.uint64)
@@ -141,11 +184,19 @@ class ReconfigGraph:
         degrees.flags.writeable = False
         return degrees
 
+    @cached_property
+    def _degree_extremes(self) -> tuple[int, int]:
+        n = self.graph.n
+        if self.k == n and n <= ENUMERATION_CAP:  # Lemmas A and B
+            isolated = self.graph.degree_sequence().count(0)
+            return n - upper_domination_number(self.graph), n - isolated
+        return int(self.degrees.min()), int(self.degrees.max())
+
     @property
     def component_count(self) -> int:
         """1 at k = n, where every node climbs to V; below n, the components of
         layers k - 1 and k, with no label for the nodes below them."""
-        if self.nodes.k == self.graph.n:
+        if self.k == self.graph.n:
             return 1
         return int(np.count_nonzero(self._top == np.arange(len(self._top))))
 
@@ -169,12 +220,13 @@ class ReconfigGraph:
         Last, components are numbered by their smallest node id, which may
         lie below layer k - 1.
         """
-        order, k, bits = self.order, self.nodes.k, self.nodes.bits
+        order, k = self.order, self.k
         if k == self.graph.n:  # every node climbs to V through its supersets
             labels = np.zeros(order, dtype=np.int64)
         else:
             top = self._top  # before any per-node array: its CSR may be refused
-            first = np.cumsum((0, *self.nodes.by_card))  # first[j]: the first id of layer j
+            bits = self.nodes.bits
+            first = np.cumsum((0, *self.by_card))  # first[j]: the first id of layer j
             labels = np.empty(order, dtype=np.int64)
             labels[first[k - 1]:] = first[k - 1] + top
             for j in range(k - 2, -1, -1):
@@ -195,9 +247,8 @@ class ReconfigGraph:
         their own CSR: each node takes the smallest label among itself and its
         neighbours, then the label of its label (pointer jumping), until
         nothing changes.  TooLargeError when that CSR exceeds the budget."""
-        nodes = self.nodes
-        top = sum(nodes.by_card[:nodes.k - 1])
-        indptr, indices = _adjacency(nodes.bits[top:], self.graph.n, nodes.by_card, nodes.k)
+        top = sum(self.by_card[:self.k - 1])
+        indptr, indices = _adjacency(self.nodes.bits[top:], self.graph.n, self.by_card, self.k)
         heads = np.flatnonzero(np.diff(indptr))  # the nodes with a neighbour
         starts = indptr[heads]
         labels = np.arange(len(indptr) - 1)
@@ -213,7 +264,7 @@ class ReconfigGraph:
     def node_id(self, bits: int) -> int:
         """Node id of the dominating set with this bitmask (KeyError if absent)."""
         bits = operator.index(bits)  # TypeError unless an integer, NumPy's too
-        if 0 <= bits < 1 << self.nodes.graph_n:
+        if 0 <= bits < 1 << self.graph.n:
             # binary search inside the block of ids with this cardinality; the keys
             # take the dtype of cards, which a mixed search would cast whole
             card, cards = bits.bit_count(), self.nodes.cards
@@ -225,10 +276,16 @@ class ReconfigGraph:
 
 
 def build(g: Graph, k: int | None = None, *, cap: int = ENUMERATION_CAP) -> ReconfigGraph:
-    """D_k(G) on the sets enumerate_dominating returns; k defaults to n.  Its
-    size, degrees and components come from the family, and its CSR is made
-    on first read."""
-    return ReconfigGraph(g, enumerate_dominating(g, k, cap=cap))
+    """D_k(G) on the sets enumerate_dominating(g, k, cap=cap) returns; k
+    defaults to n.  It raises what enumerate_dominating raises, at this call:
+    ValueError for k, then TooLargeError for cap, then, above the subset
+    table, the prune route's budget, since there it lists the family.  While
+    g fits the table it lists nothing: it reads the layer counts from the
+    table before it returns, and the nodes are listed on their first read."""
+    k = _checked_bound(g, k, cap)
+    r = ReconfigGraph(g, k, enumerate_dominating(g, k, cap=cap) if g.n > ENUMERATION_CAP else None)
+    r.by_card  # the table's build and counts are this call's work
+    return r
 
 
 def _size(n: int, by_card: tuple[int, ...], k: int, low: int = 0) -> int:
@@ -311,16 +368,24 @@ def bipartition(r: ReconfigGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def degree_extremes(r: ReconfigGraph) -> tuple[int, int]:
-    """(min degree, max degree)."""
+    """(min degree, max degree), cached on r.
+
+    At k = n, while G fits the subset table, Lemmas A and B of the module
+    docstring give (n - Gamma(G), n - i(G)), Gamma(G) from the table's
+    minimal_by_card and i(G) the number of isolated vertices, with no node
+    listed.  Below n, and above the table, the range of r.degrees.
+    """
     if r.order == 0:
         raise EmptyGraphError("degree extremes of an empty reconfiguration graph")
-    return int(r.degrees.min()), int(r.degrees.max())
+    return r._degree_extremes
 
 
 def is_regular(r: ReconfigGraph) -> bool:
+    """Whether every node has one degree: min == max of degree_extremes."""
     if r.order == 0:
         raise EmptyGraphError("regularity of an empty reconfiguration graph")
-    return bool((r.degrees == r.degrees[0]).all())
+    low, high = degree_extremes(r)
+    return low == high
 
 
 def connected_components(r: ReconfigGraph) -> tuple[int, tuple[int, ...]]:
@@ -360,7 +425,7 @@ def _node_ids(r: ReconfigGraph, *ids) -> list[int]:
     except TypeError:
         pass  # not all integers: refused below
     if r.order == 0:
-        raise ValueError(f"D_{r.nodes.k}(G) has no nodes: k is below the domination number")
+        raise ValueError(f"D_{r.k}(G) has no nodes: k is below the domination number")
     if not all(isinstance(i, int) and 0 <= i < r.order for i in ids):
         raise ValueError(f"node ids must be in 0..{r.order - 1}")
     return ids
@@ -384,7 +449,7 @@ def distance(r: ReconfigGraph, a: int, b: int) -> int | None:
     """
     a, b = _node_ids(r, a, b)
     x, y = r.nodes.bits[[a, b]].tolist()
-    if (x | y).bit_count() <= r.nodes.k:
+    if (x | y).bit_count() <= r.k:
         return (x ^ y).bit_count()
     seen = [np.arange(r.order) == a, np.arange(r.order) == b]
     searches = [_frontiers(r.indptr, r.indices, mask) for mask in seen]
@@ -437,7 +502,7 @@ def is_hamiltonian(r: ReconfigGraph) -> bool:
     number of dominating sets) is odd.
     """
     n = r.order
-    if 2 * np.count_nonzero(r.nodes.cards % 2) != n:
+    if 2 * sum(r.by_card[1::2]) != n:
         return False
     if n > HAMILTONIAN_ORDER_CAP:
         raise TooLargeError(f"order {n} exceeds the Hamiltonian search cap {HAMILTONIAN_ORDER_CAP}")
@@ -520,8 +585,8 @@ def _edges(r: ReconfigGraph, digits: np.ndarray, block: slice,
 
 def to_json_obj(r: ReconfigGraph) -> dict:
     return {
-        "base_n": r.nodes.graph_n,
-        "k": r.nodes.k,
+        "base_n": r.graph.n,
+        "k": r.k,
         "nodes": r.nodes.to_json_obj(),
         "edges": [[i, j] for i, j in edge_list(r)],
     }
@@ -529,12 +594,12 @@ def to_json_obj(r: ReconfigGraph) -> dict:
 
 def json_chunks(r: ReconfigGraph):
     """The chunks of to_json(r), one per block of node ids, made as they are read."""
-    yield f'{{"base_n": {r.nodes.graph_n}, "k": {r.nodes.k}, "nodes": '
+    yield f'{{"base_n": {r.graph.n}, "k": {r.k}, "nodes": '
     yield from r.nodes.json_chunks()
     yield ', "edges": ['
     digits = _digits(r.order)
     lead = 2  # the first edge's ", "
-    for block in _blocks(r.order, r.nodes.graph_n):
+    for block in _blocks(r.order, r.graph.n):
         text = _edges(r, digits, block, b", [", b", ", b"]")
         if text:
             yield text[lead:]
@@ -550,7 +615,7 @@ def to_json(r: ReconfigGraph) -> str:
 def dot_chunks(r: ReconfigGraph):
     """The chunks of to_dot(r), one per block of node ids, made as they are read."""
     yield "graph D {\n"
-    n, digits = r.nodes.graph_n, _digits(r.order)
+    n, digits = r.graph.n, _digits(r.order)
     for block in _blocks(r.order, n):
         yield _records(b"  s", digits[block], b' [label="{', *_labels(r.nodes.bits[block], n, ","),
                        b'}"];\n')

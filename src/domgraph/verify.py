@@ -80,15 +80,13 @@ def suite_complete(max_n: int = 12) -> list[CheckRecord]:
         _over_n("complete/bipartition", built, 1, hi, lambda n: [2 ** (n - 1), 2 ** (n - 1) - 1],
                 lambda r: [len(p) for p in reconfig.bipartition(r)],
                 note="parts are the odd- and even-cardinality dominating sets"),
-        _over_n("complete/min-degree", built, 1, hi, lambda n: n - 1,
-                lambda r: reconfig.degree_extremes(r)[0]),
-        _over_n("complete/max-degree", built, 2, hi, lambda n: n,
-                lambda r: reconfig.degree_extremes(r)[1],
+        _over_n("complete/min-degree", built, 1, hi, lambda n: n - 1, _min_degree),
+        _over_n("complete/max-degree", built, 2, hi, lambda n: n, _max_degree,
                 note="D_1(K_1) is a single node with degree 0, excluded"),
         _over_n("complete/degree-n-1-count", built, 1, hi, lambda n: n,
-                lambda r: int(np.count_nonzero(r.degrees == r.nodes.graph_n - 1)),
+                lambda r: int(np.count_nonzero(r.degrees == r.graph.n - 1)),
                 note="exactly the n singletons have degree n-1"),
-        _over_n("complete/non-regularity", built, 2, hi, lambda n: False, reconfig.is_regular),
+        _over_n("complete/non-regularity", built, 2, hi, lambda n: False, _regular),
         _over_n("complete/bipartite-edges-cross", built, 1, hi, lambda n: 0, parity_violations),
         _over_n("complete/euler", built, 3, min(hi, 10), lambda n: "neither",
                 reconfig.euler_status),
@@ -98,13 +96,28 @@ def suite_complete(max_n: int = 12) -> list[CheckRecord]:
     records.append(replace(ham, range=f"{ham.range} (order <= {reconfig.HAMILTONIAN_ORDER_CAP})"))
 
     def complement(r):
-        r1 = reconfig.build(make_family("complete", r.nodes.graph_n), 1)
+        r1 = reconfig.build(make_family("complete", r.graph.n), 1)
         return [r1.size, reconfig.connected_components(r1)[0]]
 
     records.append(_over_n(
         "complete/k1-is-complement", built, 1, min(hi, 8), lambda n: [0, n], complement,
         note="D_1(K_n) is edgeless on n nodes, the complement of K_n"))
     return records
+
+
+# The degree records observe the per-node pass, r.degrees, and not degree_extremes or
+# is_regular: at k = n those read the degree lemmas, which the records would then judge
+# by themselves
+def _min_degree(r: reconfig.ReconfigGraph) -> int:
+    return int(r.degrees.min())
+
+
+def _max_degree(r: reconfig.ReconfigGraph) -> int:
+    return int(r.degrees.max())
+
+
+def _regular(r: reconfig.ReconfigGraph) -> bool:
+    return bool((r.degrees == r.degrees[0]).all())
 
 
 def parity_violations(r: reconfig.ReconfigGraph) -> int:
@@ -311,16 +324,14 @@ def _structure_records(family: str, built: dict[int, reconfig.ReconfigGraph],
     return [
         _over_n(f"{family}/connected", built, lo, struct_hi, lambda n: 1,
                 lambda r: reconfig.connected_components(r)[0]),
-        _over_n(f"{family}/max-degree", built, max(lo, 2), struct_hi, lambda n: n,
-                lambda r: reconfig.degree_extremes(r)[1],
+        _over_n(f"{family}/max-degree", built, max(lo, 2), struct_hi, lambda n: n, _max_degree,
                 note="n=1 is a single node" if family == "path" else ""),
         _over_n(f"{family}/min-degree", built, lo, struct_hi, lambda n: n - UPPER_GAMMA[family](n),
-                lambda r: reconfig.degree_extremes(r)[0],
-                note="minimum degree is n - Gamma, attained at the Gamma-sets"),
+                _min_degree, note="minimum degree is n - Gamma, attained at the Gamma-sets"),
         _over_n(f"{family}/bipartite-edges-cross", built, lo, struct_hi, lambda n: 0,
                 parity_violations),
         _over_n(f"{family}/non-regularity", built, max(lo, 2), struct_hi, lambda n: False,
-                reconfig.is_regular),
+                _regular),
     ]
 
 

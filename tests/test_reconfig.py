@@ -23,8 +23,9 @@ from domgraph import (
     is_hamiltonian,
     is_regular,
     make_family,
+    path_triangle,
 )
-from domgraph import domination, reconfig
+from domgraph import cli, domination, reconfig
 from domgraph.domination import ENUMERATION_CAP
 from domgraph.graphs import VertexSubset, graph_from_edges, ladder
 from domgraph.reconfig import edge_list, to_dot, to_json, to_json_obj
@@ -675,5 +676,81 @@ def test_stats_peak_is_a_fraction_of_builds():
 
 
 def test_reconfig_graph_refuses_a_family_of_another_graph():
-    with pytest.raises(ValueError, match="graph on 5 vertices, not 6"):
-        reconfig.ReconfigGraph(make_family("path", 6), enumerate_dominating(make_family("path", 5)))
+    p5 = make_family("path", 5)
+    with pytest.raises(ValueError, match=r"D_5\(G\) of a graph on 5 vertices, not D_6\(G\) on 6"):
+        reconfig.ReconfigGraph(make_family("path", 6), 6, enumerate_dominating(p5))
+    with pytest.raises(ValueError, match=r"D_5\(G\) of a graph on 5 vertices, not D_4\(G\) on 5"):
+        reconfig.ReconfigGraph(p5, 4, enumerate_dominating(p5))
+
+
+@st.composite
+def graphs_with_isolated_vertices(draw, max_n):
+    """A drawn graph with up to three isolated vertices added after its own."""
+    g = draw(drawn_graphs(max_n - 3))
+    return graph_from_edges(g.n + draw(st.integers(0, 3)), g.edges)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(graphs_with_isolated_vertices(12))
+def test_degree_lemmas_and_layer_counts_equal_the_per_node_pass(g):
+    for k in range(1, g.n + 1):
+        r = build(g, k)
+        assert r.by_card == enumerate_dominating(g, k).by_card
+        if not r.order:
+            continue
+        # the lemmas at k = n read before any per-node array, so none of it feeds them
+        extremes, regular = degree_extremes(r), is_regular(r)
+        assert extremes == (int(r.degrees.min()), int(r.degrees.max()))
+        assert regular == bool((r.degrees == r.degrees[0]).all())
+
+
+def test_lemma_b_counts_the_isolated_vertices():
+    # every isolated vertex is its own only dominator in every dominating set, V
+    # included: max degree n - i(G), where n alone would be off by i(G)
+    for m in range(1, 7):
+        r = build(make_family("empty", m))  # D_m(O_m) is the single node V
+        assert degree_extremes(r) == (0, 0) and is_regular(r)
+        assert r.degrees.tolist() == [0]
+    for isolated in range(5):
+        g = graph_from_edges(2 + isolated, [(0, 1)])  # Gamma = 1 + i(G)
+        r = build(g)
+        assert degree_extremes(r) == (1, 2) == (int(r.degrees.min()), int(r.degrees.max()))
+        assert not is_regular(r)
+
+
+def test_stats_list_no_node_at_k_equal_n(monkeypatch, tmp_path):
+    scans = []
+    scan = domination.SubsetTable.scan
+
+    def counted(table, k):
+        scans.append(k)
+        return scan(table, k)
+
+    monkeypatch.setattr(domination.SubsetTable, "scan", counted)
+    out = str(tmp_path / "stats.txt")
+    for kind, n in (("path", 12), ("cycle", 9), ("ladder", 5), ("empty", 4), ("complete", 6)):
+        argv = ["reconfig", "--family", kind, "--n", str(n), "--stats", "--output", out]
+        assert cli.main(argv) == 0 and scans == []
+        # below n, the components list the family once; D_3(O_4) has no node to list
+        vertices = 2 * n if kind == "ladder" else n
+        assert cli.main([*argv, "--k", str(vertices - 1)]) == 0
+        assert scans == ([] if kind == "empty" else [vertices - 1])
+        scans.clear()
+
+
+def test_build_refuses_at_the_call_and_reads_the_layer_counts():
+    p6 = make_family("path", 6)
+    for k in (0, 7, 1.5):
+        with pytest.raises(ValueError, match=f"k={k!r} must satisfy 1 <= k <= 6"):
+            build(p6, k)
+    with pytest.raises(TooLargeError, match="n=6 exceeds the enumeration cap 5"):
+        build(p6, cap=5)
+    with pytest.raises(TooLargeError, match="n=25 exceeds the enumeration cap 24"):
+        build(make_family("path", 25))
+    # within the table, build has read the counts and listed no node
+    r = build(p6, 4)
+    assert "by_card" in vars(r) and "nodes" not in vars(r)
+    assert r.by_card == path_triangle(6).row(6)[:5]
+    # above it, build has listed the family
+    r = build(make_family("path", 26), 9, cap=63)
+    assert r.listed is not None and r.by_card == r.listed.by_card
