@@ -118,15 +118,15 @@ def _cmd_family(args) -> Iterable[str]:
 
 
 def _cmd_dominating(args) -> Iterable[str]:
-    g = _resolve_graph(args)
-    family = domination.enumerate_dominating(g, args.k, cap=args.cap)
+    r = reconfig.ReconfigGraph(_resolve_graph(args), args.k, cap=args.cap)
     if args.format == "json":
-        return chain(family.json_chunks(), ["\n"])
+        return chain(r.nodes.json_chunks(), ["\n"])
+    by_card = r.by_card  # before main opens --output: above the table it lists, and may raise
     if args.format == "csv":
-        rows = (f"{g.n},{j},{c}\n" for j, c in enumerate(family.by_card) if c)
+        rows = (f"{r.graph.n},{j},{c}\n" for j, c in enumerate(by_card) if c)
         return chain(["n,j,count\n"], rows)
-    rows = [("graph n", g.n), ("bound k", family.k), ("dominating sets", len(family))]
-    rows += [(f"cardinality {j}", c) for j, c in enumerate(family.by_card) if c]
+    rows = [("graph n", r.graph.n), ("bound k", r.k), ("dominating sets", r.order)]
+    rows += [(f"cardinality {j}", c) for j, c in enumerate(by_card) if c]
     return [_table(rows)]
 
 

@@ -258,11 +258,6 @@ class SubsetTable:
             half[:, 0, :] &= half[:, 1, :]
 
     @cached_property
-    def _word_cards(self) -> np.ndarray:
-        return np.bitwise_count(np.arange(len(self.dom), dtype=np.uint32))
-
-
-    @cached_property
     def minimal(self) -> np.ndarray:
         # v in S is removable iff S - v dominates: for v < 6, S - v sits 2^v bits lower
         # in S's word; above, in the lower half of each block of 2 << (v - 6) words
@@ -311,7 +306,7 @@ class SubsetTable:
         """The bitmasks of the dominating sets with at most k members, sorted by value."""
         # in a word with j set bits, keep the positions with at most k - j set bits
         allowed = _AT_MOST[np.clip(k + 1 - np.arange(self.n + 1), 0, 7)]
-        words = self.dom & allowed[self._word_cards]
+        words = self.dom & allowed[np.bitwise_count(np.arange(len(self.dom), dtype=np.uint32))]
         nonzero = np.flatnonzero(words)
         members = np.flatnonzero(
             np.unpackbits(words[nonzero].astype("<u8", copy=False).view(np.uint8),

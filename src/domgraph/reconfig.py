@@ -5,14 +5,14 @@ are adjacent iff the sets differ by adding or deleting a single vertex.
 Node ids are positions in the DomFamily sort order (cardinality, then
 bitmask), so exports are deterministic.
 
-A ReconfigGraph is G and k.  Its one eager value is ``by_card``, the node
-count of each layer j = 0..k: while G fits the subset table it is the
-table's ``dom_by_card[:k + 1]``, the layer counts of the scan's family, and
-above the table build lists the family by the prune route and reads its
-counts.  The order, the size and the parts come from by_card alone.
-``nodes``, the DomFamily enumerate_dominating(G, k) returns (``bits`` and
-``cards`` give each node's set and cardinality, each cardinality one block
-of ids sorted by bitmask), is listed on the first read of a per-node value.
+A ReconfigGraph is G, k and the cap on n, checked once, when it is made.
+``by_card``, the node count of each layer j = 0..k, is the subset table's
+``dom_by_card[:k + 1]`` while G fits the table, the layer counts of the
+scan's family, and the counts of ``nodes`` above it.  The order, the size
+and the parts come from by_card alone.  ``nodes``, the DomFamily
+enumerate_dominating(G, k, cap=cap) returns (``bits`` and ``cards`` give
+each node's set and cardinality, each cardinality one block of ids sorted
+by bitmask), is listed on its first read.
 The rest is made from it on first read and cached, indexed by node id:
 
 * ``indptr`` (int64) and ``indices`` (int32): the adjacency in CSR form,
@@ -57,8 +57,9 @@ no adjacency:
   |A ∪ B| members.  Only the other pairs search, from both ends, with
   breadth-first levels as masks over node ids.
 So ``reconfig --stats`` at k = n reads the table's two count rows and G,
-and lists no node; below n it lists the family and makes only the CSR of
-layers k - 1 and k.
+and ``dominating --format csv`` or ``table`` by_card alone, and neither
+lists a node; below n ``reconfig --stats`` lists the family and makes only
+the CSR of layers k - 1 and k.
 
 The CSR has its exact size before it is made, twice the size above.  More
 than ENUMERATION_CAP * 2^ENUMERATION_CAP entries (D_24(K_24) has
@@ -87,7 +88,7 @@ caller reads them.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -102,40 +103,34 @@ HAMILTONIAN_ORDER_CAP = 20
 
 @dataclass(frozen=True, eq=False)
 class ReconfigGraph:
-    """D_k(G) as G and k, 1 <= k <= n; ``nodes`` is enumerate_dominating(G, k),
-    listed on first read unless given as ``listed``, and its CSR, degrees
-    and component labels are made on first read.
+    """D_k(G) on the nodes enumerate_dominating(graph, k, cap=cap), k
+    defaulting to n.  Making it raises what that call raises for its
+    arguments: ValueError unless 1 <= k <= n, then TooLargeError when n
+    exceeds cap.  ``by_card``, ``nodes``, the CSR, degrees and component
+    labels are made on first read.
 
     k < gamma(G) gives a valid graph with no nodes (order 0) rather than an
     error, so callers can probe k ranges.
     """
 
     graph: Graph
-    k: int
-    listed: DomFamily | None = None  # the nodes, when already listed: build's above the table
+    k: int | None = None
+    cap: int = field(default=ENUMERATION_CAP, kw_only=True)
 
     def __post_init__(self):
-        # k as enumerate_dominating reads it; the cap is build's, on what it lists
-        object.__setattr__(self, "k", _checked_bound(self.graph, self.k, self.graph.n))
-        listed = self.listed
-        if listed is not None and (listed.graph_n, listed.k) != (self.graph.n, self.k):
-            raise ValueError(f"the family is of D_{listed.k}(G) of a graph on {listed.graph_n} "
-                             f"vertices, not D_{self.k}(G) on {self.graph.n}")
+        object.__setattr__(self, "k", _checked_bound(self.graph, self.k, self.cap))
 
     @cached_property
     def by_card(self) -> tuple[int, ...]:
         """The node count of each layer j = 0..k: the table's dominating sets of
-        each cardinality, or the listed family's counts above the table."""
-        if self.listed is not None:
-            return self.listed.by_card
+        each cardinality, or the counts of nodes above the table."""
+        if self.graph.n > ENUMERATION_CAP:
+            return self.nodes.by_card
         return _table(self.graph).dom_by_card[: self.k + 1]
 
     @cached_property
     def nodes(self) -> DomFamily:
-        """enumerate_dominating(G, k), listed on the first read of a per-node value."""
-        if self.listed is not None:
-            return self.listed
-        return enumerate_dominating(self.graph, self.k)
+        return enumerate_dominating(self.graph, self.k, cap=self.cap)
 
     @property
     def order(self) -> int:
@@ -276,15 +271,13 @@ class ReconfigGraph:
 
 
 def build(g: Graph, k: int | None = None, *, cap: int = ENUMERATION_CAP) -> ReconfigGraph:
-    """D_k(G) on the sets enumerate_dominating(g, k, cap=cap) returns; k
-    defaults to n.  It raises what enumerate_dominating raises, at this call:
-    ValueError for k, then TooLargeError for cap, then, above the subset
-    table, the prune route's budget, since there it lists the family.  While
-    g fits the table it lists nothing: it reads the layer counts from the
-    table before it returns, and the nodes are listed on their first read."""
-    k = _checked_bound(g, k, cap)
-    r = ReconfigGraph(g, k, enumerate_dominating(g, k, cap=cap) if g.n > ENUMERATION_CAP else None)
-    r.by_card  # the table's build and counts are this call's work
+    """ReconfigGraph(g, k, cap=cap) with its layer counts read.  It raises what
+    enumerate_dominating(g, k, cap=cap) raises, at this call: ValueError for
+    k, then TooLargeError for cap, then, above the subset table, where
+    by_card lists the family, the prune route's budget.  While g fits the
+    table it lists no node."""
+    r = ReconfigGraph(g, k, cap=cap)
+    r.by_card  # the table's build and counts, or the listing above it, are this call's work
     return r
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import random
@@ -675,12 +676,25 @@ def test_stats_peak_is_a_fraction_of_builds():
     assert 4 * peaks[1] < peaks[0]
 
 
-def test_reconfig_graph_refuses_a_family_of_another_graph():
-    p5 = make_family("path", 5)
-    with pytest.raises(ValueError, match=r"D_5\(G\) of a graph on 5 vertices, not D_6\(G\) on 6"):
-        reconfig.ReconfigGraph(make_family("path", 6), 6, enumerate_dominating(p5))
-    with pytest.raises(ValueError, match=r"D_5\(G\) of a graph on 5 vertices, not D_4\(G\) on 5"):
-        reconfig.ReconfigGraph(p5, 4, enumerate_dominating(p5))
+def test_reconfig_graph_checks_its_arguments_when_made():
+    assert [f.name for f in dataclasses.fields(reconfig.ReconfigGraph)] == ["graph", "k", "cap"]
+    p6 = make_family("path", 6)
+    for k in (0, 7, 1.5):
+        with pytest.raises(ValueError, match=f"k={k!r} must satisfy 1 <= k <= 6"):
+            reconfig.ReconfigGraph(p6, k)
+    with pytest.raises(TooLargeError, match="n=6 exceeds the enumeration cap 5"):
+        reconfig.ReconfigGraph(p6, cap=5)
+    with pytest.raises(TooLargeError, match="n=25 exceeds the enumeration cap 24"):
+        reconfig.ReconfigGraph(make_family("path", 25), 9)
+    # within the subset table, making it reads nothing, not even the table
+    domination._table.cache_clear()
+    r = reconfig.ReconfigGraph(p6)
+    assert r.k == 6 and "by_card" not in vars(r) and "nodes" not in vars(r)
+    assert domination._table.cache_info().currsize == 0
+    # above the table, what build gives
+    p26 = make_family("path", 26)
+    r, built = reconfig.ReconfigGraph(p26, 9, cap=63), build(p26, 9, cap=63)
+    assert r.by_card == built.by_card and np.array_equal(r.nodes.bits, built.nodes.bits)
 
 
 @st.composite
@@ -736,6 +750,11 @@ def test_stats_list_no_node_at_k_equal_n(monkeypatch, tmp_path):
         assert cli.main([*argv, "--k", str(vertices - 1)]) == 0
         assert scans == ([] if kind == "empty" else [vertices - 1])
         scans.clear()
+        # dominating prints the layer counts with no scan, and lists the sets for json
+        for fmt, listed in (("csv", []), ("table", []), ("json", [vertices])):
+            argv = ["dominating", "--family", kind, "--n", str(n), "--format", fmt, "--output", out]
+            assert cli.main(argv) == 0 and scans == listed
+            scans.clear()
 
 
 def test_build_refuses_at_the_call_and_reads_the_layer_counts():
@@ -753,4 +772,4 @@ def test_build_refuses_at_the_call_and_reads_the_layer_counts():
     assert r.by_card == path_triangle(6).row(6)[:5]
     # above it, build has listed the family
     r = build(make_family("path", 26), 9, cap=63)
-    assert r.listed is not None and r.by_card == r.listed.by_card
+    assert "nodes" in vars(r) and r.by_card == r.nodes.by_card

@@ -345,31 +345,51 @@ def test_two_walk_marks_equal_the_distances_below_k_equals_n(g, data):
     assert np.array_equal(verify._distance_two_marks(r), distance_two_by_bfs(r))
 
 
-def test_distance_two_law_fails_when_an_edge_is_dropped(monkeypatch):
-    def record(suite, check):
-        # the distance-2 record checks the D_n(P_n) that suite_paths built for the
-        # structure records
-        return next(r for r in suite(6) if r.check == check)
+def record(suite, check):
+    return next(r for r in suite(6) if r.check == check)
 
-    cases = [(verify.suite_paths, "path/distance-2-law"), (verify.suite_complete, "complete/size")]
-    assert all(record(*case).status == "pass" for case in cases)
+
+def drop_entries(monkeypatch, dropped):
+    """Make reconfig._adjacency leave out the CSR entries whose rows and
+    columns dropped(rows, cols) marks."""
     adjacency = reconfig._adjacency
 
-    def without_first_edge(*args):
+    def without(*args):
         indptr, indices = adjacency(*args)
-        if not len(indices):  # D_1(P_1) is a single node
-            return indptr, indices
-        a, b = 0, int(indices[0])  # node 0 and its first neighbour
         order = len(indptr) - 1
         src = np.repeat(np.arange(order), np.diff(indptr))
-        keep = ~(((src == a) & (indices == b)) | ((src == b) & (indices == a)))
+        keep = ~dropped(src, indices)
         indptr = np.zeros_like(indptr)
         np.cumsum(np.bincount(src[keep], minlength=order), out=indptr[1:])
         return indptr, indices[keep]
 
-    monkeypatch.setattr(reconfig, "_adjacency", without_first_edge)
+    monkeypatch.setattr(reconfig, "_adjacency", without)
+
+
+def test_distance_two_law_fails_when_an_edge_is_dropped(monkeypatch):
+    # the distance-2 record checks the D_n(P_n) that suite_paths built for the
+    # structure records
+    cases = [(verify.suite_paths, "path/distance-2-law"), (verify.suite_complete, "complete/size")]
+    assert all(record(*case).status == "pass" for case in cases)
+
+    def first_edge(src, cols):
+        b = cols[:1]  # node 0's first neighbour; none in D_1(P_1), a single node
+        return ((src == 0) & np.isin(cols, b)) | (np.isin(src, b) & (cols == 0))
+
+    drop_entries(monkeypatch, first_edge)
     distance_two, size = (record(*case) for case in cases)
     assert distance_two.status == "fail"
     assert any(violations for _, violations in distance_two.observed)
     # the size that the superset lemma claims, against the CSR's entries
     assert size.status == "fail"
+
+
+def test_connected_records_fail_when_node_0_is_isolated(monkeypatch):
+    # at k = n the superset lemma says D_n(G) is connected: the records search the CSR
+    cases = [(verify.suite_paths, "path/connected"), (verify.suite_cycles, "cycle/connected")]
+    assert all(record(*case).status == "pass" for case in cases)
+    drop_entries(monkeypatch, lambda src, cols: (src == 0) | (cols == 0))
+    for case in cases:
+        rec = record(*case)
+        # D_1(P_1) is the single node 0
+        assert rec.status == "fail" and all(count == 1 + (n > 1) for n, count in rec.observed)
