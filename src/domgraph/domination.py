@@ -45,7 +45,15 @@ the words grouped by their own popcount: one stable order of the ids of a
 block of 2^b words (b = min(n - 6, 16)) by popcount, made once per b and
 shared by every table, groups every block, and block hi adds popcount(hi).
 The scan masks each word the same way before it unpacks the words that
-hold a set.
+hold a set.  The minimal mask and a parity plane share one removal loop:
+for each vertex v, the subsets S containing v with S - v dominating are
+dom shifted 2^v positions inside each word for v < 6, and above it the
+lower half of each block of 2^(v - 5) words.  ORed over v they are the
+subsets with a removable member, and minimal is dom less them; XORed, the
+subsets with an odd number of them, whose counts by cardinality
+(``odd_down_by_card``) give reconfig.euler_status its odd-degree count with
+no set listed.  Both lie inside dom: a superset of a dominating set
+dominates.
 The last graph's table is kept (``lru_cache(maxsize=1)``), so queries on one
 graph (or on equal graphs) build it once.  The last prune-route family is
 kept too: a prune-route call on an equal graph with no larger k returns the
@@ -257,23 +265,30 @@ class SubsetTable:
             half = self.dom.reshape(-1, 2, 1 << (v - 6))
             half[:, 0, :] &= half[:, 1, :]
 
-    @cached_property
-    def minimal(self) -> np.ndarray:
-        # v in S is removable iff S - v dominates: for v < 6, S - v sits 2^v bits lower
-        # in S's word; above, in the lower half of each block of 2 << (v - 6) words
-        removable = np.zeros_like(self.dom)
+    def _removals(self, op) -> np.ndarray:
+        """op (np.bitwise_or or np.bitwise_xor) over the vertices v of the masks
+        {S containing v : S - v dominates}: with OR the subsets with a removable
+        member, with XOR those with an odd number of them."""
+        # for v < 6, S - v sits 2^v bits lower in S's word; above, in the lower
+        # half of each block of 2 << (v - 6) words
+        removals = np.zeros_like(self.dom)
         shifted = np.empty_like(self.dom)
         for shift, holds_v in _IN_WORD_VERTICES[: self.n]:
             np.left_shift(self.dom, shift, shifted)
             shifted &= holds_v
-            removable |= shifted
+            op(removals, shifted, out=removals)
         for v in range(6, self.n):
             step = 1 << (v - 6)
-            into = removable.reshape(-1, 2, step)[:, 1, :]
+            into = removals.reshape(-1, 2, step)[:, 1, :]
             # half-rows shorter than a cache line (8 words) are run down their columns
-            np.bitwise_or(into, self.dom.reshape(-1, 2, step)[:, 0, :], out=into,
-                          order="F" if step < 8 else "K")
-        # a set with a removable vertex dominates, so minimal = dom and not removable
+            op(into, self.dom.reshape(-1, 2, step)[:, 0, :], out=into,
+               order="F" if step < 8 else "K")
+        return removals
+
+    @cached_property
+    def minimal(self) -> np.ndarray:
+        # a set with a removable member dominates, so minimal = dom and not removable
+        removable = self._removals(np.bitwise_or)
         return np.bitwise_and(self.dom, np.invert(removable, out=removable), out=removable)
 
     def _by_card(self, words: np.ndarray) -> tuple[int, ...]:
@@ -301,6 +316,12 @@ class SubsetTable:
     @cached_property
     def minimal_by_card(self) -> tuple[int, ...]:
         return self._by_card(self.minimal)
+
+    @cached_property
+    def odd_down_by_card(self) -> tuple[int, ...]:
+        """o_j for j = 0..n: the dominating j-sets with an odd number of
+        removable members (down(S) in reconfig), from the XOR plane."""
+        return self._by_card(self._removals(np.bitwise_xor))
 
     def scan(self, k: int) -> np.ndarray:
         """The bitmasks of the dominating sets with at most k members, sorted by value."""

@@ -47,6 +47,11 @@ no adjacency:
     set, its own only dominator, so |P(S)| >= i(G).  At S = V, N[u] ∩ V =
     N[u] is a single vertex only when u is isolated, so |P(V)| = i(G).
   Gamma(G) is the top nonempty layer of the table's ``minimal_by_card``.
+  The parity of every degree, at every k, comes from the table too: with
+  o_j the dominating j-sets whose down(S) is odd (``odd_down_by_card``, the
+  table's XOR over v of the sets S containing v with S - v dominating) and
+  d_j those of cardinality j, D_k(G) has the sum over j < k of (o_j if
+  n - j is even, else d_j - o_j), plus o_k, nodes of odd degree.
 * Components: those of layers k - 1 and k (the lemma of
   ReconfigGraph.component), labelled by propagation over their own CSR;
   each lower node S takes the label of S plus its lowest missing vertex.
@@ -57,9 +62,10 @@ no adjacency:
   |A ∪ B| members.  Only the other pairs search, from both ends, with
   breadth-first levels as masks over node ids.
 So ``reconfig --stats`` at k = n reads the table's two count rows and G,
-and ``dominating --format csv`` or ``table`` by_card alone, and neither
-lists a node; below n ``reconfig --stats`` lists the family and makes only
-the CSR of layers k - 1 and k.
+``euler_status`` its count rows and parity row, and ``dominating --format
+csv`` or ``table`` by_card alone, and none of them lists a node while G fits
+the table; below n ``reconfig --stats`` and ``euler_status`` list the family
+for the components and make only the CSR of layers k - 1 and k.
 
 The CSR has its exact size before it is made, twice the size above.  More
 than ENUMERATION_CAP * 2^ENUMERATION_CAP entries (D_24(K_24) has
@@ -186,6 +192,17 @@ class ReconfigGraph:
             isolated = self.graph.degree_sequence().count(0)
             return n - upper_domination_number(self.graph), n - isolated
         return int(self.degrees.min()), int(self.degrees.max())
+
+    @cached_property
+    def _odd_degrees(self) -> int:
+        """The nodes of odd degree: the table's parity identity of the module
+        docstring (Degrees) while G fits the table, odd degrees above it."""
+        n, k = self.graph.n, self.k
+        if n > ENUMERATION_CAP:
+            return int(np.count_nonzero(self.degrees % 2))
+        table = _table(self.graph)
+        odd, dom = table.odd_down_by_card, table.dom_by_card
+        return sum(odd[j] if (n - j) % 2 == 0 else dom[j] - odd[j] for j in range(k)) + odd[k]
 
     @property
     def component_count(self) -> int:
@@ -475,10 +492,13 @@ def euler_status(r: ReconfigGraph) -> str:
     Connectivity plus the odd-degree count decides: 0 odd vertices gives a
     closed tour, exactly 2 an open trail, and a disconnected graph neither.
     A single node and an empty D_k(G) (no odd degree) are vacuously eulerian.
+    The components come first (1 at k = n without looking), then the count,
+    from the subset table's count and parity rows while G fits the table
+    (module docstring, Degrees), so at k = n no node is listed there.
     """
     if r.component_count > 1:
         return "neither"
-    odd = np.count_nonzero(r.degrees % 2)
+    odd = r._odd_degrees
     if odd == 0:
         return "eulerian"
     if odd == 2:

@@ -483,6 +483,34 @@ def test_unpacked_masks_keep_the_domination_laws(g):
         np.bincount(cards[minimal], minlength=g.n + 1).tolist())
 
 
+def assert_minimal_equals_the_unpacked_deletions(g):
+    # S - v is S's index less 2^v: the upper half of each block of 2^(v + 1) subsets
+    # takes the lower half, over one bool per subset, with no in-word shift
+    table = SubsetTable(g)
+    dom = unpacked(table.dom, g.n)
+    removable = np.zeros_like(dom)
+    for v in range(g.n):
+        removable.reshape(-1, 2, 1 << v)[:, 1, :] |= dom.reshape(-1, 2, 1 << v)[:, 0, :]
+    minimal = np.flatnonzero(dom & ~removable)
+    assert np.array_equal(np.flatnonzero(unpacked(table.minimal, g.n)), minimal)
+    assert table.minimal_by_card == tuple(
+        np.bincount(np.bitwise_count(minimal), minlength=g.n + 1).tolist())
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(drawn_graphs(22))
+def test_minimal_mask_equals_the_unpacked_deletions(g):
+    assert_minimal_equals_the_unpacked_deletions(g)
+
+
+def test_minimal_mask_equals_the_unpacked_deletions_in_several_blocks():
+    # from n = 23 the counts group the words in more than one block of 2^16
+    rng = random.Random(23)
+    for g in (make_family("path", 24), ladder(12), make_family("cycle", 23),
+              sparse_graph(rng, 23), sparse_graph(rng, 24)):
+        assert_minimal_equals_the_unpacked_deletions(g)
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(drawn_graphs(14), st.data())
 def test_scan_equals_prune_on_drawn_graphs(g, data):

@@ -718,6 +718,19 @@ def test_degree_lemmas_and_layer_counts_equal_the_per_node_pass(g):
         assert regular == bool((r.degrees == r.degrees[0]).all())
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(graphs_with_isolated_vertices(12))
+def test_odd_degree_count_of_the_parity_plane_equals_the_per_node_pass(g):
+    for k in range(1, g.n + 1):
+        r = build(g, k)
+        # the table's count reads before any per-node array, so none of it feeds it
+        odd, status = r._odd_degrees, euler_status(r)
+        per_node = int(np.count_nonzero(r.degrees % 2))
+        assert odd == per_node
+        assert status == ("neither" if r.component_count > 1
+                          else {0: "eulerian", 2: "trail-only"}.get(per_node, "neither"))
+
+
 def test_lemma_b_counts_the_isolated_vertices():
     # every isolated vertex is its own only dominator in every dominating set, V
     # included: max degree n - i(G), where n alone would be off by i(G)
@@ -732,7 +745,11 @@ def test_lemma_b_counts_the_isolated_vertices():
         assert not is_regular(r)
 
 
-def test_stats_list_no_node_at_k_equal_n(monkeypatch, tmp_path):
+NO_LISTING_CASES = (("path", 12), ("cycle", 9), ("ladder", 5), ("empty", 4), ("complete", 6))
+
+
+def count_scans(monkeypatch) -> list:
+    """Record the k of each SubsetTable.scan call, the table's listing of the nodes."""
     scans = []
     scan = domination.SubsetTable.scan
 
@@ -741,8 +758,25 @@ def test_stats_list_no_node_at_k_equal_n(monkeypatch, tmp_path):
         return scan(table, k)
 
     monkeypatch.setattr(domination.SubsetTable, "scan", counted)
+    return scans
+
+
+def test_euler_status_lists_no_node_at_k_equal_n(monkeypatch):
+    scans = count_scans(monkeypatch)
+    for kind, n in NO_LISTING_CASES:
+        g = ladder(n) if kind == "ladder" else make_family(kind, n)
+        euler_status(build(g))
+        assert scans == []
+        # below n, the component check lists the family once, D_3(O_4)'s empty one too
+        euler_status(build(g, g.n - 1))
+        assert scans == [g.n - 1]
+        scans.clear()
+
+
+def test_stats_list_no_node_at_k_equal_n(monkeypatch, tmp_path):
+    scans = count_scans(monkeypatch)
     out = str(tmp_path / "stats.txt")
-    for kind, n in (("path", 12), ("cycle", 9), ("ladder", 5), ("empty", 4), ("complete", 6)):
+    for kind, n in NO_LISTING_CASES:
         argv = ["reconfig", "--family", kind, "--n", str(n), "--stats", "--output", out]
         assert cli.main(argv) == 0 and scans == []
         # below n, the components list the family once; D_3(O_4) has no node to list
