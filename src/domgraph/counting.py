@@ -241,13 +241,9 @@ class CubicClosedForm:
         return value[2]
 
 
-def cubic_closed_form(family: str, numerator: tuple[int, ...] | None = None) -> CubicClosedForm:
-    """The partial-fraction form of the family's order generating function:
-    its numerator unless one is given (verify passes the printed variant's,
-    which does not reproduce the order sequence; the verify suite records why).
-    """
-    gf = _by_family(family, PATH_ORDER_GF, CYCLE_ORDER_GF)
-    return CubicClosedForm(gf.numerator if numerator is None else numerator)
+def cubic_closed_form(family: str) -> CubicClosedForm:
+    """The partial-fraction form of the family's order generating function."""
+    return CubicClosedForm(_by_family(family, PATH_ORDER_GF, CYCLE_ORDER_GF).numerator)
 
 
 def closed_form_order(family: str, n: int) -> int:

@@ -6,13 +6,17 @@ Node ids are positions in the DomFamily sort order (cardinality, then
 bitmask), so exports are deterministic.
 
 A ReconfigGraph is G, k and the cap on n, checked once, when it is made.
-``by_card``, the node count of each layer j = 0..k, is the subset table's
-``dom_by_card[:k + 1]`` while G fits the table, the layer counts of the
-scan's family, and the counts of ``nodes`` above it.  The order, the size
-and the parts come from by_card alone.  ``nodes``, the DomFamily
-enumerate_dominating(G, k, cap=cap) returns (``bits`` and ``cards`` give
-each node's set and cardinality, each cardinality one block of ids sorted
-by bitmask), is listed on its first read.
+While G fits the subset table it keeps G's SubsetTable from its first
+read on: the one table its count rows, degree lemmas and parity rows read.
+``by_card``, the node count of each layer j = 0..k, is that table's
+``dom_by_card[:k + 1]``, the layer counts of the scan's family, and the
+counts of ``nodes`` above it.  The order, the size and the parts come from
+by_card alone, and so do the layer starts: layer j holds the ids from
+``_first[j]`` to ``_first[j + 1]``, the cumulative sums of by_card, which
+node_id, the component labels and the top two layers read.  ``nodes``, the
+DomFamily enumerate_dominating(G, k, cap=cap) returns (``bits`` and
+``cards`` give each node's set and cardinality, each cardinality one block
+of ids sorted by bitmask), is listed on its first read.
 The rest is made from it on first read and cached, indexed by node id:
 
 * ``indptr`` (int64) and ``indices`` (int32): the adjacency in CSR form,
@@ -59,8 +63,8 @@ no adjacency:
 * Distance: each edge toggles one vertex, so d(A, B) >= |A △ B|; when
   |A ∪ B| <= k, adding B - A and then deleting A - B reaches that bound,
   every set on the way being a superset of A or of B with at most
-  |A ∪ B| members.  Only the other pairs search, from both ends, with
-  breadth-first levels as masks over node ids.
+  |A ∪ B| members.  Only the other pairs search: the breadth-first levels
+  of distance_row, masks over node ids, run from A and stop at B's.
 So ``reconfig --stats`` at k = n reads the table's two count rows and G,
 ``euler_status`` its count rows and parity row, and ``dominating --format
 csv`` or ``table`` by_card alone, and none of them lists a node while G fits
@@ -99,8 +103,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .domination import (_BLOCK, ENUMERATION_CAP, DomFamily, _blocks, _checked_bound, _labels,
-                         _records, _table, enumerate_dominating, upper_domination_number)
+from .domination import (_BLOCK, ENUMERATION_CAP, DomFamily, SubsetTable, _blocks, _checked_bound,
+                         _labels, _records, _table, enumerate_dominating)
 from .errors import EmptyGraphError, TooLargeError
 from .graphs import Graph
 
@@ -115,6 +119,12 @@ class ReconfigGraph:
     exceeds cap.  ``by_card``, ``nodes``, the CSR, degrees and component
     labels are made on first read.
 
+    While G fits the subset table, the first read of by_card, of the degree
+    range at k = n or of the odd-degree count takes G's SubsetTable, and the
+    object keeps it for as long as it lives (2^n / 8 bytes a mask, the
+    minimal mask once the degree range has read it), so those reads never
+    build the table again, whatever graph the table cache has moved on to.
+
     k < gamma(G) gives a valid graph with no nodes (order 0) rather than an
     error, so callers can probe k ranges.
     """
@@ -127,12 +137,22 @@ class ReconfigGraph:
         object.__setattr__(self, "k", _checked_bound(self.graph, self.k, self.cap))
 
     @cached_property
+    def _subset_table(self) -> SubsetTable | None:
+        """G's subset table, None when G does not fit it."""
+        return _table(self.graph) if self.graph.n <= ENUMERATION_CAP else None
+
+    @cached_property
     def by_card(self) -> tuple[int, ...]:
         """The node count of each layer j = 0..k: the table's dominating sets of
         each cardinality, or the counts of nodes above the table."""
-        if self.graph.n > ENUMERATION_CAP:
-            return self.nodes.by_card
-        return _table(self.graph).dom_by_card[: self.k + 1]
+        table = self._subset_table
+        return self.nodes.by_card if table is None else table.dom_by_card[: self.k + 1]
+
+    @cached_property
+    def _first(self) -> np.ndarray:
+        """_first[j]: the first node id of layer j, for j = 0..k + 1, the last
+        being the order."""
+        return np.cumsum((0, *self.by_card))
 
     @cached_property
     def nodes(self) -> DomFamily:
@@ -187,20 +207,19 @@ class ReconfigGraph:
 
     @cached_property
     def _degree_extremes(self) -> tuple[int, int]:
-        n = self.graph.n
-        if self.k == n and n <= ENUMERATION_CAP:  # Lemmas A and B
-            isolated = self.graph.degree_sequence().count(0)
-            return n - upper_domination_number(self.graph), n - isolated
+        n, table = self.graph.n, self._subset_table
+        if self.k == n and table is not None:  # Lemmas A and B
+            upper_gamma = max(j for j, c in enumerate(table.minimal_by_card) if c)
+            return n - upper_gamma, n - self.graph.degree_sequence().count(0)
         return int(self.degrees.min()), int(self.degrees.max())
 
     @cached_property
     def _odd_degrees(self) -> int:
         """The nodes of odd degree: the table's parity identity of the module
         docstring (Degrees) while G fits the table, odd degrees above it."""
-        n, k = self.graph.n, self.k
-        if n > ENUMERATION_CAP:
+        n, k, table = self.graph.n, self.k, self._subset_table
+        if table is None:
             return int(np.count_nonzero(self.degrees % 2))
-        table = _table(self.graph)
         odd, dom = table.odd_down_by_card, table.dom_by_card
         return sum(odd[j] if (n - j) % 2 == 0 else dom[j] - odd[j] for j in range(k)) + odd[k]
 
@@ -237,8 +256,7 @@ class ReconfigGraph:
             labels = np.zeros(order, dtype=np.int64)
         else:
             top = self._top  # before any per-node array: its CSR may be refused
-            bits = self.nodes.bits
-            first = np.cumsum((0, *self.by_card))  # first[j]: the first id of layer j
+            bits, first = self.nodes.bits, self._first
             labels = np.empty(order, dtype=np.int64)
             labels[first[k - 1]:] = first[k - 1] + top
             for j in range(k - 2, -1, -1):
@@ -259,7 +277,7 @@ class ReconfigGraph:
         their own CSR: each node takes the smallest label among itself and its
         neighbours, then the label of its label (pointer jumping), until
         nothing changes.  TooLargeError when that CSR exceeds the budget."""
-        top = sum(self.by_card[:self.k - 1])
+        top = self._first[self.k - 1]
         indptr, indices = _adjacency(self.nodes.bits[top:], self.graph.n, self.by_card, self.k)
         heads = np.flatnonzero(np.diff(indptr))  # the nodes with a neighbour
         starts = indptr[heads]
@@ -274,13 +292,13 @@ class ReconfigGraph:
         return labels
 
     def node_id(self, bits: int) -> int:
-        """Node id of the dominating set with this bitmask (KeyError if absent)."""
+        """Node id of the dominating set with this bitmask (KeyError if absent):
+        a binary search in the layer of its cardinality, whose ids _first
+        bounds."""
         bits = operator.index(bits)  # TypeError unless an integer, NumPy's too
-        if 0 <= bits < 1 << self.graph.n:
-            # binary search inside the block of ids with this cardinality; the keys
-            # take the dtype of cards, which a mixed search would cast whole
-            card, cards = bits.bit_count(), self.nodes.cards
-            lo, hi = np.searchsorted(cards, np.arange(card, card + 2, dtype=cards.dtype))
+        card = bits.bit_count()
+        if 0 <= bits < 1 << self.graph.n and card <= self.k:
+            lo, hi = self._first[card:card + 2]
             i = lo + int(np.searchsorted(self.nodes.bits[lo:hi], np.uint64(bits)))
             if i < hi and self.nodes.bits[i] == bits:
                 return int(i)
@@ -451,29 +469,16 @@ def distance(r: ReconfigGraph, a: int, b: int) -> int | None:
     superset of A or of B, so it dominates, with at most |A ∪ B| <= k
     members, so it is a node.
 
-    Otherwise a breadth-first search runs from both ends, each step growing
-    the smaller frontier by one level.  The balls of radii d_a and d_b were
-    disjoint before the step, so d(a, b) > d_a + d_b, and the first new
-    level that meets the other side's ball gives d(a, b) = d_a + d_b + 1
-    exactly.
+    Otherwise the breadth-first levels of distance_row run from a and stop
+    at the first that reaches b.
     """
     a, b = _node_ids(r, a, b)
     x, y = r.nodes.bits[[a, b]].tolist()
     if (x | y).bit_count() <= r.k:
         return (x ^ y).bit_count()
-    seen = [np.arange(r.order) == a, np.arange(r.order) == b]
-    searches = [_frontiers(r.indptr, r.indices, mask) for mask in seen]
-    sizes = [1, 1]
-    depth = 0
-    while True:
-        side = int(sizes[1] < sizes[0])
-        frontier = next(searches[side], None)
-        if frontier is None:
-            return None
-        depth += 1
-        if seen[1 - side][frontier].any():
-            return depth
-        sizes[side] = frontier.size
+    seen = np.arange(r.order) == a  # each level is marked in seen before it is yielded
+    levels = enumerate(_frontiers(r.indptr, r.indices, seen), 1)
+    return next((depth for depth, _ in levels if seen[b]), None)
 
 
 def distance_row(r: ReconfigGraph, a: int) -> np.ndarray:

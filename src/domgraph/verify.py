@@ -19,6 +19,7 @@ import math
 import operator
 import random
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -53,8 +54,11 @@ def _pairs_record(check, rng, triples, note="", mismatch_status="fail"):
 
 def _over_n(check, items, lo, hi, claim, observe, *, parity="", note="", mismatch_status="fail"):
     """Build a record over the n of items in lo..hi (only odd or even n when
-    parity says so), pairing claim(n) with observe(items[n]); the range
-    label is written from the same bounds."""
+    parity says so), pairing claim(n) with observe(items[n]), or with
+    observe(n) over every n in lo..hi when items is None; the range label is
+    written from the same bounds."""
+    if items is None:
+        items = {n: n for n in range(lo, hi + 1)}
     rest = {"odd": 1, "even": 0}.get(parity)
     return _pairs_record(
         check, f"{parity} n, {lo}<=n<={hi}" if parity else f"{lo}<=n<={hi}",
@@ -96,7 +100,7 @@ def suite_complete(max_n: int = 12) -> list[CheckRecord]:
     records.append(replace(ham, range=f"{ham.range} (order <= {reconfig.HAMILTONIAN_ORDER_CAP})"))
 
     def complement(r):
-        r1 = reconfig.build(make_family("complete", r.graph.n), 1)
+        r1 = reconfig.build(r.graph, 1)
         return [r1.size, reconfig.connected_components(r1)[0]]
 
     records.append(_over_n(
@@ -195,22 +199,18 @@ def suite_paths(max_n: int = 12) -> list[CheckRecord]:
         note="three-term recurrence vs exhaustive enumeration, entrywise",
     ))
     records.append(_order_record("path", paths, enum_hi))
+
+    def entry(length, card):  # the triangle's entry, or its row sum when card is None
+        return table.row_sum(length) if card is None else table.row(length)[card]
+
     for case, formula in counting.PATH_FORMULAS.items():
-        triples = []
-        for n in range(formula.min_n, 31):
-            length, card = formula.target(n)
-            oracle = table.row_sum(length) if card is None else table.row(length)[card]
-            triples.append((n, counting.closed_d(case, n), oracle))
-        records.append(_pairs_record(
-            f"path/formula:{case}", f"{formula.min_n}<=n<=30",
-            triples, note=formula.description,
+        records.append(_over_n(
+            f"path/formula:{case}", None, formula.min_n, 30, partial(counting.closed_d, case),
+            lambda n, target=formula.target: entry(*target(n)), note=formula.description,
         ))
-    records.append(_pairs_record(
-        "path/gamma-plus-one-binding", "1<=n<=6",
-        [
-            (n, counting.closed_d("d(P3n+2,n+2)", n), table.row(3 * n + 1)[n + 2])
-            for n in range(1, 7)
-        ],
+    records.append(_over_n(
+        "path/gamma-plus-one-binding", None, 1, 6, partial(counting.closed_d, "d(P3n+2,n+2)"),
+        lambda n: table.row(3 * n + 1)[n + 2],
         note=(
             "the quartic is sometimes titled as the (gamma+1)-set count of "
             "P_{3n+1}; it actually equals d(P_{3n+2}, n+2) (see "
@@ -288,16 +288,11 @@ def _gf_and_closed_form_records(family: str) -> list[CheckRecord]:
     gf = counting.PATH_ORDER_GF if family == "path" else counting.CYCLE_ORDER_GF
     coeffs = counting.expand_gf(gf, 40)
     records = [
-        _pairs_record(
-            f"{family}/gf", "1<=n<=40",
-            [(n, seq[n - 1], coeffs[n - 1]) for n in range(1, 41)],
-            note="coefficient of x^(n-1) is the order at n",
-        ),
-        _pairs_record(
-            f"{family}/closed-form", "1<=n<=40",
-            [(n, seq[n - 1], counting.closed_form_order(family, n)) for n in range(1, 41)],
-            note="exact root formula vs recurrence",
-        ),
+        _over_n(f"{family}/gf", None, 1, 40, lambda n: seq[n - 1], lambda n: coeffs[n - 1],
+                note="coefficient of x^(n-1) is the order at n"),
+        _over_n(f"{family}/closed-form", None, 1, 40, lambda n: seq[n - 1],
+                partial(counting.closed_form_order, family),
+                note="exact root formula vs recurrence"),
     ]
     form = counting.cubic_closed_form(family)
     records.append(_pairs_record(
@@ -310,10 +305,10 @@ def _gf_and_closed_form_records(family: str) -> list[CheckRecord]:
     ))
     # the printed variant's (-1)^n and 1/t factors make it (-1)^n times the
     # partial-fraction form at n + 1 with the printed numerator
-    printed = counting.cubic_closed_form(family, PRINTED_NUMERATORS[family])
-    records.append(_pairs_record(
-        f"{family}/closed-form-constants", "4<=n<=12",
-        [(n, (-1) ** n * printed.evaluate(n + 1), seq[n - 1]) for n in range(4, 13)],
+    printed = counting.CubicClosedForm(PRINTED_NUMERATORS[family])
+    records.append(_over_n(
+        f"{family}/closed-form-constants", None, 4, 12,
+        lambda n: (-1) ** n * printed.evaluate(n + 1), lambda n: seq[n - 1],
         note=(
             "the alternating-sign variant (numerators (t-1)^2 for paths, "
             "3t^2-2t+1 for cycles, extra (-1)^n and 1/t factors) does not "

@@ -177,8 +177,7 @@ def test_closed_form_matches_sympy_root_sum(family, printed):
     sp = pytest.importorskip("sympy")
     x, y = sp.symbols("x y")
     p = x**3 + x**2 + x - 1
-    numerator = PRINTED_NUMERATORS[family] if printed else None
-    form = cubic_closed_form(family, numerator)
+    form = CubicClosedForm(PRINTED_NUMERATORS[family]) if printed else cubic_closed_form(family)
     for n in range(1, 31):
         # prod_{j != i} (t_j - t_i) = p'(t_i), so the terms N(t_i) t_i^(-n) / p'(t_i)
         # are the roots in y of res_x(p, y x^n p'(x) - N(x)); sum them exactly
@@ -188,13 +187,13 @@ def test_closed_form_matches_sympy_root_sum(family, printed):
 
 
 def test_zero_numerator_is_given_not_defaulted():
-    assert cubic_closed_form("path", ()).evaluate(5) == 0
-    assert cubic_closed_form("path", None).evaluate(5) == closed_form_order("path", 5)
+    assert CubicClosedForm(()).evaluate(5) == 0
+    assert cubic_closed_form("path").evaluate(5) == closed_form_order("path", 5)
 
 
 def test_numpy_coefficients_are_read_as_python_ints():
     numerator = tuple(np.array((1, 2, 1)))
-    assert cubic_closed_form("path", numerator).evaluate(100) == closed_form_order("path", 100)
+    assert CubicClosedForm(numerator).evaluate(100) == closed_form_order("path", 100)
     assert expand_gf(RationalGF(numerator, tuple(np.array(TRIBONACCI))), 100)[99] == (
         closed_form_order("path", 100))
     with pytest.raises(TypeError):
@@ -205,7 +204,7 @@ def test_the_tribonacci_cubic_is_stated_once():
     assert [f.name for f in dataclasses.fields(CubicClosedForm)] == ["numerator"]
     assert [f.name for f in dataclasses.fields(RationalGF)] == ["numerator", "denominator"]
     assert PATH_ORDER_GF.denominator == CYCLE_ORDER_GF.denominator == TRIBONACCI
-    assert cubic_closed_form("path").roots == cubic_closed_form("cycle", (1,)).roots
+    assert cubic_closed_form("path").roots == CubicClosedForm((1,)).roots
 
 
 def test_cubic_roots_residuals():

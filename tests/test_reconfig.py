@@ -379,14 +379,30 @@ def test_components_left_over_by_the_search_from_node_0():
     assert connected_components(build(make_family("complete", 4), 1)) == (4, (0, 1, 2, 3))
 
 
-def test_distance_from_both_ends_equals_the_one_sided_search():
-    # across components (None), both depth parities, and a meeting on either side
+def test_distance_equals_the_distance_row_on_every_pair(monkeypatch):
+    # the lemma's pairs read no level; the others read the levels from a up to
+    # the one that reaches b, or all of them across components (None)
+    frontiers, levels = reconfig._frontiers, []
+
+    def counted(*args):
+        levels.append(0)
+        for level in frontiers(*args):
+            levels[-1] += 1
+            yield level
+
+    monkeypatch.setattr(reconfig, "_frontiers", counted)
     for g, k in [(LEFTOVER_G, 3), (make_family("cycle", 5), 3), (ladder(2), 4)]:
         r = build(g, k)
+        bits = r.nodes.bits.tolist()
         for a in range(r.order):
             row = reconfig.distance_row(r, a)
             for b in range(r.order):
+                levels.clear()
                 assert distance(r, a, b) == (int(row[b]) if row[b] >= 0 else None)
+                if (bits[a] | bits[b]).bit_count() <= k:
+                    assert levels == []
+                else:
+                    assert levels == [row[b] if row[b] >= 0 else row.max()]
 
 
 def test_components_from_the_top_two_layers_equal_a_python_search_at_every_k():
@@ -638,6 +654,17 @@ def test_stats_equal_the_built_graph_on_the_prune_route():
         r = build(g, k, cap=63)
         assert_the_numbers_equal_the_csr(r)
         assert r.order > 0 and r.component_count > 1
+    # connected D_k(G) above the table, 24 or 22 of whose vertices are isolated:
+    # euler_status counts the odd degrees of r.degrees there
+    one_edge, two_edges = graph_from_edges(26, [(0, 1)]), graph_from_edges(26, [(0, 1), (2, 3)])
+    for g, k, order, status in [(one_edge, 26, 3, "trail-only"), (two_edges, 25, 8, "eulerian"),
+                                (two_edges, 26, 9, "neither")]:
+        r = build(g, k, cap=63)
+        assert_the_numbers_equal_the_csr(r)
+        odd = int(np.count_nonzero(np.diff(r.indptr) % 2))
+        by_csr = {0: "eulerian", 2: "trail-only"}.get(odd, "neither")
+        assert r.component_count == 1 and r.order == order
+        assert euler_status(r) == by_csr == status
 
 
 def test_stats_make_no_adjacency_at_k_equal_n_and_two_layers_below_it(monkeypatch):
@@ -765,8 +792,11 @@ def test_euler_status_lists_no_node_at_k_equal_n(monkeypatch):
     scans = count_scans(monkeypatch)
     for kind, n in NO_LISTING_CASES:
         g = ladder(n) if kind == "ladder" else make_family(kind, n)
-        euler_status(build(g))
-        assert scans == []
+        r = build(g)
+        # r keeps the table it counted with: the table cache's loss costs no build
+        domination._table.cache_clear()
+        euler_status(r), degree_extremes(r)
+        assert scans == [] and domination._table.cache_info().misses == 0
         # below n, the component check lists the family once, D_3(O_4)'s empty one too
         euler_status(build(g, g.n - 1))
         assert scans == [g.n - 1]
