@@ -83,7 +83,6 @@ order * n lookups it serves, and ``np.searchsorted`` in a value-sorted copy
 of ``nodes.bits`` otherwise; sorting each node's n candidates, in a
 contiguous copy, puts its neighbours in order and the sentinels of absent
 sets last.
-The Hamiltonian search keeps its layers as uint32 arrays.
 Export writes each node line and each edge as a fixed-width byte record
 (``domination._records``): node ids from one digit table per call, labels
 from ``nodes.bits`` through the 8-bit chunk tables of ``domination._labels``
@@ -512,12 +511,12 @@ def euler_status(r: ReconfigGraph) -> str:
 
 
 def is_hamiltonian(r: ReconfigGraph) -> bool:
-    """Exact Hamiltonian-cycle decision: the layer search of _hamiltonian.
+    """Exact Hamiltonian-cycle decision: the pruned path search of _hamiltonian.
 
     Exponential in the order, hence the cap.  Every edge changes the
     cardinality parity, so parity classes of unequal size decide False at
     any order, before the cap: every D_n(G) among them, whose order (the
-    number of dominating sets) is odd.
+    number of dominating sets) is odd.  Only balanced CSRs reach the search.
     """
     n = r.order
     if 2 * sum(r.by_card[1::2]) != n:
@@ -528,35 +527,48 @@ def is_hamiltonian(r: ReconfigGraph) -> bool:
 
 
 def _hamiltonian(indptr: np.ndarray, indices: np.ndarray) -> bool:
-    """Whether the graph with this CSR, of at most 32 nodes, has a Hamiltonian
-    cycle, by subset dynamic programming.
+    """Whether the graph with this CSR has a Hamiltonian cycle, by a
+    depth-first search over the simple paths from node 0, the path's set S,
+    its end v and each row held as Python int bitmasks.  A cycle exists iff
+    some path over all the nodes ends next to node 0.
 
-    Layer j holds the vertex set S of each simple path of j + 1 nodes from
-    node 0 (``sets``) and the bitmask of the nodes where such a path can end
-    (``ends``), as uint32 arrays, so only reachable sets are stored.  One
-    broadcast lists every extension (S, w) by an end's neighbour w outside
-    S; sorting the grown sets and OR-ing w's bit over each run of equal sets
-    gives the next layer.  A cycle exists iff some end at the full set is
-    adjacent to node 0, so pendant nodes and split graphs need no check.
+    * The cut: after a step to w, every node outside S must keep two
+      neighbours among the free nodes, w and node 0, since each is an inner
+      node of the rest of the cycle, from w back to 0.
+    * The memo: a pair (S, v) whose search failed is not searched again, so
+      each is expanded at most once, the state bound of the subset DP.  Its
+      key holds v: whether a path closes depends on where it ends.
+
+    The parity bar of is_hamiltonian comes first: on a CSR whose parts
+    differ, which has no cycle, the search can be slow.
     """
     n = len(indptr) - 1
     if n < 3:  # the search would take the 2-node path for a cycle
         return False
-    bit = np.uint32(1) << np.arange(n, dtype=np.uint32)
-    adj = np.zeros(n, dtype=np.uint32)  # adj[w]: the bitmask of w's neighbours
-    np.bitwise_or.at(adj, np.repeat(np.arange(n), np.diff(indptr)), bit[indices])
-    sets = ends = bit[:1]
-    for _ in range(n - 1):
-        si, w = np.nonzero(((ends[:, None] & adj) != 0) & ((sets[:, None] & bit) == 0))
-        if not si.size:
-            return False
-        grown = sets[si] | bit[w]
-        by_set = np.argsort(grown, kind="stable")
-        grown = grown[by_set]
-        starts = np.flatnonzero(np.r_[True, grown[1:] != grown[:-1]])
-        sets = grown[starts]
-        ends = np.bitwise_or.reduceat(bit[w[by_set]], starts)
-    return bool(ends[0] & adj[0])
+    ptr, nbrs = indptr.tolist(), indices.tolist()
+    # adj[1 << i]: the bitmask of node i's neighbours, which are distinct
+    adj = {1 << i: sum(1 << j for j in nbrs[ptr[i]:ptr[i + 1]]) for i in range(n)}
+    full = (1 << n) - 1
+    dead = set()
+
+    def extend(seen: int, v: int) -> bool:
+        if seen == full:
+            return bool(adj[v] & 1)
+        if (seen, v) not in dead:
+            keep = full & ~seen | 1  # the free nodes after any step, the step w and node 0
+            steps = adj[v] & ~seen
+            while steps:
+                w = steps & -steps
+                steps ^= w
+                free = keep ^ w ^ 1  # the free nodes after the step to w
+                while free and (adj[free & -free] & keep).bit_count() >= 2:
+                    free &= free - 1
+                if not free and extend(seen | w, w):
+                    return True
+            dead.add((seen, v))
+        return False
+
+    return extend(1, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -245,6 +245,14 @@ def row_components(rows: list[list[int]]) -> np.ndarray:
     return np.array(labels)
 
 
+def edges_csr(order: int, edges) -> tuple[np.ndarray, np.ndarray]:
+    """indptr and indices of the graph on nodes 0..order-1 with these edges."""
+    rows = [sorted({b for a, b in edges if a == i} | {a for a, b in edges if b == i})
+            for i in range(order)]
+    indptr = np.cumsum([0] + [len(row) for row in rows])
+    return indptr, np.array([j for row in rows for j in row], dtype=np.int32)
+
+
 def test_is_hamiltonian_search_finds_no_cycle_across_a_bridge():
     # graphs on which only the search can say no, given to the search kernel as
     # a CSR, since none is a D_k(G); m = 10 is at the order cap.  Two m-cycles joined by
@@ -262,15 +270,12 @@ def test_is_hamiltonian_search_finds_no_cycle_across_a_bridge():
         tail_far = ring + [(1, order - 2), (order - 2, order - 1)]
         tail_at_0 = [(a + 2, b + 2) for a, b in ring] + [(1, 2), (0, 1)]
         for edges in (twins + [(0, m + 1)], twins + [(m - 1, m)], twins, tail_far, tail_at_0):
-            rows = [sorted({b for a, b in edges if a == i} | {a for a, b in edges if b == i})
-                    for i in range(order)]
-            indptr = np.cumsum([0] + [len(row) for row in rows])
-            indices = np.array([j for row in rows for j in row], dtype=np.int32)
+            indptr, indices = edges_csr(order, edges)
             assert not reconfig._hamiltonian(indptr, indices)
             assert not dfs_hamiltonian(indptr, indices)
 
 
-def test_is_hamiltonian_dp_on_every_graph_up_to_4_vertices():
+def test_is_hamiltonian_search_on_every_graph_up_to_4_vertices():
     # on these small graphs, the D_k(G) with parity parts of equal size,
     # minimum degree 2 and one component are all Hamiltonian; the search must
     # say yes on those and no on every other
@@ -295,6 +300,47 @@ def test_is_hamiltonian_equals_a_path_search_on_drawn_graphs(g):
         r = build(g, k)
         if r.order <= 12:
             assert is_hamiltonian(r) == dfs_hamiltonian(r.indptr, r.indices)
+
+
+def test_is_hamiltonian_equals_a_path_search_on_every_graph_on_5_vertices():
+    # the D_k(G) of order up to the cap whose parity parts are equal, the
+    # only ones the search is given: orders 13-20 among them
+    searched = hamiltonian = 0
+    pairs = list(itertools.combinations(range(5), 2))
+    for chosen in itertools.product((False, True), repeat=len(pairs)):
+        g = graph_from_edges(5, itertools.compress(pairs, chosen))
+        for k in range(1, 6):
+            r = build(g, k)
+            if 2 * len(bipartition(r)[0]) == r.order <= reconfig.HAMILTONIAN_ORDER_CAP:
+                answer = is_hamiltonian(r)
+                assert answer == dfs_hamiltonian(r.indptr, r.indices)
+                searched += 1
+                hamiltonian += answer
+    assert (searched, hamiltonian) == (1468, 547)
+
+
+def test_hamiltonian_search_equals_a_path_search_on_seeded_graphs():
+    # graphs that are no D_k(G), to test the search's cut and its memo of
+    # dead (set, end) pairs.  On the 6-node witness the path 0 1 2 is dead
+    # and 0 2 1 grows to the cycle 0 2 1 4 3 5: the two share the set
+    # {0, 1, 2} and not the end, so a memo keyed by the set alone says no
+    witness = [(0, 1), (0, 2), (0, 4), (0, 5), (1, 2), (1, 4), (2, 3), (3, 4), (3, 5)]
+    assert reconfig._hamiltonian(*edges_csr(6, witness))
+    rng = random.Random(11)
+    graphs = []
+    for _ in range(300):
+        n, p = rng.randint(4, 9), rng.random()
+        graphs.append((n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p]))
+    # balanced bipartite graphs on 20 nodes, the order cap, with minimum degree 2
+    while len(graphs) < 340:
+        p = rng.uniform(0.12, 0.3)
+        edges = [(a, 10 + b) for a in range(10) for b in range(10) if rng.random() < p]
+        if all(sum(v in e for e in edges) >= 2 for v in range(20)):
+            label = rng.sample(range(20), 20)
+            graphs.append((20, [(label[a], label[b]) for a, b in edges]))
+    answers = [reconfig._hamiltonian(*edges_csr(n, edges)) for n, edges in graphs]
+    assert answers == [dfs_hamiltonian(*edges_csr(n, edges)) for n, edges in graphs]
+    assert (sum(answers[:300]), sum(answers[300:])) == (127, 21)
 
 
 def test_default_k_is_n():
